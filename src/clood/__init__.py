@@ -1,15 +1,13 @@
 """Cluster-aware contrastive learning for unsupervised OOD detection,
-with a minimal reverse-mode autodiff engine, spherical k-means
-pseudo-labeling, and AUROC-based evaluation on synthetic vector data."""
+with closed-form loss gradients, spherical k-means pseudo-labeling, and
+AUROC-based evaluation on synthetic vector data."""
 
-from .autodiff import Tensor, cosine_matrix, finite_difference_check
+from .autodiff import finite_difference_check
 from .config import TrainConfig, benchmark_config
 from .data import DatasetBundle, DatasetSpec, augment, generate_synthetic
 from .train import evaluate, load_checkpoint, save_checkpoint, train
 
 __all__ = [
-    "Tensor",
-    "cosine_matrix",
     "finite_difference_check",
     "TrainConfig",
     "benchmark_config",

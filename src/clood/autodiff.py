@@ -1,375 +1,81 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Closed-form gradients of clood's losses, on plain float64 arrays.
 
-The tape is implicit: every operation closes over its inputs and appends a
-backward rule to the output node (micrograd-style). A fresh graph is built for
-every training step; nothing persists between steps.
+Every loss term is one masked InfoNCE over a matrix of cosine logits
+L = cos(A, B) * scale:
+
+    loss = sum_i a_i (LSE_{j in D_i} L_ij - sum_j W_ij L_ij)
+
+with a denominator mask D, positive weights W and anchor weights a. Its
+gradient with respect to L is a_i (softmax_D(L_i) - W_i); the cosine
+backward carries that through the row normalisation to the rows of A.
 """
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ShapeError
-
-# When True, every forward op asserts its output is finite. Cheap at desk
-# scale; enabled by the test suite and the training loop's debug flag.
-CHECK_FINITE = False
-
-
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-class Tensor:
-    """Dense float64 array, optionally tracked for gradients."""
-
-    def __init__(self, data, requires_grad=False, _children=(), _op=""):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad or any(
-            c.requires_grad for c in _children
-        )
-        self.grad = None
-        self._children = _children if self.requires_grad else ()
-        self._backward = None
-        self._op = _op
-        if CHECK_FINITE and not np.all(np.isfinite(self.data)):
-            raise DomainError(f"non-finite values produced by op '{_op}'")
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self._op!r})"
-
-    # ---- elementwise arithmetic (numpy row/column broadcasting allowed) ----
-
-    def _check_broadcast(self, other, op):
-        try:
-            np.broadcast_shapes(self.shape, other.shape)
-        except ValueError:
-            raise ShapeError(
-                f"{op}: shapes {self.shape} and {other.shape} do not conform"
-            ) from None
-
-    def __add__(self, other):
-        other = _as_tensor(other)
-        self._check_broadcast(other, "add")
-        out = Tensor(self.data + other.data, _children=(self, other), _op="add")
-
-        def backward():
-            if self.requires_grad:
-                self._accum(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(out.grad, other.shape))
-
-        out._backward = backward
-        return out
-
-    def __radd__(self, other):
-        return self + other
-
-    def __sub__(self, other):
-        other = _as_tensor(other)
-        self._check_broadcast(other, "sub")
-        out = Tensor(self.data - other.data, _children=(self, other), _op="sub")
-
-        def backward():
-            if self.requires_grad:
-                self._accum(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(-out.grad, other.shape))
-
-        out._backward = backward
-        return out
-
-    def __rsub__(self, other):
-        return _as_tensor(other) - self
-
-    def __mul__(self, other):
-        other = _as_tensor(other)
-        self._check_broadcast(other, "mul")
-        out = Tensor(self.data * other.data, _children=(self, other), _op="mul")
-
-        def backward():
-            if self.requires_grad:
-                self._accum(_unbroadcast(out.grad * other.data, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(out.grad * self.data, other.shape))
-
-        out._backward = backward
-        return out
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __truediv__(self, other):
-        other = _as_tensor(other)
-        self._check_broadcast(other, "div")
-        out = Tensor(self.data / other.data, _children=(self, other), _op="div")
-
-        def backward():
-            if self.requires_grad:
-                self._accum(_unbroadcast(out.grad / other.data, self.shape))
-            if other.requires_grad:
-                other._accum(
-                    _unbroadcast(
-                        -out.grad * self.data / other.data**2, other.shape
-                    )
-                )
-
-        out._backward = backward
-        return out
-
-    def __neg__(self):
-        return self * -1.0
-
-    # ---- linear algebra ----
-
-    def matmul(self, other):
-        other = _as_tensor(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ShapeError("matmul requires 2-D operands")
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(
-                f"matmul: shapes {self.shape} and {other.shape} do not conform"
-            )
-        out = Tensor(self.data @ other.data, _children=(self, other), _op="matmul")
-
-        def backward():
-            if self.requires_grad:
-                self._accum(out.grad @ other.data.T)
-            if other.requires_grad:
-                other._accum(self.data.T @ out.grad)
-
-        out._backward = backward
-        return out
-
-    def __matmul__(self, other):
-        return self.matmul(other)
-
-    def transpose(self):
-        if self.data.ndim != 2:
-            raise ShapeError("transpose requires a 2-D operand")
-        out = Tensor(self.data.T, _children=(self,), _op="transpose")
-
-        def backward():
-            if self.requires_grad:
-                self._accum(out.grad.T)
-
-        out._backward = backward
-        return out
-
-    @property
-    def T(self):
-        return self.transpose()
-
-    def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), _children=(self,), _op="reshape")
-
-        def backward():
-            if self.requires_grad:
-                self._accum(out.grad.reshape(self.shape))
-
-        out._backward = backward
-        return out
-
-    # ---- nonlinearities and reductions ----
-
-    def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), _children=(self,), _op="relu")
-
-        def backward():
-            if self.requires_grad:
-                self._accum(out.grad * (self.data > 0.0))
-
-        out._backward = backward
-        return out
-
-    def exp(self):
-        out = Tensor(np.exp(self.data), _children=(self,), _op="exp")
-
-        def backward():
-            if self.requires_grad:
-                self._accum(out.grad * out.data)
-
-        out._backward = backward
-        return out
-
-    def log(self):
-        if np.any(self.data <= 0.0):
-            raise DomainError("log of non-positive value")
-        out = Tensor(np.log(self.data), _children=(self,), _op="log")
-
-        def backward():
-            if self.requires_grad:
-                self._accum(out.grad / self.data)
-
-        out._backward = backward
-        return out
-
-    def sum(self, axis=None):
-        out = Tensor(self.data.sum(axis=axis), _children=(self,), _op="sum")
-
-        def backward():
-            if self.requires_grad:
-                g = out.grad
-                if axis is not None:
-                    g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.shape).copy())
-
-        out._backward = backward
-        return out
-
-    def mean(self, axis=None):
-        n = self.data.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis) * (1.0 / n)
-
-    # ---- row-structured ops used by the losses ----
-
-    def normalize_rows(self):
-        """Divide each row by its L2 norm."""
-        if self.data.ndim != 2:
-            raise ShapeError("normalize_rows requires a 2-D operand")
-        norms = np.linalg.norm(self.data, axis=1)
-        bad = np.flatnonzero(norms == 0.0)
-        if bad.size:
-            raise DomainError(f"zero-norm row {bad[0]} cannot be normalized")
-        y = self.data / norms[:, None]
-        out = Tensor(y, _children=(self,), _op="normalize_rows")
-
-        def backward():
-            if self.requires_grad:
-                # d/dx (x/|x|) projects the gradient off the direction of y
-                dot = np.sum(out.grad * y, axis=1, keepdims=True)
-                self._accum((out.grad - dot * y) / norms[:, None])
-
-        out._backward = backward
-        return out
-
-    def take_pairs(self, rows, cols):
-        """Gather entries [rows[k], cols[k]] into a 1-D tensor."""
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        out = Tensor(self.data[rows, cols], _children=(self,), _op="take_pairs")
-
-        def backward():
-            if self.requires_grad:
-                g = np.zeros_like(self.data)
-                np.add.at(g, (rows, cols), out.grad)
-                self._accum(g)
-
-        out._backward = backward
-        return out
-
-    def masked_logsumexp(self, mask):
-        """Row-wise log-sum-exp over entries where `mask` is True.
-
-        Stabilized by subtracting the row max over the allowed entries.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self.shape:
-            raise ShapeError(
-                f"mask shape {mask.shape} does not match {self.shape}"
-            )
-        if not mask.any(axis=1).all():
-            raise DomainError("masked_logsumexp: a row has no allowed entries")
-        neg_inf = np.where(mask, self.data, -np.inf)
-        rowmax = neg_inf.max(axis=1, keepdims=True)
-        expd = np.exp(neg_inf - rowmax)
-        sums = expd.sum(axis=1)
-        out = Tensor(
-            np.log(sums) + rowmax[:, 0], _children=(self,), _op="masked_logsumexp"
-        )
-
-        def backward():
-            if self.requires_grad:
-                softmax = expd / sums[:, None]
-                self._accum(out.grad[:, None] * softmax)
-
-        out._backward = backward
-        return out
-
-    def masked_log_softmax(self, mask):
-        """Row-wise log-softmax restricted to entries where `mask` is True.
-
-        Entries outside the mask are returned untouched minus the row LSE;
-        callers are expected to only read masked positions.
-        """
-        lse = self.masked_logsumexp(mask)
-        return self - lse.reshape(-1, 1)
-
-    # ---- backward pass ----
-
-    def _accum(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
-    def backward(self):
-        """Backpropagate from this scalar through the recorded graph."""
-        if self.data.size != 1:
-            raise ContractError(
-                f"backward requires a scalar loss, got shape {self.shape}"
-            )
-        topo, visited, stack = [], set(), [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for child in node._children:
-                if id(child) not in visited:
-                    stack.append((child, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
-
-
-def cosine_matrix(a, b):
-    """Pairwise cosine similarity between rows of `a` and rows of `b`."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    return a.normalize_rows() @ b.normalize_rows().T
+from .errors import DomainError
+
+
+def normalize_rows(x):
+    """Each row of `x` divided by its L2 norm, and the norms."""
+    norms = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero(norms == 0.0)
+    if bad.size:
+        raise DomainError(f"zero-norm row {bad[0]} cannot be normalized")
+    return x / norms[:, None], norms
+
+
+def cosine_logits(a, b=None, scale=1.0):
+    """L = cos(a, b) * scale, and a function mapping dL to the gradient wrt `a`.
+
+    `b` is held constant; None means `a` itself, and then both uses of `a`
+    carry gradient. `scale` is a scalar or one factor per column of L.
+    """
+    ua, norms = normalize_rows(np.asarray(a, dtype=np.float64))
+    ub = ua if b is None else normalize_rows(np.asarray(b, dtype=np.float64))[0]
+    logits = (ua @ ub.T) * scale
+
+    def backward(dlogits):
+        g = dlogits * scale
+        du = g @ ub if b is not None else g @ ub + g.T @ ua
+        # d(x / |x|) takes off the part of the gradient along the row itself
+        dot = np.sum(du * ua, axis=1, keepdims=True)
+        return (du - dot * ua) / norms[:, None]
+
+    return logits, backward
+
+
+def masked_infonce(logits, mask, pos_weights, anchor_weights):
+    """Value and dL/dlogits of sum_i a_i (LSE_{j: mask_ij} L_ij - sum_j W_ij L_ij).
+
+    Each row's log-sum-exp is stabilised by its largest allowed logit.
+    """
+    if not mask.any(axis=1).all():
+        raise DomainError("masked log-sum-exp: a row has no allowed entries")
+    allowed = np.where(mask, logits, -np.inf)
+    rowmax = allowed.max(axis=1, keepdims=True)
+    expd = np.exp(allowed - rowmax)
+    sums = expd.sum(axis=1, keepdims=True)
+    lse = np.log(sums[:, 0]) + rowmax[:, 0]
+    value = anchor_weights @ (lse - np.sum(pos_weights * logits, axis=1))
+    return float(value), anchor_weights[:, None] * (expd / sums - pos_weights)
 
 
 def finite_difference_check(f, x, step=1e-5):
     """Max relative error between analytic and central-difference gradients.
 
-    `f` maps a Tensor to a scalar Tensor; the analytic gradient is taken at
-    `x` and compared coordinate-by-coordinate against (f(x+h) - f(x-h)) / 2h.
+    `f(x)` returns `(value, grad)`; the gradient at `x` is compared
+    coordinate by coordinate against (f(x + h) - f(x - h)) / 2h.
     """
-    xt = Tensor(np.array(x.data if isinstance(x, Tensor) else x, copy=True),
-                requires_grad=True)
-    f(xt).backward()
-    analytic = (
-        xt.grad if xt.grad is not None else np.zeros_like(xt.data)
-    ).ravel()
-
-    base = xt.data.ravel().copy()
-    numeric = np.empty_like(base)
-    for i in range(base.size):
-        for sign, slot in ((1.0, 0), (-1.0, 1)):
-            perturbed = base.copy()
-            perturbed[i] += sign * step
-            val = float(f(Tensor(perturbed.reshape(xt.shape))).data)
-            if slot == 0:
-                plus = val
-            else:
-                minus = val
-        numeric[i] = (plus - minus) / (2.0 * step)
+    x = np.array(x, dtype=np.float64)
+    analytic = np.asarray(f(x)[1], dtype=np.float64).ravel()
+    numeric = np.empty(x.size)
+    for i in range(x.size):
+        values = []
+        for sign in (1.0, -1.0):
+            shifted = x.copy()
+            shifted.flat[i] += sign * step
+            values.append(f(shifted)[0])
+        numeric[i] = (values[0] - values[1]) / (2.0 * step)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

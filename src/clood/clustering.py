@@ -14,18 +14,6 @@ from .losses import concentration
 
 
 @dataclass
-class ClusterSchedule:
-    warmup_epochs: int = 200
-    update_interval_epochs: int = 10
-
-    def __post_init__(self):
-        if self.warmup_epochs < 0:
-            raise ConfigError("warmup_epochs must be >= 0")
-        if self.update_interval_epochs < 1:
-            raise ConfigError("update_interval_epochs must be >= 1")
-
-
-@dataclass
 class ClusterState:
     centers: np.ndarray          # R x d, unit rows
     assignments: np.ndarray      # over the full ID training set
@@ -125,12 +113,11 @@ def compute_concentrations(points, assignments, centers, alpha, phi_floor=0.05):
     return phis
 
 
-def should_update(epoch, schedule):
+def should_update(epoch, warmup_epochs, update_interval):
     """True on the first post-warm-up epoch and every interval after it."""
     if epoch < 0:
         raise ContractError("epoch must be >= 0")
-    w, u = schedule.warmup_epochs, schedule.update_interval_epochs
-    return epoch >= w and (epoch - w) % u == 0
+    return epoch >= warmup_epochs and (epoch - warmup_epochs) % update_interval == 0
 
 
 def fit_state(points, r, seed, alpha, phi_floor, layer, epoch,

@@ -5,6 +5,7 @@ is CLI flag > file > default.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
@@ -78,6 +79,10 @@ class TrainConfig:
     score_layer: str = "projection"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
         if self.warmup_epochs > self.epochs_total:

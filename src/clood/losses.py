@@ -2,44 +2,23 @@
 center loss with adaptive per-cluster concentrations, the same-cluster
 instance loss, and their weighted combination.
 
-All loss functions take Tensors for the quantities they differentiate
-through (projections / embeddings) and plain numpy for quantities treated
-as constants within a step (centers, assignments, concentrations).
+Each loss builds the denominator mask, positive weights and anchor weights
+of one masked InfoNCE (see `autodiff`) over cosine logits, and returns
+`(value, gradient with respect to its first argument)`. Centers,
+assignments and concentrations are constants within a step.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _as_tensor, cosine_matrix
+from .autodiff import cosine_logits, masked_infonce
 from .errors import ConfigError, ContractError
 
 
-@dataclass
-class LossHyperparams:
-    tau: float = 0.5
-    alpha: float = 10.0
-    lambda_weight: float = 0.5
-    phi_floor: float = 0.05
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 <= self.lambda_weight <= 1.0:
-            raise ConfigError(
-                f"lambda_weight must lie in [0, 1], got {self.lambda_weight}"
-            )
-        if self.phi_floor <= 0:
-            raise ConfigError(f"phi_floor must be positive, got {self.phi_floor}")
-
-
-def _pair_partner_index(n):
-    """Partner index for rows ordered as view pairs (0,1), (2,3), ..."""
-    idx = np.arange(n)
-    return idx ^ 1
+def _infonce(logits, backward, mask, pos_weights, anchor_weights):
+    value, dlogits = masked_infonce(logits, mask, pos_weights, anchor_weights)
+    return value, backward(dlogits)
 
 
 def nt_xent_pair(i, j, projections, tau):
@@ -47,35 +26,30 @@ def nt_xent_pair(i, j, projections, tau):
 
     Denominator runs over every row except i itself (j included).
     """
-    z = _as_tensor(projections)
-    n = z.shape[0]
+    n = len(projections)
     if i == j:
         raise ContractError("nt_xent_pair requires i != j")
     if n < 2:
         raise ContractError("need at least two rows")
-    logits = cosine_matrix(z, z) * (1.0 / tau)
-    mask = ~np.eye(n, dtype=bool)
-    lse = logits.masked_logsumexp(mask)
-    pos = logits.take_pairs([i], [j])
-    return _row(lse, i) - pos.sum()
-
-
-def _row(vec, i):
-    """Scalar tensor holding vec[i] of a 1-D tensor."""
-    return vec.reshape(-1, 1).take_pairs([i], [0]).sum()
+    logits, backward = cosine_logits(projections, scale=1.0 / tau)
+    pos, anchor = np.zeros((n, n)), np.zeros(n)
+    pos[i, j] = anchor[i] = 1.0
+    return _infonce(logits, backward, ~np.eye(n, dtype=bool), pos, anchor)
 
 
 def self_supervised_loss(projections, tau):
-    """Mean NT-Xent over both orderings of every augmented pair."""
-    z = _as_tensor(projections)
-    n = z.shape[0]
+    """Mean NT-Xent over both orderings of every augmented pair.
+
+    Rows are ordered as view pairs (0, 1), (2, 3), ...
+    """
+    n = len(projections)
     if n < 2 or n % 2 != 0:
         raise ContractError(f"row count must be even and >= 2, got {n}")
-    logits = cosine_matrix(z, z) * (1.0 / tau)
-    mask = ~np.eye(n, dtype=bool)
-    lse = logits.masked_logsumexp(mask)
-    pos = logits.take_pairs(np.arange(n), _pair_partner_index(n))
-    return (lse - pos).mean()
+    logits, backward = cosine_logits(projections, scale=1.0 / tau)
+    pos = np.zeros((n, n))
+    pos[np.arange(n), np.arange(n) ^ 1] = 1.0
+    return _infonce(logits, backward, ~np.eye(n, dtype=bool), pos,
+                    np.full(n, 1.0 / n))
 
 
 def concentration(member_embeddings, center, alpha, phi_floor=0.05):
@@ -99,7 +73,6 @@ def cluster_center_loss(embeddings, centers, assignments, phis,
     each tempered by its own concentration; `include_positive=True` switches
     to the conventional form with the positive term in the denominator.
     """
-    h = _as_tensor(embeddings)
     centers = np.asarray(centers, dtype=np.float64)
     assignments = np.asarray(assignments, dtype=np.intp)
     phis = np.asarray(phis, dtype=np.float64)
@@ -111,15 +84,12 @@ def cluster_center_loss(embeddings, centers, assignments, phis,
     if len(phis) != r:
         raise ContractError(f"expected {r} concentrations, got {len(phis)}")
 
-    n = h.shape[0]
-    sims = cosine_matrix(h, Tensor(centers))
-    logits = sims * (1.0 / phis)
-    pos = logits.take_pairs(np.arange(n), assignments)
-    mask = np.ones((n, r), dtype=bool)
-    if not include_positive:
-        mask[np.arange(n), assignments] = False
-    lse = logits.masked_logsumexp(mask)
-    return (lse - pos).mean()
+    n = len(embeddings)
+    logits, backward = cosine_logits(embeddings, centers, scale=1.0 / phis)
+    pos = np.zeros((n, r))
+    pos[np.arange(n), assignments] = 1.0
+    mask = np.ones((n, r), dtype=bool) if include_positive else pos == 0.0
+    return _infonce(logits, backward, mask, pos, np.full(n, 1.0 / n))
 
 
 def cluster_instance_loss(embeddings, assignments, tau):
@@ -128,37 +98,35 @@ def cluster_instance_loss(embeddings, assignments, tau):
     Anchors whose positive set is empty are skipped and excluded from the
     averaging count; if no anchor has positives the loss is zero.
     """
-    h = _as_tensor(embeddings)
     assignments = np.asarray(assignments, dtype=np.intp)
-    n = h.shape[0]
+    n = len(embeddings)
     if n < 2:
         raise ContractError(f"need at least two rows, got {n}")
     if len(assignments) != n:
         raise ContractError("one assignment per row required")
 
-    same = assignments[:, None] == assignments[None, :]
-    pos_mask = same & ~np.eye(n, dtype=bool)
+    others = ~np.eye(n, dtype=bool)
+    pos_mask = (assignments[:, None] == assignments[None, :]) & others
     counts = pos_mask.sum(axis=1)
     anchors = counts > 0
     if not anchors.any():
         warnings.warn("all clusters are singletons in this batch; loss is 0")
-        return Tensor(0.0)
+        return 0.0, np.zeros(np.shape(embeddings))
 
-    logits = cosine_matrix(h, h) * (1.0 / tau)
-    lse = logits.masked_logsumexp(~np.eye(n, dtype=bool))
-    pos_sum = (logits * pos_mask.astype(np.float64)).sum(axis=1)
-    # per-anchor term: lse_i - pos_sum_i / |P(i)|, averaged over live anchors
-    weights = np.where(anchors, 1.0, 0.0) / (anchors.sum() * np.maximum(counts, 1))
-    return ((lse * counts.astype(np.float64) - pos_sum) * weights).sum()
+    logits, backward = cosine_logits(embeddings, scale=1.0 / tau)
+    # per-anchor term: lse_i - mean logit over P(i), averaged over live anchors
+    pos = pos_mask / np.maximum(counts, 1)[:, None]
+    return _infonce(logits, backward, others, pos, anchors / anchors.sum())
 
 
 def cluster_aware_loss(l_ccl, l_cil):
-    """Mean of the center and instance losses."""
+    """Mean of the center and instance losses (or of their gradients)."""
     return (l_ccl + l_cil) * 0.5
 
 
 def total_loss(l_self, l_cluster, lambda_weight):
-    """Convex combination of instance-level and cluster-aware losses."""
+    """Convex combination of instance-level and cluster-aware losses (or of
+    their gradients)."""
     if not 0.0 <= lambda_weight <= 1.0:
         raise ConfigError(f"lambda_weight must lie in [0, 1], got {lambda_weight}")
     return l_self * (1.0 - lambda_weight) + l_cluster * lambda_weight

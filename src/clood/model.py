@@ -1,4 +1,4 @@
-"""Encoder and projection-head MLPs.
+"""Encoder and projection-head MLPs, their forward pass and its backward.
 
 The encoder's final output is the embedding layer (h); the projection head's
 final output is the projection layer (z). Both are plain MLPs with ReLU
@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, _as_tensor
 from .errors import ConfigError, ShapeError
 
 DEFAULT_ENCODER_WIDTHS = (16, 64, 64, 32)
@@ -23,40 +22,34 @@ class MLPParams:
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
 
-    @property
-    def widths(self):
-        ws = [int(w.shape[0]) for w in self.weights]
-        ws.append(int(self.weights[-1].shape[1]))
-        return ws
-
-    def tensors(self):
-        return list(self.weights) + list(self.biases)
-
     def arrays(self):
         """Named parameter arrays, in a stable order."""
         out = {}
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"w{i}"] = w.data
-            out[f"b{i}"] = b.data
+            out[f"w{i}"] = w
+            out[f"b{i}"] = b
         return out
-
-
-# Aliases used throughout: the encoder and the projection head share the
-# same parameter structure.
-EncoderParams = MLPParams
-ProjectionParams = MLPParams
 
 
 @dataclass
 class EncodedBatch:
-    """Paired augmented inputs with their embedding and projection outputs.
+    """Every layer's activations for one batch of paired augmented inputs.
 
-    Rows 2k-1 and 2k of every array are two views of the same source sample.
+    Rows 2k and 2k+1 of every array are two views of the same source
+    sample. `encoder_acts` runs from the inputs to the embeddings,
+    `projection_acts` from the embeddings to the projections.
     """
 
-    inputs: np.ndarray
-    embeddings: Tensor
-    projections: Tensor
+    encoder_acts: list
+    projection_acts: list
+
+    @property
+    def embeddings(self):
+        return self.encoder_acts[-1]
+
+    @property
+    def projections(self):
+        return self.projection_acts[-1]
 
 
 def _init_mlp(rng, widths):
@@ -65,12 +58,8 @@ def _init_mlp(rng, widths):
     params = MLPParams()
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        params.weights.append(
-            Tensor(rng.uniform(-bound, bound, (fan_in, fan_out)), requires_grad=True)
-        )
-        params.biases.append(
-            Tensor(rng.uniform(-bound, bound, fan_out), requires_grad=True)
-        )
+        params.weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
+        params.biases.append(rng.uniform(-bound, bound, fan_out))
     return params
 
 
@@ -93,51 +82,56 @@ def init_params(seed, encoder_widths=DEFAULT_ENCODER_WIDTHS,
     return _init_mlp(rng, list(encoder_widths)), _init_mlp(rng, list(projection_widths))
 
 
-def mlp_forward(params, x):
-    """Run the MLP on a Tensor (or array) batch, tracked on the tape."""
-    h = _as_tensor(x)
-    if h.shape[1] != params.weights[0].shape[0]:
-        raise ShapeError(
-            f"input width {h.shape[1]} does not match "
-            f"first layer fan-in {params.weights[0].shape[0]}"
-        )
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if i != last:
-            h = h.relu()
-    return h
-
-
 def mlp_forward_np(params, x):
-    """Untracked numpy forward pass (evaluation / clustering refits)."""
+    """The MLP's input and every layer's output; the last is the MLP's output.
+
+    Hidden outputs are taken after the ReLU.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != params.weights[0].data.shape[0]:
+    if x.shape[1] != params.weights[0].shape[0]:
         raise ShapeError(
             f"input width {x.shape[1]} does not match "
-            f"first layer fan-in {params.weights[0].data.shape[0]}"
+            f"first layer fan-in {params.weights[0].shape[0]}"
         )
+    acts = [x]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x = x @ w.data + b.data
+        x = x @ w + b
         if i != last:
             x = np.maximum(x, 0.0)
-    return x
+        acts.append(x)
+    return acts
 
 
-def encode(params, batch):
-    """Embedding-layer features h for a batch of inputs."""
-    return mlp_forward(params, batch)
-
-
-def project(params, embeddings):
-    """Projection-layer features z from embeddings."""
-    return mlp_forward(params, embeddings)
+def mlp_backward(params, acts, grad):
+    """Gradients of `params.arrays()`, in that order, and of the MLP's input,
+    from the gradient at its output; `acts` is what mlp_forward_np returned.
+    """
+    grads = []
+    last = len(params.weights) - 1
+    for i in range(last, -1, -1):
+        if i != last:
+            grad = grad * (acts[i + 1] > 0.0)
+        grads[:0] = [acts[i].T @ grad, grad.sum(axis=0)]
+        grad = grad @ params.weights[i].T
+    return grads, grad
 
 
 def encode_batch(encoder, projection, inputs):
     """Full forward pass producing a consistent EncodedBatch."""
-    h = encode(encoder, inputs)
-    z = project(projection, h)
-    return EncodedBatch(inputs=np.asarray(inputs, dtype=np.float64),
-                        embeddings=h, projections=z)
+    acts = mlp_forward_np(encoder, inputs)
+    return EncodedBatch(encoder_acts=acts,
+                        projection_acts=mlp_forward_np(projection, acts[-1]))
+
+
+def backward(encoder, projection, batch, d_projections, d_embeddings=None):
+    """Gradients of the encoder's then the projection's `arrays()` from the
+    loss gradient at the batch's projections and, if given, at its
+    embeddings.
+    """
+    projection_grads, d_h = mlp_backward(projection, batch.projection_acts,
+                                         d_projections)
+    if d_embeddings is not None:
+        d_h = d_h + d_embeddings
+    encoder_grads, _ = mlp_backward(encoder, batch.encoder_acts, d_h)
+    return encoder_grads + projection_grads

@@ -51,26 +51,23 @@ def score_cos(bank, z):
     return float(np.max(_candidate_scores(bank, z)))
 
 
-def _var_denominator(bank, z, k_top):
+def _var_denominator(bank, scores, k_top):
     """Std-dev of the top-K bank rows (by candidate score), clamped at 1e-8."""
+    top = np.argsort(-scores, kind="stable")[:k_top]
+    rows = bank.features[top]
+    mean = rows.mean(axis=0)
+    var = np.sum((rows - mean) ** 2) / (k_top - 1)
+    return max(np.sqrt(var), 1e-8)
+
+
+def score_var(bank, z, k_top=10):
+    """Cosine score normalized by the spread of its top-K neighbors."""
     if k_top < 2 or k_top > len(bank):
         raise ConfigError(
             f"k_top must lie in [2, {len(bank)}], got {k_top}"
         )
     scores = _candidate_scores(bank, z)
-    top = np.argsort(-scores, kind="stable")[:k_top]
-    rows = bank.features[top]
-    mean = rows.mean(axis=0)
-    var = np.sum((rows - mean) ** 2) / (k_top - 1)
-    denom = np.sqrt(var)
-    degenerate = denom < 1e-8
-    return max(denom, 1e-8), degenerate
-
-
-def score_var(bank, z, k_top=10):
-    """Cosine score normalized by the spread of its top-K neighbors."""
-    denom, _ = _var_denominator(bank, z, k_top)
-    return score_cos(bank, z) / denom
+    return float(np.max(scores)) / _var_denominator(bank, scores, k_top)
 
 
 def auroc(id_scores, ood_scores):

@@ -16,17 +16,16 @@ import numpy as np
 
 from . import clustering, losses, model, scoring
 from .data import augment
-from .autodiff import Tensor
-from .clustering import ClusterSchedule, ClusterState
+from .clustering import ClusterState
 from .config import TrainConfig, config_from_dict
 from .errors import ConfigError, NumericError
-from .model import EncoderParams, ProjectionParams
+from .model import MLPParams
 
 
 @dataclass
 class TrainResult:
-    encoder: EncoderParams
-    projection: ProjectionParams
+    encoder: MLPParams
+    projection: MLPParams
     cluster_state: ClusterState | None
     config: TrainConfig
     metrics: list = field(default_factory=list)
@@ -80,53 +79,60 @@ def save_checkpoint(path, result):
                                      result.cluster_state, result.config))
 
 
+def _unpack(arrays, prefix):
+    params = MLPParams()
+    while f"{prefix}.w{len(params.weights)}" in arrays:
+        i = len(params.weights)
+        params.weights.append(arrays[f"{prefix}.w{i}"])
+        params.biases.append(arrays[f"{prefix}.b{i}"])
+    return params
+
+
 def load_checkpoint(path):
-    """Round-trips serialize_checkpoint bit-exactly."""
+    """Round-trips serialize_checkpoint bit-exactly.
+
+    A truncated or corrupt file raises ConfigError naming the path and the
+    part that could not be read.
+    """
     with open(path, "rb") as f:
         if f.readline().strip() != _MAGIC:
             raise ConfigError(f"{path} is not a checkpoint file")
-        stored_hash = f.readline().strip().decode()
-        n_cfg = int(f.readline())
-        cfg = {}
-        for _ in range(n_cfg):
-            key, val = f.readline().decode().rstrip("\n").split("=", 1)
-            cfg[key] = val
-        cluster_layer = cfg.pop("_cluster_layer", None)
-        cluster_epoch = int(cfg.pop("_cluster_epoch", "0"))
-        config = config_from_dict(cfg)
-        if config.hash() != stored_hash:
-            raise ConfigError(f"{path}: config hash mismatch")
-        arrays = {}
-        n_arr = int(f.readline())
-        for _ in range(n_arr):
-            name, dtype, *shape = f.readline().decode().split()
-            shape = tuple(int(s) for s in shape)
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(
-                f.read(count * np.dtype(dtype).itemsize), dtype=dtype
-            ).reshape(shape)
-            arrays[name] = data
+        part = "header"
+        try:
+            stored_hash = f.readline().strip().decode()
+            cfg = {}
+            for _ in range(int(f.readline())):
+                key, val = f.readline().decode().rstrip("\n").split("=", 1)
+                cfg[key] = val
+            cluster_layer = cfg.pop("_cluster_layer", None)
+            cluster_epoch = int(cfg.pop("_cluster_epoch", "0"))
+            config = config_from_dict(cfg)
+            if config.hash() != stored_hash:
+                raise ConfigError(f"{path}: config hash mismatch")
+            arrays = {}
+            for _ in range(int(f.readline())):
+                part = "array header"
+                name, dtype, *shape = f.readline().decode().split()
+                part = f"array {name}"
+                dtype, shape = np.dtype(dtype), tuple(int(s) for s in shape)
+                size = math.prod(shape) * dtype.itemsize
+                raw = f.read(size)
+                if len(raw) != size:
+                    raise ConfigError(f"{path}: array {name} is truncated "
+                                      f"({len(raw)} of {size} bytes)")
+                arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
-    def unpack(prefix, grad):
-        params = model.MLPParams()
-        i = 0
-        while f"{prefix}.w{i}" in arrays:
-            params.weights.append(
-                Tensor(arrays[f"{prefix}.w{i}"], requires_grad=grad))
-            params.biases.append(
-                Tensor(arrays[f"{prefix}.b{i}"], requires_grad=grad))
-            i += 1
-        return params
-
-    encoder = unpack("encoder", True)
-    projection = unpack("projection", True)
-    cluster_state = None
-    if cluster_layer is not None:
-        cluster_state = ClusterState(
-            centers=arrays["cluster.centers"].copy(),
-            assignments=arrays["cluster.assignments"].copy(),
-            phis=arrays["cluster.phis"].copy(),
-            layer=cluster_layer, updated_at_epoch=cluster_epoch)
+            part = "arrays"
+            encoder, projection = _unpack(arrays, "encoder"), _unpack(arrays, "projection")
+            cluster_state = None
+            if cluster_layer is not None:
+                cluster_state = ClusterState(
+                    centers=arrays["cluster.centers"],
+                    assignments=arrays["cluster.assignments"],
+                    phis=arrays["cluster.phis"],
+                    layer=cluster_layer, updated_at_epoch=cluster_epoch)
+        except (ValueError, TypeError, KeyError) as e:
+            raise ConfigError(f"{path}: corrupt checkpoint, {part}: {e}") from None
     return TrainResult(encoder=encoder, projection=projection,
                        cluster_state=cluster_state, config=config)
 
@@ -134,8 +140,8 @@ def load_checkpoint(path):
 # ---- training ----
 
 def _layer_features_np(encoder, projection, x, layer):
-    h = model.mlp_forward_np(encoder, x)
-    return h if layer == "embedding" else model.mlp_forward_np(projection, h)
+    h = model.mlp_forward_np(encoder, x)[-1]
+    return h if layer == "embedding" else model.mlp_forward_np(projection, h)[-1]
 
 
 def _refit(config, encoder, projection, bundle, epoch):
@@ -148,27 +154,54 @@ def _refit(config, encoder, projection, bundle, epoch):
         max_iters=config.kmeans_max_iters, tol=config.kmeans_tol)
 
 
-def _sgd_step(params_list, lr):
-    for p in params_list:
-        if p.grad is not None:
-            p.data -= lr * p.grad
-        p.grad = None
-
-
 def _epoch_lr(config, epoch):
     if not config.cosine_anneal:
         return config.lr
     return config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs_total))
 
 
+def step_gradients(config, encoder, projection, views, state):
+    """Losses and parameter gradients of one SGD step on a batch of views.
+
+    The instance loss is taken at the projections. With a cluster `state`
+    (the joint phase) the cluster terms, at the configured layer and with
+    assignments to the state's centers, join it. Returns the total loss,
+    the instance loss, the cluster loss (NaN without a state) and the
+    gradients of the encoder's then the projection's `arrays()`.
+    """
+    batch = model.encode_batch(encoder, projection, views)
+    l_self, d_proj = losses.self_supervised_loss(batch.projections, config.tau)
+    total, l_cluster, d_emb = l_self, float("nan"), None
+    if state is not None:
+        on_embeddings = config.clustering_layer == "embedding"
+        feats = batch.embeddings if on_embeddings else batch.projections
+        assigns = clustering.assign(feats, state.centers)
+        terms = []
+        if config.use_ccl:
+            terms.append(losses.cluster_center_loss(
+                feats, state.centers, assigns, state.phis,
+                include_positive=config.denominator_includes_positive))
+        if config.use_cil:
+            terms.append(losses.cluster_instance_loss(feats, assigns, config.tau))
+        l_cluster, d_cluster = terms[0] if len(terms) == 1 else \
+            [losses.cluster_aware_loss(*pair) for pair in zip(*terms)]
+
+        lam = config.lambda_weight
+        total = losses.total_loss(l_self, l_cluster, lam)
+        d_proj, d_cluster = d_proj * (1.0 - lam), d_cluster * lam
+        if on_embeddings:
+            d_emb = d_cluster
+        else:
+            d_proj = d_proj + d_cluster
+    return total, l_self, l_cluster, \
+        model.backward(encoder, projection, batch, d_proj, d_emb)
+
+
 def train(config, bundle, probe_epochs=()):
     """Run the full two-phase schedule; deterministic for a fixed config."""
     encoder, projection = model.init_params(
         config.seed, config.encoder_widths, config.projection_widths)
-    all_params = encoder.tensors() + projection.tensors()
-    hyper = losses.LossHyperparams(
-        tau=config.tau, alpha=config.alpha,
-        lambda_weight=config.lambda_weight, phi_floor=config.phi_floor)
+    params = [*encoder.arrays().values(), *projection.arrays().values()]
 
     m = bundle.id_train.shape[0]
     if m < config.clusters:
@@ -176,7 +209,6 @@ def train(config, bundle, probe_epochs=()):
     state = None
     result = TrainResult(encoder=encoder, projection=projection,
                          cluster_state=None, config=config)
-    schedule = ClusterSchedule(config.warmup_epochs, config.update_interval)
     cluster_on = config.use_ccl or config.use_cil
     cfg_hash = config.hash()
 
@@ -184,8 +216,9 @@ def train(config, bundle, probe_epochs=()):
         if epoch in probe_epochs:
             result.snapshots[epoch] = serialize_checkpoint(
                 encoder, projection, state, config)
-        refit_now = cluster_on and clustering.should_update(epoch, schedule) \
-            and not config.update_per_batch
+        refit_now = cluster_on and not config.update_per_batch and \
+            clustering.should_update(epoch, config.warmup_epochs,
+                                     config.update_interval)
         if refit_now:
             state = _refit(config, encoder, projection, bundle, epoch)
             result.refit_epochs.append(epoch)
@@ -209,36 +242,18 @@ def train(config, bundle, probe_epochs=()):
 
             aug_seed = np.random.SeedSequence([config.seed, 11, epoch, b])
             views = data_augment(bundle.id_train[idx], aug_seed, config)
-            batch = model.encode_batch(encoder, projection, views)
-            l_self = losses.self_supervised_loss(batch.projections, hyper.tau)
-
-            if joint and state is not None:
-                feats = batch.embeddings if config.clustering_layer == "embedding" \
-                    else batch.projections
-                assigns = clustering.assign(feats.data, state.centers)
-                terms = []
-                if config.use_ccl:
-                    terms.append(losses.cluster_center_loss(
-                        feats, state.centers, assigns, state.phis,
-                        include_positive=config.denominator_includes_positive))
-                if config.use_cil:
-                    terms.append(losses.cluster_instance_loss(
-                        feats, assigns, hyper.tau))
-                l_cluster = losses.cluster_aware_loss(*terms) \
-                    if len(terms) == 2 else terms[0]
-                total = losses.total_loss(l_self, l_cluster,
-                                          hyper.lambda_weight)
-                epoch_cluster += float(l_cluster.data)
-                n_cluster_terms += 1
-            else:
-                total = l_self
-
-            if not np.isfinite(total.data):
+            # state is None until the first refit, which opens the joint phase
+            total, l_self, l_cluster, grads = step_gradients(
+                config, encoder, projection, views, state)
+            if not np.isfinite(total):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {b}")
-            total.backward()
-            _sgd_step(all_params, lr)
-            epoch_self += float(l_self.data)
+            for p, g in zip(params, grads):
+                p -= lr * g
+            epoch_self += l_self
+            if state is not None:
+                epoch_cluster += l_cluster
+                n_cluster_terms += 1
 
         result.metrics.append({
             "epoch": epoch,

@@ -1,6 +1,6 @@
 """Independent brute-force oracles, written as plain python loops.
 
-These deliberately avoid the package's Tensor machinery so that agreement
+These deliberately avoid the package's numpy code so that agreement
 with the production implementations is meaningful.
 """
 

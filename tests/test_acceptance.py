@@ -12,7 +12,7 @@ import numpy as np
 
 import oracles
 from clood import losses, scoring
-from clood.autodiff import Tensor, finite_difference_check
+from clood.autodiff import finite_difference_check
 from clood.clustering import assign
 from clood.config import benchmark_config
 from clood.data import DatasetSpec, generate_synthetic
@@ -40,6 +40,11 @@ def _seeded_instance(seed):
     return z, centers, assigns, phis
 
 
+def _combine(combinator, *terms):
+    """A linear loss combination, applied to values and gradients alike."""
+    return tuple(combinator(*parts) for parts in zip(*terms))
+
+
 def test_criterion_1_gradient_suite():
     failures = []
     for seed in range(20):
@@ -51,18 +56,20 @@ def test_criterion_1_gradient_suite():
                 t, centers, assigns, phis),
             "instance": lambda t: losses.cluster_instance_loss(
                 t, assigns, 0.5),
-            "cluster": lambda t: losses.cluster_aware_loss(
+            "cluster": lambda t: _combine(
+                losses.cluster_aware_loss,
                 losses.cluster_center_loss(t, centers, assigns, phis),
                 losses.cluster_instance_loss(t, assigns, 0.5)),
-            "total": lambda t: losses.total_loss(
+            "total": lambda t: _combine(
+                lambda s, c: losses.total_loss(s, c, 0.5),
                 losses.self_supervised_loss(t, 0.5),
-                losses.cluster_aware_loss(
+                _combine(
+                    losses.cluster_aware_loss,
                     losses.cluster_center_loss(t, centers, assigns, phis),
-                    losses.cluster_instance_loss(t, assigns, 0.5)),
-                0.5),
+                    losses.cluster_instance_loss(t, assigns, 0.5))),
         }
         for name, f in cases.items():
-            err = finite_difference_check(f, Tensor(z), step=1e-5)
+            err = finite_difference_check(f, z, step=1e-5)
             if not err < 1e-4:
                 failures.append((name, seed, err))
     _verdict(1, "gradient suite", not failures,
@@ -76,14 +83,14 @@ def test_criterion_2_oracle_suite():
         z, centers, assigns, phis = _seeded_instance(seed)
         rng = np.random.default_rng(1000 + seed)
         checks = [
-            (losses.nt_xent_pair(0, 1, z, 0.5).data,
+            (losses.nt_xent_pair(0, 1, z, 0.5)[0],
              oracles.ntxent_pair_oracle(0, 1, z.tolist(), 0.5)),
-            (losses.self_supervised_loss(z, 0.5).data,
+            (losses.self_supervised_loss(z, 0.5)[0],
              oracles.self_supervised_oracle(z.tolist(), 0.5)),
-            (losses.cluster_center_loss(z, centers, assigns, phis).data,
+            (losses.cluster_center_loss(z, centers, assigns, phis)[0],
              oracles.cluster_center_oracle(z.tolist(), centers.tolist(),
                                            assigns.tolist(), phis.tolist())),
-            (losses.cluster_instance_loss(z, assigns, 0.5).data,
+            (losses.cluster_instance_loss(z, assigns, 0.5)[0],
              oracles.cluster_instance_oracle(z.tolist(), assigns.tolist(),
                                              0.5)),
         ]
@@ -127,11 +134,10 @@ def test_criterion_3_schedule_contract(tmp_path):
         p.write_bytes(result.snapshots[20])
         probes.append(load_checkpoint(p))
     params_ok = all(
-        np.array_equal(a.data, b.data)
-        for a, b in zip(probes[0].encoder.tensors()
-                        + probes[0].projection.tensors(),
-                        probes[1].encoder.tensors()
-                        + probes[1].projection.tensors()))
+        np.array_equal(a, b)
+        for net in ("encoder", "projection")
+        for a, b in zip(getattr(probes[0], net).arrays().values(),
+                        getattr(probes[1], net).arrays().values()))
     _verdict(3, "schedule contract", refits_ok and params_ok,
              detail=f"refits={full.refit_epochs}")
 

@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from clood import clustering
-from clood.clustering import ClusterSchedule
 from clood.errors import ConfigError, ContractError, DomainError
 
 
@@ -136,22 +135,14 @@ def _rotation_swap():
 
 class TestSchedule:
     def test_warmup_boundary(self):
-        s = ClusterSchedule(warmup_epochs=1000, update_interval_epochs=10)
-        assert not clustering.should_update(999, s)
-        assert clustering.should_update(1000, s)
-        assert not clustering.should_update(1015, s)
-        assert clustering.should_update(1020, s)
+        assert not clustering.should_update(999, 1000, 10)
+        assert clustering.should_update(1000, 1000, 10)
+        assert not clustering.should_update(1015, 1000, 10)
+        assert clustering.should_update(1020, 1000, 10)
 
     def test_zero_warmup_fires_immediately(self):
-        s = ClusterSchedule(warmup_epochs=0, update_interval_epochs=3)
-        assert [e for e in range(10) if clustering.should_update(e, s)] == \
+        assert [e for e in range(10) if clustering.should_update(e, 0, 3)] == \
             [0, 3, 6, 9]
-
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ConfigError):
-            ClusterSchedule(warmup_epochs=-1)
-        with pytest.raises(ConfigError):
-            ClusterSchedule(update_interval_epochs=0)
 
 
 def test_fit_state_invariants():

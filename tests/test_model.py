@@ -1,23 +1,34 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from clood import losses, model
-from clood.autodiff import Tensor
+from clood import model
+from clood.autodiff import finite_difference_check
+from clood.clustering import ClusterState
+from clood.config import TrainConfig
 from clood.errors import ConfigError, ShapeError
+
+# the package root re-exports the train() function under the same name
+train_mod = importlib.import_module("clood.train")
+
+
+def _arrays(*nets):
+    return [a for net in nets for a in net.arrays().values()]
 
 
 def test_init_same_seed_identical():
     e1, p1 = model.init_params(7)
     e2, p2 = model.init_params(7)
-    for a, b in zip(e1.tensors() + p1.tensors(), e2.tensors() + p2.tensors()):
-        np.testing.assert_array_equal(a.data, b.data)
+    for a, b in zip(_arrays(e1, p1), _arrays(e2, p2)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_init_different_seed_differs():
     e1, _ = model.init_params(7)
     e2, _ = model.init_params(8)
-    assert any(not np.array_equal(a.data, b.data)
-               for a, b in zip(e1.tensors(), e2.tensors()))
+    assert any(not np.array_equal(a, b)
+               for a, b in zip(_arrays(e1), _arrays(e2)))
 
 
 def test_init_shapes_chain():
@@ -41,18 +52,16 @@ def test_init_rejects_projection_wider_than_embedding():
 def test_encode_zero_params_gives_zeros():
     enc, _ = model.init_params(0, encoder_widths=(4, 3, 2),
                                projection_widths=(2, 2, 2))
-    for t in enc.tensors():
-        t.data[...] = 0.0
-    out = model.encode(enc, np.ones((5, 4)))
-    np.testing.assert_array_equal(out.data, np.zeros((5, 2)))
+    for a in _arrays(enc):
+        a[...] = 0.0
+    out = model.mlp_forward_np(enc, np.ones((5, 4)))[-1]
+    np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
 
 def test_encode_identity_layer_on_nonnegative_input():
-    enc = model.MLPParams(
-        weights=[Tensor(np.eye(3), requires_grad=True)],
-        biases=[Tensor(np.zeros(3), requires_grad=True)])
+    enc = model.MLPParams(weights=[np.eye(3)], biases=[np.zeros(3)])
     x = np.abs(np.random.default_rng(0).standard_normal((4, 3)))
-    np.testing.assert_array_equal(model.encode(enc, x).data, x)
+    np.testing.assert_array_equal(model.mlp_forward_np(enc, x)[-1], x)
 
 
 def test_encode_matches_straight_line_evaluation():
@@ -60,13 +69,13 @@ def test_encode_matches_straight_line_evaluation():
     enc, proj = model.init_params(5, encoder_widths=(6, 5, 4),
                                   projection_widths=(4, 4, 3))
     x = rng.standard_normal((7, 6))
-    # independent re-evaluation with raw numpy, outside the tape
-    h = np.maximum(x @ enc.weights[0].data + enc.biases[0].data, 0.0)
-    h = h @ enc.weights[1].data + enc.biases[1].data
-    np.testing.assert_allclose(model.encode(enc, x).data, h, atol=1e-12)
-    z = np.maximum(h @ proj.weights[0].data + proj.biases[0].data, 0.0)
-    z = z @ proj.weights[1].data + proj.biases[1].data
-    np.testing.assert_allclose(model.project(proj, Tensor(h)).data, z,
+    # independent re-evaluation with raw numpy, layer by layer
+    h = np.maximum(x @ enc.weights[0] + enc.biases[0], 0.0)
+    h = h @ enc.weights[1] + enc.biases[1]
+    np.testing.assert_allclose(model.mlp_forward_np(enc, x)[-1], h, atol=1e-12)
+    z = np.maximum(h @ proj.weights[0] + proj.biases[0], 0.0)
+    z = z @ proj.weights[1] + proj.biases[1]
+    np.testing.assert_allclose(model.mlp_forward_np(proj, h)[-1], z,
                                atol=1e-12)
 
 
@@ -74,7 +83,7 @@ def test_encode_shape_mismatch():
     enc, _ = model.init_params(0, encoder_widths=(4, 2),
                                projection_widths=(2, 2))
     with pytest.raises(ShapeError):
-        model.encode(enc, np.ones((3, 5)))
+        model.mlp_forward_np(enc, np.ones((3, 5)))
 
 
 def test_encode_batch_composition_consistent():
@@ -84,37 +93,60 @@ def test_encode_batch_composition_consistent():
     x = rng.standard_normal((6, 5))
     batch = model.encode_batch(enc, proj, x)
     np.testing.assert_array_equal(
-        batch.projections.data,
-        model.project(proj, batch.embeddings).data)
+        batch.projections,
+        model.mlp_forward_np(proj, batch.embeddings)[-1])
     np.testing.assert_array_equal(
-        batch.projections.data,
-        model.project(proj, model.encode(enc, x)).data)
+        batch.projections,
+        model.mlp_forward_np(proj, model.mlp_forward_np(enc, x)[-1])[-1])
+
+
+def _tiny_step(layer, lambda_weight=0.5, seed=2):
+    """A tiny network, a batch of paired views and a cluster state."""
+    config = TrainConfig(d_in=5, encoder_widths=(5, 4, 3),
+                         projection_widths=(3, 3, 2), clustering_layer=layer,
+                         lambda_weight=lambda_weight)
+    rng = np.random.default_rng(seed)
+    enc, proj = model.init_params(seed, config.encoder_widths,
+                                  config.projection_widths)
+    width = 3 if layer == "embedding" else 2
+    state = ClusterState(centers=rng.standard_normal((2, width)),
+                         assignments=None, phis=np.array([0.5, 0.7]),
+                         layer=layer, updated_at_epoch=0)
+    return config, enc, proj, rng.standard_normal((6, 5)), state
+
+
+@pytest.mark.parametrize("layer", ["embedding", "projection"])
+def test_step_gradients_match_central_differences(layer):
+    config, enc, proj, views, state = _tiny_step(layer)
+    params = _arrays(enc, proj)
+    for k, p in enumerate(params):
+        original = p.copy()
+
+        def f(x):
+            p[...] = x
+            total, _, _, grads = train_mod.step_gradients(
+                config, enc, proj, views, state)
+            return total, grads[k]
+
+        err = finite_difference_check(f, original, step=1e-5)
+        p[...] = original
+        assert err < 1e-4, (k, err)
 
 
 def test_cluster_loss_on_embeddings_leaves_projection_untouched():
-    # the cluster losses are computed at the embedding layer, so no
-    # gradient may reach the projection head
-    rng = np.random.default_rng(2)
-    enc, proj = model.init_params(2, encoder_widths=(5, 4, 3),
-                                  projection_widths=(3, 3, 2))
-    x = rng.standard_normal((6, 5))
-    batch = model.encode_batch(enc, proj, x)
-    centers = rng.standard_normal((2, 3))
-    assigns = np.array([0, 0, 0, 1, 1, 1])
-    l_ccl = losses.cluster_center_loss(batch.embeddings, centers, assigns,
-                                       np.array([0.5, 0.5]))
-    l_cil = losses.cluster_instance_loss(batch.embeddings, assigns, 0.5)
-    losses.cluster_aware_loss(l_ccl, l_cil).backward()
-    for t in proj.tensors():
-        assert t.grad is None or not np.any(t.grad)
-    assert any(t.grad is not None and np.any(t.grad) for t in enc.tensors())
+    # with lambda_weight 1 only the cluster terms count; computed at the
+    # embedding layer, no gradient may reach the projection head
+    config, enc, proj, views, state = _tiny_step("embedding", lambda_weight=1.0)
+    _, _, _, grads = train_mod.step_gradients(config, enc, proj, views, state)
+    n_enc = len(enc.arrays())
+    assert not any(np.any(g) for g in grads[n_enc:])
+    assert any(np.any(g) for g in grads[:n_enc])
 
 
 def test_self_loss_updates_both_encoder_and_projection():
-    rng = np.random.default_rng(4)
-    enc, proj = model.init_params(4, encoder_widths=(5, 4, 3),
-                                  projection_widths=(3, 3, 2))
-    batch = model.encode_batch(enc, proj, rng.standard_normal((4, 5)))
-    losses.self_supervised_loss(batch.projections, 0.5).backward()
-    assert any(t.grad is not None and np.any(t.grad) for t in enc.tensors())
-    assert any(t.grad is not None and np.any(t.grad) for t in proj.tensors())
+    config, enc, proj, views, _ = _tiny_step("embedding", seed=4)
+    _, _, _, grads = train_mod.step_gradients(config, enc, proj, views[:4],
+                                              None)
+    n_enc = len(enc.arrays())
+    assert any(np.any(g) for g in grads[:n_enc])
+    assert any(np.any(g) for g in grads[n_enc:])

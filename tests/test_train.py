@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from clood import ablate, cli, losses
-from clood.autodiff import Tensor
 from clood.config import TrainConfig, benchmark_config
 from clood.data import DatasetSpec, generate_synthetic
 from clood.errors import ConfigError, NumericError
@@ -28,6 +27,15 @@ def _small_run(**kw):
     config = _small_config(**kw)
     bundle = generate_synthetic(DatasetSpec.from_config(config), config.seed)
     return train_mod.train(config, bundle), bundle
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tau", 0.0), ("lambda_weight", 1.5), ("phi_floor", 0.0),
+    ("warmup_epochs", -1), ("update_interval", 0),
+    ("lr", float("nan")), ("tau", float("inf"))])
+def test_config_rejects_bad_value(key, value):
+    with pytest.raises(ConfigError):
+        TrainConfig(**{key: value})
 
 
 class TestTrainLoop:
@@ -67,7 +75,7 @@ class TestTrainLoop:
     def test_non_finite_loss_aborts_with_location(self, monkeypatch):
         monkeypatch.setattr(
             losses, "self_supervised_loss",
-            lambda z, tau: Tensor(float("nan")))
+            lambda z, tau: (float("nan"), np.zeros_like(z)))
         with pytest.raises(NumericError, match="epoch 0, batch 0"):
             _small_run()
 
@@ -94,9 +102,10 @@ class TestCheckpoint:
         train_mod.save_checkpoint(path, result)
         loaded = train_mod.load_checkpoint(path)
         assert loaded.config == result.config
-        for a, b in zip(result.encoder.tensors() + result.projection.tensors(),
-                        loaded.encoder.tensors() + loaded.projection.tensors()):
-            np.testing.assert_array_equal(a.data, b.data)
+        for net in ("encoder", "projection"):
+            for a, b in zip(getattr(result, net).arrays().values(),
+                            getattr(loaded, net).arrays().values()):
+                np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(loaded.cluster_state.centers,
                                       result.cluster_state.centers)
         np.testing.assert_array_equal(loaded.cluster_state.assignments,
@@ -218,10 +227,26 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_bad_checkpoint_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"garbage")
-        rc = cli.main(["eval", "--checkpoint", str(bad),
-                       "--scores", str(tmp_path / "s.csv"),
-                       "--summary", str(tmp_path / "a.csv")])
+    def test_non_finite_config_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["train", "--set", "lr=nan",
+                       "--checkpoint", str(tmp_path / "m.ckpt")])
         assert rc == 2
+        assert "lr must be finite" in capsys.readouterr().err
+
+    def test_bad_checkpoint_exits_2(self, tmp_path, capsys):
+        result, _ = _small_run()
+        blob = train_mod.serialize_checkpoint(
+            result.encoder, result.projection, result.cluster_state,
+            result.config)
+        # the last array, projection.w1, holds 192 bytes
+        cases = {"garbage": b"garbage", "cut in header": blob[:60],
+                 "cut in array": blob[:-100]}
+        for name, data in cases.items():
+            bad = tmp_path / "bad.ckpt"
+            bad.write_bytes(data)
+            rc = cli.main(["eval", "--checkpoint", str(bad),
+                           "--scores", str(tmp_path / "s.csv"),
+                           "--summary", str(tmp_path / "a.csv")])
+            assert rc == 2, name
+        assert f"{bad}: array projection.w1 is truncated" in \
+            capsys.readouterr().err
