@@ -5,7 +5,7 @@ AUROC-based evaluation on synthetic vector data."""
 from .autodiff import finite_difference_check
 from .config import TrainConfig, benchmark_config
 from .data import DatasetBundle, DatasetSpec, augment, generate_synthetic
-from .train import evaluate, load_checkpoint, save_checkpoint, train
+from .train import evaluate, load_checkpoint, save_checkpoint
 
 __all__ = [
     "finite_difference_check",
@@ -15,7 +15,6 @@ __all__ = [
     "DatasetSpec",
     "augment",
     "generate_synthetic",
-    "train",
     "evaluate",
     "save_checkpoint",
     "load_checkpoint",

@@ -1,5 +1,9 @@
 """Named ablation sweeps over loss terms, clustering layer, update
-schedule, and cluster count, aggregated over seeds."""
+schedule, and cluster count, aggregated over seeds.
+
+`variants` is the one table of sweep variants and `run_one` the one run
+cache; `clood ablate` and the acceptance gate both go through them.
+"""
 
 import csv
 from dataclasses import replace
@@ -11,57 +15,56 @@ from .data import DatasetSpec, generate_synthetic
 from .errors import ConfigError
 from .train import evaluate, mean_max_center_similarity, train
 
-# completed runs keyed by config hash; sweeps share the full-model config
-_run_cache = {}
+# (label, config) variants of each sweep around a base config
+_VARIANTS = {
+    "loss-terms": lambda c: [
+        ("self_only", replace(c, use_ccl=False, use_cil=False)),
+        ("self+ccl", replace(c, use_ccl=True, use_cil=False)),
+        ("self+cil", replace(c, use_ccl=False, use_cil=True)),
+        ("full", replace(c, use_ccl=True, use_cil=True)),
+    ],
+    "cluster-layer": lambda c: [
+        ("self_only", replace(c, use_ccl=False, use_cil=False)),
+        ("projection", replace(c, clustering_layer="projection")),
+        ("embedding", replace(c, clustering_layer="embedding")),
+    ],
+    "schedule": lambda c: [
+        ("no_warmup_u10", replace(c, warmup_epochs=0, update_interval=10)),
+        ("warmup_u_batch", replace(c, update_per_batch=True)),
+        ("warmup_u1", replace(c, update_interval=1)),
+        ("warmup_u10", replace(c, update_interval=10)),
+        ("warmup_u50", replace(c, update_interval=50)),
+    ],
+    # half, equal to and five times the mixture's component count
+    "cluster-count": lambda c: [
+        (f"r={r}", replace(c, clusters=r))
+        for r in sorted({max(2, c.components // 2), c.components,
+                         5 * c.components})
+    ],
+}
+SWEEPS = tuple(_VARIANTS)
+
+# (TrainResult, DatasetBundle) of every config trained in this process
+_runs = {}
 
 
-def run_one(config, want_similarity=False):
-    """Train + evaluate one config on its own seeded bundle."""
-    key = (config.hash(), want_similarity)
-    if key in _run_cache:
-        return _run_cache[key]
-    bundle = generate_synthetic(DatasetSpec.from_config(config), config.seed)
-    result = train(config, bundle)
-    report = evaluate(result, bundle)
-    sim = mean_max_center_similarity(result, bundle) \
-        if want_similarity and result.cluster_state is not None else float("nan")
-    out = (dict(report.aurocs), sim)
-    _run_cache[key] = out
-    return out
+def variants(name, base):
+    """The (label, config) variants of sweep `name` around `base`."""
+    if name not in _VARIANTS:
+        raise ConfigError(f"unknown sweep {name!r}; choose {', '.join(SWEEPS)}")
+    return _VARIANTS[name](base)
 
 
-def _variants(name, base):
-    c = base
-    if name == "loss-terms":
-        return [
-            ("self_only", replace(c, use_ccl=False, use_cil=False)),
-            ("self+ccl", replace(c, use_ccl=True, use_cil=False)),
-            ("self+cil", replace(c, use_ccl=False, use_cil=True)),
-            ("full", replace(c, use_ccl=True, use_cil=True)),
-        ]
-    if name == "cluster-layer":
-        return [
-            ("self_only", replace(c, use_ccl=False, use_cil=False)),
-            ("projection", replace(c, clustering_layer="projection")),
-            ("embedding", replace(c, clustering_layer="embedding")),
-        ]
-    if name == "schedule":
-        return [
-            ("no_warmup_u10", replace(c, warmup_epochs=0, update_interval=10)),
-            ("warmup_u_batch", replace(c, update_per_batch=True)),
-            ("warmup_u1", replace(c, update_interval=1)),
-            ("warmup_u10", replace(c, update_interval=10)),
-            ("warmup_u50", replace(c, update_interval=50)),
-        ]
-    if name == "cluster-count":
-        r = c.components
-        return [
-            (f"r={r // 2}", replace(c, clusters=max(2, r // 2))),
-            (f"r={r}", replace(c, clusters=r)),
-            (f"r={5 * r}", replace(c, clusters=5 * r)),
-        ]
-    raise ConfigError(f"unknown sweep {name!r}; "
-                      "choose loss-terms, cluster-layer, schedule, or cluster-count")
+def run_one(config):
+    """Train one config on its own seeded bundle, once per process.
+
+    Returns the (result, bundle) pair, cached under the config hash.
+    """
+    key = config.hash()
+    if key not in _runs:
+        bundle = generate_synthetic(DatasetSpec.from_config(config), config.seed)
+        _runs[key] = (train(config, bundle), bundle)
+    return _runs[key]
 
 
 def run_sweep(name, base=None, n_seeds=5):
@@ -73,14 +76,16 @@ def run_sweep(name, base=None, n_seeds=5):
     base = base or benchmark_config()
     want_sim = name == "cluster-count"
     rows = []
-    for label, cfg in _variants(name, base):
+    for label, cfg in variants(name, base):
         aurocs, sims = {}, []
         for s in range(n_seeds):
-            run_aurocs, sim = run_one(replace(cfg, seed=base.seed + s),
-                                      want_similarity=want_sim)
-            for set_name, v in run_aurocs.items():
+            result, bundle = run_one(replace(cfg, seed=base.seed + s))
+            for set_name, v in evaluate(result, bundle).aurocs.items():
                 aurocs.setdefault(set_name, []).append(v)
-            sims.append(sim)
+            if want_sim:
+                sims.append(mean_max_center_similarity(result, bundle)
+                            if result.cluster_state is not None
+                            else float("nan"))
         row = {"sweep": name, "variant": label, "config_hash": cfg.hash()}
         for set_name in sorted(aurocs):
             row[f"auroc_{set_name}"] = float(np.mean(aurocs[set_name]))

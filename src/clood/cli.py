@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, export, ablate. Exit codes: 0 on
-success, 2 on configuration errors, 3 on numeric failures.
+success, 2 on configuration or file errors, 3 on numeric failures.
 """
 
 import argparse
@@ -124,9 +124,7 @@ def build_parser():
 
     a = sub.add_parser("ablate", help="run a named ablation sweep")
     _add_config_args(a)
-    a.add_argument("--sweep", required=True,
-                   choices=["loss-terms", "cluster-layer", "schedule",
-                            "cluster-count"])
+    a.add_argument("--sweep", required=True, choices=ablate_mod.SWEEPS)
     a.add_argument("--seeds", type=int, default=5)
     a.add_argument("--out", help="summary CSV path")
     a.set_defaults(func=_cmd_ablate)
@@ -143,6 +141,9 @@ def main(argv=None):
     except (NumericError, DomainError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
+    except OSError as e:
+        print(f"file error: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

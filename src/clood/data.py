@@ -7,6 +7,7 @@ and "interp" takes midpoints of random ID pairs plus small noise.
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -171,18 +172,34 @@ def save_bundle(bundle, directory):
 
 
 def _read_set(path, expect_name):
+    """One set's rows; a bad header, cell or row is a ConfigError naming
+    the file and the line."""
     with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r)
-        if header[0] != expect_name:
-            raise ConfigError(
-                f"{path}: expected set {expect_name!r}, found {header[0]!r}"
-            )
+        lines = list(csv.reader(f))
+    header = next(iter(lines), None) or [""]
+    if header[0] != expect_name:
+        raise ConfigError(
+            f"{path}: expected set {expect_name!r}, found {header[0]!r}")
+    try:
         d = int(header[1])
-        rows = np.array([[float(x) for x in row] for row in r])
-    if rows.size and rows.shape[1] != d:
-        raise ConfigError(f"{path}: header says {d} dims, rows disagree")
-    return rows
+    except (IndexError, ValueError):
+        raise ConfigError(f"{path}:1: header needs a dimension, "
+                          f"found {header}") from None
+    if len(lines) < 2:
+        raise ConfigError(f"{path}: set {expect_name!r} has no rows")
+    rows = []
+    for lineno, cells in enumerate(lines[1:], 2):
+        if len(cells) != d:
+            raise ConfigError(f"{path}:{lineno}: expected {d} cells, "
+                              f"found {len(cells)}")
+        try:
+            row = [float(x) for x in cells]
+        except ValueError as e:
+            raise ConfigError(f"{path}:{lineno}: {e}") from None
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"{path}:{lineno}: non-finite value")
+        rows.append(row)
+    return np.array(rows)
 
 
 def load_bundle(directory):

@@ -79,6 +79,8 @@ def auroc(id_scores, ood_scores):
     ood_scores = np.asarray(ood_scores, dtype=np.float64)
     if id_scores.size == 0 or ood_scores.size == 0:
         raise ContractError("both score lists must be non-empty")
+    if not (np.isfinite(id_scores).all() and np.isfinite(ood_scores).all()):
+        raise DomainError("AUROC needs finite scores")
     n_id, n_ood = id_scores.size, ood_scores.size
     ranks = rankdata(np.concatenate([id_scores, ood_scores]))
     u = ranks[:n_id].sum() - n_id * (n_id + 1) / 2.0

@@ -216,12 +216,17 @@ def train(config, bundle, probe_epochs=()):
         if epoch in probe_epochs:
             result.snapshots[epoch] = serialize_checkpoint(
                 encoder, projection, state, config)
-        refit_now = cluster_on and not config.update_per_batch and \
+        # the epoch refits at its start, or before each batch when
+        # update_per_batch is set, and reports that in its "refit" column
+        refits = cluster_on and (
+            epoch >= config.warmup_epochs if config.update_per_batch else
             clustering.should_update(epoch, config.warmup_epochs,
-                                     config.update_interval)
-        if refit_now:
-            state = _refit(config, encoder, projection, bundle, epoch)
+                                     config.update_interval))
+        per_batch = refits and config.update_per_batch
+        if refits:
             result.refit_epochs.append(epoch)
+            if not per_batch:
+                state = _refit(config, encoder, projection, bundle, epoch)
 
         lr = _epoch_lr(config, epoch)
         epoch_rng = np.random.default_rng(
@@ -234,11 +239,8 @@ def train(config, bundle, probe_epochs=()):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
             if idx.size < 2:
                 continue
-            joint = epoch >= config.warmup_epochs and cluster_on
-            if joint and config.update_per_batch:
+            if per_batch:
                 state = _refit(config, encoder, projection, bundle, epoch)
-                if epoch not in result.refit_epochs:
-                    result.refit_epochs.append(epoch)
 
             aug_seed = np.random.SeedSequence([config.seed, 11, epoch, b])
             views = data_augment(bundle.id_train[idx], aug_seed, config)
@@ -261,9 +263,7 @@ def train(config, bundle, probe_epochs=()):
             "l_self": epoch_self / n_batches,
             "l_cluster": (epoch_cluster / n_cluster_terms
                           if n_cluster_terms else float("nan")),
-            "refit": int(refit_now or (config.update_per_batch and
-                                       epoch >= config.warmup_epochs and
-                                       cluster_on)),
+            "refit": int(refits),
             "config_hash": cfg_hash,
         })
 

@@ -1,57 +1,4 @@
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-from clood.config import benchmark_config
-from clood.data import DatasetSpec, generate_synthetic
-from clood.train import evaluate, mean_max_center_similarity, train
-
-
-class BenchmarkRunner:
-    """Trains benchmark variants once per (config, seed) and caches results."""
-
-    def __init__(self):
-        self._cache = {}
-
-    def run(self, config):
-        key = config.hash()
-        if key not in self._cache:
-            bundle = generate_synthetic(DatasetSpec.from_config(config),
-                                        config.seed)
-            result = train(config, bundle)
-            self._cache[key] = (result, bundle)
-        return self._cache[key]
-
-    def aurocs(self, config, score_kind="cos", k_top=None):
-        result, bundle = self.run(config)
-        return evaluate(result, bundle, score_kind=score_kind,
-                        k_top=k_top).aurocs
-
-    def mean_auroc(self, config, ood_set="shifted", seeds=range(5),
-                   score_kind="cos"):
-        from dataclasses import replace
-        vals = [self.aurocs(replace(config, seed=s), score_kind)[ood_set]
-                for s in seeds]
-        return float(np.mean(vals))
-
-    def mean_similarity(self, config, seeds=range(5)):
-        from dataclasses import replace
-        vals = []
-        for s in seeds:
-            result, bundle = self.run(replace(config, seed=s))
-            vals.append(mean_max_center_similarity(result, bundle))
-        return float(np.mean(vals))
-
-
-@pytest.fixture(scope="session")
-def bench():
-    return BenchmarkRunner()
-
-
-@pytest.fixture(scope="session")
-def bench_config():
-    return benchmark_config()

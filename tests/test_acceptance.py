@@ -1,9 +1,10 @@
 """Acceptance gate: one test per release criterion.
 
 Each test prints a single "criterion N (...): PASS/FAIL" line. The
-benchmark comparisons (criteria 4-8) share trained models through the
-session-scoped `bench` cache, so the whole module stays inside its time
-budget even though it covers ten model variants across five seeds.
+benchmark comparisons (criteria 4-8) take their variants from
+`ablate.variants` and share trained models through `ablate.run_one`'s
+per-process cache, so the module trains each of its ten model variants
+once per seed over five seeds.
 """
 
 from dataclasses import replace
@@ -11,14 +12,18 @@ from dataclasses import replace
 import numpy as np
 
 import oracles
-from clood import losses, scoring
+from clood import ablate, losses, scoring
 from clood.autodiff import finite_difference_check
 from clood.clustering import assign
 from clood.config import benchmark_config
 from clood.data import DatasetSpec, generate_synthetic
 from clood.scoring import ReferenceBank
-from clood.train import evaluate, load_checkpoint, serialize_checkpoint, train
 from clood.scoring import write_report
+from clood.train import (evaluate, load_checkpoint,
+                         mean_max_center_similarity, serialize_checkpoint,
+                         train)
+
+SEEDS = range(5)
 
 
 def _verdict(num, name, ok, detail=""):
@@ -142,65 +147,66 @@ def test_criterion_3_schedule_contract(tmp_path):
              detail=f"refits={full.refit_epochs}")
 
 
-def test_criterion_4_loss_term_comparison(bench, bench_config):
-    c = bench_config
-    means = {
-        "self": bench.mean_auroc(replace(c, use_ccl=False, use_cil=False)),
-        "ccl": bench.mean_auroc(replace(c, use_cil=False)),
-        "cil": bench.mean_auroc(replace(c, use_ccl=False)),
-        "full": bench.mean_auroc(c),
-    }
-    ok = (means["full"] >= means["self"] + 0.02
-          and means["ccl"] >= means["self"]
-          and means["cil"] >= means["self"])
+def _mean_auroc(config, ood_set="shifted", score_kind="cos"):
+    """Mean AUROC of `config` over seeds 0-4, each model trained once."""
+    return float(np.mean([
+        evaluate(*ablate.run_one(replace(config, seed=s)),
+                 score_kind=score_kind).aurocs[ood_set]
+        for s in SEEDS]))
+
+
+def _sweep(name):
+    return dict(ablate.variants(name, benchmark_config()))
+
+
+def test_criterion_4_loss_term_comparison():
+    means = {label: _mean_auroc(cfg)
+             for label, cfg in _sweep("loss-terms").items()}
+    ok = (means["full"] >= means["self_only"] + 0.02
+          and means["self+ccl"] >= means["self_only"]
+          and means["self+cil"] >= means["self_only"])
     _verdict(4, "loss term comparison", ok,
              detail=", ".join(f"{k}={v:.4f}" for k, v in means.items()))
 
 
-def test_criterion_5_clustering_layer(bench, bench_config):
-    emb = bench.mean_auroc(bench_config)
-    proj = bench.mean_auroc(replace(bench_config,
-                                    clustering_layer="projection"))
+def test_criterion_5_clustering_layer():
+    variants = _sweep("cluster-layer")
+    emb = _mean_auroc(variants["embedding"])
+    proj = _mean_auroc(variants["projection"])
     _verdict(5, "clustering layer", emb >= proj,
              detail=f"embedding={emb:.4f}, projection={proj:.4f}")
 
 
-def test_criterion_6_update_schedule(bench, bench_config):
-    c = bench_config
-    means = {
-        "no_warmup": bench.mean_auroc(replace(c, warmup_epochs=0)),
-        "u1": bench.mean_auroc(replace(c, update_interval=1)),
-        "u10": bench.mean_auroc(c),
-        "u50": bench.mean_auroc(replace(c, update_interval=50)),
-    }
-    best = max(means["u1"], means["u10"], means["u50"])
-    ok = means["u10"] >= means["no_warmup"] and means["u10"] >= best - 0.01
+def test_criterion_6_update_schedule():
+    variants = _sweep("schedule")
+    means = {label: _mean_auroc(variants[label])
+             for label in ("no_warmup_u10", "warmup_u1", "warmup_u10",
+                           "warmup_u50")}
+    best = max(means["warmup_u1"], means["warmup_u10"], means["warmup_u50"])
+    ok = (means["warmup_u10"] >= means["no_warmup_u10"]
+          and means["warmup_u10"] >= best - 0.01)
     _verdict(6, "update schedule", ok,
              detail=", ".join(f"{k}={v:.4f}" for k, v in means.items()))
 
 
-def test_criterion_7_cluster_count(bench, bench_config):
-    c = bench_config
-    variants = {r: replace(c, clusters=r)
-                for r in (c.components // 2, c.components, 5 * c.components)}
-    aurocs = {r: bench.mean_auroc(cfg) for r, cfg in variants.items()}
-    sims = {r: bench.mean_similarity(variants[r])
-            for r in (c.components, 5 * c.components)}
-    auroc_ok = aurocs[c.components] == max(aurocs.values())
-    sim_ok = sims[c.components] >= sims[5 * c.components]
+def test_criterion_7_cluster_count():
+    r = benchmark_config().components
+    variants = {cfg.clusters: cfg for cfg in _sweep("cluster-count").values()}
+    aurocs = {k: _mean_auroc(cfg) for k, cfg in variants.items()}
+    sims = {k: float(np.mean([
+        mean_max_center_similarity(*ablate.run_one(replace(variants[k], seed=s)))
+        for s in SEEDS])) for k in (r, 5 * r)}
+    auroc_ok = aurocs[r] == max(aurocs.values())
+    sim_ok = sims[r] >= sims[5 * r]
     _verdict(7, "cluster count", auroc_ok and sim_ok,
-             detail=f"aurocs={ {r: round(v, 4) for r, v in aurocs.items()} }, "
-                    f"sims={ {r: round(v, 4) for r, v in sims.items()} }")
+             detail=f"aurocs={ {k: round(v, 4) for k, v in aurocs.items()} }, "
+                    f"sims={ {k: round(v, 4) for k, v in sims.items()} }")
 
 
-def test_criterion_8_score_functions(bench, bench_config):
-    gaps = {}
-    for ood_set in ("shifted", "scaled", "interp"):
-        cos = bench.mean_auroc(bench_config, ood_set=ood_set,
-                               score_kind="cos")
-        var = bench.mean_auroc(bench_config, ood_set=ood_set,
-                               score_kind="var")
-        gaps[ood_set] = var - cos
+def test_criterion_8_score_functions():
+    gaps = {ood_set: _mean_auroc(benchmark_config(), ood_set, "var")
+            - _mean_auroc(benchmark_config(), ood_set, "cos")
+            for ood_set in ("shifted", "scaled", "interp")}
     ok = all(g >= -0.01 for g in gaps.values())
     _verdict(8, "score functions", ok,
              detail=", ".join(f"{k}:{v:+.4f}" for k, v in gaps.items()))

@@ -1,16 +1,12 @@
-import importlib
-
 import numpy as np
 import pytest
 
+import clood.train as train_mod
 from clood import model
 from clood.autodiff import finite_difference_check
 from clood.clustering import ClusterState
 from clood.config import TrainConfig
 from clood.errors import ConfigError, ShapeError
-
-# the package root re-exports the train() function under the same name
-train_mod = importlib.import_module("clood.train")
 
 
 def _arrays(*nets):

@@ -100,6 +100,13 @@ class TestAuroc:
         with pytest.raises(ContractError):
             scoring.auroc([], [1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            scoring.auroc([1.0, bad], [0.5])
+        with pytest.raises(DomainError, match="finite"):
+            scoring.auroc([1.0], [0.5, bad])
+
 
 class TestReport:
     def test_build_report_aurocs_per_set(self):

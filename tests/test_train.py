@@ -1,17 +1,13 @@
-import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import clood.train as train_mod
 from clood import ablate, cli, losses
 from clood.config import TrainConfig, benchmark_config
 from clood.data import DatasetSpec, generate_synthetic
 from clood.errors import ConfigError, NumericError
-
-# the package root re-exports the train() function under the same name,
-# so fetch the submodule itself for the checkpoint/metrics helpers
-train_mod = importlib.import_module("clood.train")
 
 
 def _small_config(**kw):
@@ -164,11 +160,44 @@ class TestEvaluate:
         assert lines[0].startswith("id_train,")
 
 
-def test_training_beats_untrained_encoder(bench, bench_config):
-    trained = bench.aurocs(bench_config, "cos")["shifted"]
-    blank = replace(bench_config, epochs_total=0, warmup_epochs=0)
-    untrained = bench.aurocs(blank, "cos")["shifted"]
+def test_training_beats_untrained_encoder():
+    config = benchmark_config()
+    blank = replace(config, epochs_total=0, warmup_epochs=0)
+    trained, untrained = (
+        train_mod.evaluate(*ablate.run_one(c), score_kind="cos").aurocs["shifted"]
+        for c in (config, blank))
     assert trained > untrained
+
+
+def test_clood_train_is_the_module():
+    import clood.train as m
+    assert callable(m.step_gradients)
+
+
+def test_sweeps_train_each_config_once(monkeypatch):
+    monkeypatch.setattr(ablate, "_runs", {})
+    trained, real_train = [], ablate.train
+    monkeypatch.setattr(ablate, "train", lambda config, bundle: (
+        trained.append(config.hash()) or real_train(config, bundle)))
+    for sweep in ("loss-terms", "cluster-count"):
+        ablate.run_sweep(sweep, _small_config(), n_seeds=1)
+    # the four loss-term variants, then only r=10: r=2 is the full model
+    assert len(trained) == len(set(trained)) == 5
+
+
+@pytest.mark.parametrize("components,labels", [
+    (2, ["r=2", "r=10"]), (3, ["r=2", "r=3", "r=15"]),
+    (4, ["r=2", "r=4", "r=20"])])
+def test_cluster_count_labels_give_trained_clusters(components, labels):
+    variants = ablate.variants("cluster-count",
+                               benchmark_config(components=components))
+    assert [label for label, _ in variants] == labels
+    assert all(label == f"r={cfg.clusters}" for label, cfg in variants)
+
+
+def test_unknown_sweep_lists_the_sweeps():
+    with pytest.raises(ConfigError, match=", ".join(ablate.SWEEPS)):
+        ablate.variants("bogus", benchmark_config())
 
 
 def test_ablation_sweep_smoke(tmp_path):
@@ -232,6 +261,77 @@ class TestCli:
                        "--checkpoint", str(tmp_path / "m.ckpt")])
         assert rc == 2
         assert "lr must be finite" in capsys.readouterr().err
+
+    def _trained(self, tmp_path):
+        cfg = self._config_file(tmp_path)
+        data_dir, ckpt = tmp_path / "bundle", tmp_path / "model.ckpt"
+        assert cli.main(["gen-data", "--config", cfg,
+                         "--out", str(data_dir)]) == 0
+        assert cli.main(["train", "--config", cfg, "--data", str(data_dir),
+                         "--checkpoint", str(ckpt)]) == 0
+        return data_dir, ckpt
+
+    def _eval(self, tmp_path, ckpt, data_dir):
+        return cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--data", str(data_dir),
+                         "--scores", str(tmp_path / "s.csv"),
+                         "--summary", str(tmp_path / "a.csv")])
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda line: "x," + line.split(",", 1)[1],
+         "id_test.csv:3: could not convert string to float: 'x'"),
+        (lambda line: "nan," + line.split(",", 1)[1],
+         "id_test.csv:3: non-finite value"),
+        (lambda line: "-inf," + line.split(",", 1)[1],
+         "id_test.csv:3: non-finite value"),
+        (lambda line: line.rsplit(",", 1)[0],
+         "id_test.csv:3: expected 8 cells, found 7"),
+        (None, "id_test.csv: set 'id_test' has no rows")],
+        ids=["non-numeric", "nan", "inf", "ragged", "header-only"])
+    def test_bad_bundle_set_exits_2(self, tmp_path, capsys, edit, message):
+        data_dir, ckpt = self._trained(tmp_path)
+        path = data_dir / "id_test.csv"
+        lines = path.read_text().splitlines()
+        if edit is None:
+            lines = lines[:1]
+        else:
+            lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self._eval(tmp_path, ckpt, data_dir) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_scores_exit_3(self, tmp_path, capsys):
+        data_dir, ckpt = self._trained(tmp_path)
+        result = train_mod.load_checkpoint(ckpt)
+        result.encoder.weights[0][0, 0] = float("nan")
+        train_mod.save_checkpoint(ckpt, result)
+        assert self._eval(tmp_path, ckpt, data_dir) == 3
+        assert "AUROC needs finite scores" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--data", "--config"])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, flag):
+        missing = str(tmp_path / "missing")
+        args = {"--checkpoint": ["eval", "--checkpoint", missing,
+                                 "--scores", str(tmp_path / "s.csv"),
+                                 "--summary", str(tmp_path / "a.csv")],
+                "--data": ["train", "--data", missing,
+                           "--checkpoint", str(tmp_path / "m.ckpt")],
+                "--config": ["train", "--config", missing,
+                             "--checkpoint", str(tmp_path / "m.ckpt")]}[flag]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "file error" in err and missing in err
+
+    def test_ablate_writes_similarity(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["ablate", "--sweep", "cluster-count", "--seeds", "1",
+                         "--config", self._config_file(tmp_path),
+                         "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert "similarity" in header.split(",")
+        assert [row.split(",")[1] for row in rows] == ["r=2", "r=10"]
+        assert "r=10" in capsys.readouterr().out
 
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys):
         result, _ = _small_run()
