@@ -73,6 +73,8 @@ def run_sweep(name, base=None, n_seeds=5):
     Returns one row per variant with mean AUROC per OOD set (and, for the
     cluster-count sweep, the mean max embedding-to-center similarity).
     """
+    if n_seeds < 1:
+        raise ConfigError(f"a sweep needs at least one seed, got {n_seeds}")
     base = base or benchmark_config()
     want_sim = name == "cluster-count"
     rows = []

@@ -16,7 +16,8 @@ from .errors import DomainError
 
 
 def normalize_rows(x):
-    """Each row of `x` divided by its L2 norm, and the norms."""
+    """Each row of `x`, as float64, divided by its L2 norm, and the norms."""
+    x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
@@ -30,8 +31,8 @@ def cosine_logits(a, b=None, scale=1.0):
     `b` is held constant; None means `a` itself, and then both uses of `a`
     carry gradient. `scale` is a scalar or one factor per column of L.
     """
-    ua, norms = normalize_rows(np.asarray(a, dtype=np.float64))
-    ub = ua if b is None else normalize_rows(np.asarray(b, dtype=np.float64))[0]
+    ua, norms = normalize_rows(a)
+    ub = ua if b is None else normalize_rows(b)[0]
     logits = (ua @ ub.T) * scale
 
     def backward(dlogits):

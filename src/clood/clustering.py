@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DomainError
+from .autodiff import normalize_rows
+from .errors import ConfigError, ContractError, DomainError, NumericError
 from .losses import concentration
 
 
@@ -20,15 +21,6 @@ class ClusterState:
     phis: np.ndarray             # R concentrations, all >= phi_floor
     layer: str                   # "embedding" | "projection"
     updated_at_epoch: int
-
-
-def _normalize_rows(points, what="point"):
-    points = np.asarray(points, dtype=np.float64)
-    norms = np.linalg.norm(points, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise DomainError(f"zero-norm {what} at row {bad[0]}")
-    return points / norms[:, None]
 
 
 def _kmeanspp_init(points, r, rng):
@@ -63,7 +55,7 @@ def kmeans_fit(points, r, seed=0, max_iters=100, tol=1e-6):
     if not np.all(np.isfinite(points)):
         raise DomainError("points must be finite")
 
-    pts = _normalize_rows(points)
+    pts = normalize_rows(points)[0]
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(pts, r, rng)
 
@@ -93,15 +85,13 @@ def kmeans_fit(points, r, seed=0, max_iters=100, tol=1e-6):
 
 def assign(points, centers):
     """Nearest center by cosine similarity; ties go to the lowest index."""
-    points = np.asarray(points, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    sims = _normalize_rows(points) @ _normalize_rows(centers, "center").T
+    sims = normalize_rows(points)[0] @ normalize_rows(centers)[0].T
     return np.argmax(sims, axis=1)
 
 
 def compute_concentrations(points, assignments, centers, alpha, phi_floor=0.05):
     """Per-cluster concentration of normalized points around their center."""
-    pts = _normalize_rows(points)
+    pts = normalize_rows(points)[0]
     centers = np.asarray(centers, dtype=np.float64)
     assignments = np.asarray(assignments, dtype=np.intp)
     phis = np.empty(centers.shape[0])
@@ -122,17 +112,26 @@ def should_update(epoch, warmup_epochs, update_interval):
 
 def fit_state(points, r, seed, alpha, phi_floor, layer, epoch,
               max_iters=100, tol=1e-6):
-    """Full refit: centers, assignments over `points`, and concentrations."""
+    """Full refit: centers, assignments over `points`, and concentrations.
+
+    A cluster the repair pass cannot fill (the points have fewer distinct
+    directions than `r`) raises NumericError naming the epoch and cluster.
+    """
     centers = kmeans_fit(points, r, seed=seed, max_iters=max_iters, tol=tol)
     labels = assign(points, centers)
     # repair clusters emptied by the final assignment pass
     for k in range(r):
         if not (labels == k).any():
-            pts = _normalize_rows(points)
+            pts = normalize_rows(points)[0]
             dists = np.linalg.norm(pts - centers[labels], axis=1)
             far = int(np.argmax(dists))
             centers[k] = pts[far]
             labels = assign(points, centers)
+    empty = np.flatnonzero(np.bincount(labels, minlength=r) == 0)
+    if empty.size:
+        raise NumericError(f"epoch {epoch}: cluster {empty[0]} is still empty "
+                           f"after repair; the features have fewer than {r} "
+                           f"distinct directions")
     phis = compute_concentrations(points, labels, centers, alpha, phi_floor)
     return ClusterState(centers=centers, assignments=labels, phis=phis,
                         layer=layer, updated_at_epoch=epoch)

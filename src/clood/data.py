@@ -203,14 +203,23 @@ def _read_set(path, expect_name):
 
 
 def load_bundle(directory):
-    ood = {}
-    for name in OOD_SET_NAMES:
-        path = os.path.join(directory, f"ood_{name}.csv")
-        if os.path.exists(path):
-            ood[name] = _read_set(path, name)
+    """The bundle save_bundle wrote; a set whose width differs from
+    id_train's is a ConfigError naming its file."""
+    id_train = _read_set(os.path.join(directory, "id_train.csv"), "id_train")
+
+    def read(file, name):
+        path = os.path.join(directory, file)
+        rows = _read_set(path, name)
+        if rows.shape[1] != id_train.shape[1]:
+            raise ConfigError(f"{path}: set {name!r} is {rows.shape[1]} wide, "
+                              f"id_train is {id_train.shape[1]}")
+        return rows
+
+    ood = {name: read(f"ood_{name}.csv", name) for name in OOD_SET_NAMES
+           if os.path.exists(os.path.join(directory, f"ood_{name}.csv"))}
     return DatasetBundle(
-        id_train=_read_set(os.path.join(directory, "id_train.csv"), "id_train"),
-        id_test=_read_set(os.path.join(directory, "id_test.csv"), "id_test"),
+        id_train=id_train,
+        id_test=read("id_test.csv", "id_test"),
         ood_sets=ood,
         provenance={"loaded_from": directory},
     )

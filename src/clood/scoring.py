@@ -1,12 +1,17 @@
 """OOD score functions over a bank of training features, plus exact AUROC."""
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
+from .autodiff import normalize_rows
 from .errors import ConfigError, ContractError, DomainError
+
+
+# entries a chunk of queries holds at once: 2**18 float64s, 2 MB
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -14,13 +19,11 @@ class ReferenceBank:
     """Training-set features test samples are scored against."""
 
     features: np.ndarray
-    norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] == 0:
             raise ContractError("bank must be a non-empty 2-D matrix")
-        self.norms = np.linalg.norm(self.features, axis=1)
 
     def __len__(self):
         return self.features.shape[0]
@@ -36,38 +39,14 @@ class ScoreReport:
     config_hash: str = ""
 
 
-def _candidate_scores(bank, z):
-    """sim(bank_m, z) * ||bank_m|| for every bank row."""
-    z = np.asarray(z, dtype=np.float64)
-    zn = np.linalg.norm(z)
-    if zn == 0.0:
-        raise DomainError("query vector has zero norm")
-    sims = (bank.features @ z) / (np.maximum(bank.norms, 1e-300) * zn)
-    return sims * bank.norms
-
-
 def score_cos(bank, z):
     """Max norm-weighted cosine similarity against the bank."""
-    return float(np.max(_candidate_scores(bank, z)))
-
-
-def _var_denominator(bank, scores, k_top):
-    """Std-dev of the top-K bank rows (by candidate score), clamped at 1e-8."""
-    top = np.argsort(-scores, kind="stable")[:k_top]
-    rows = bank.features[top]
-    mean = rows.mean(axis=0)
-    var = np.sum((rows - mean) ** 2) / (k_top - 1)
-    return max(np.sqrt(var), 1e-8)
+    return float(score_set(bank, [z], "cos")[0])
 
 
 def score_var(bank, z, k_top=10):
     """Cosine score normalized by the spread of its top-K neighbors."""
-    if k_top < 2 or k_top > len(bank):
-        raise ConfigError(
-            f"k_top must lie in [2, {len(bank)}], got {k_top}"
-        )
-    scores = _candidate_scores(bank, z)
-    return float(np.max(scores)) / _var_denominator(bank, scores, k_top)
+    return float(score_set(bank, [z], "var", k_top)[0])
 
 
 def auroc(id_scores, ood_scores):
@@ -88,12 +67,37 @@ def auroc(id_scores, ood_scores):
 
 
 def score_set(bank, features, score_kind, k_top=10):
-    """Score every row of `features` against the bank."""
-    if score_kind == "cos":
-        return np.array([score_cos(bank, z) for z in features])
-    if score_kind == "var":
-        return np.array([score_var(bank, z, k_top) for z in features])
-    raise ConfigError(f"unknown score kind {score_kind!r}")
+    """Score every row of `features` against the bank.
+
+    A bank row's candidate score, sim(bank_m, z) * ||bank_m||, is its dot
+    product with the unit query. `cos` is the best candidate; `var`
+    divides it by the spread of the top-K bank rows by candidate score
+    (ties to the lowest index), clamped at 1e-8. Queries are scored in
+    chunks that hold about _CHUNK_ENTRIES entries.
+    """
+    if score_kind not in ("cos", "var"):
+        raise ConfigError(f"unknown score kind {score_kind!r}")
+    if score_kind == "var" and not 2 <= k_top <= len(bank):
+        raise ConfigError(f"k_top must lie in [2, {len(bank)}], got {k_top}")
+    queries = normalize_rows(features)[0]
+    scores = np.empty(queries.shape[0])
+    # a query holds its candidates and, for var, its top-K bank rows
+    per_query = len(bank) + (k_top * bank.features.shape[1]
+                             if score_kind == "var" else 0)
+    step = max(1, _CHUNK_ENTRIES // per_query)
+    for start in range(0, queries.shape[0], step):
+        cand = queries[start:start + step] @ bank.features.T
+        best = cand.max(axis=1)
+        if score_kind == "var":
+            top = np.argsort(-cand, axis=1, kind="stable")[:, :k_top]
+            # the gathered rows are a fresh copy: centre and square in place
+            dev = bank.features[top]
+            dev -= dev.mean(axis=1, keepdims=True)
+            np.square(dev, out=dev)
+            spread = np.sqrt(dev.sum(axis=(1, 2)) / (k_top - 1))
+            best = best / np.maximum(spread, 1e-8)
+        scores[start:start + step] = best
+    return scores
 
 
 def build_report(bank, id_test_features, ood_features, score_kind, k_top=10,

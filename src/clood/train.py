@@ -10,11 +10,13 @@ and cluster-aware losses with plain SGD.
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import clustering, losses, model, scoring
+from .autodiff import normalize_rows
 from .data import augment
 from .clustering import ClusterState
 from .config import TrainConfig, config_from_dict
@@ -74,9 +76,17 @@ def serialize_checkpoint(encoder, projection, cluster_state, config):
 
 
 def save_checkpoint(path, result):
-    with open(path, "wb") as f:
-        f.write(serialize_checkpoint(result.encoder, result.projection,
-                                     result.cluster_state, result.config))
+    """Write via `<path>.tmp` and a rename, so `path` is never partial."""
+    blob = serialize_checkpoint(result.encoder, result.projection,
+                                result.cluster_state, result.config)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _unpack(arrays, prefix):
@@ -139,6 +149,16 @@ def load_checkpoint(path):
 
 # ---- training ----
 
+def check_width(config, bundle):
+    """ConfigError unless the bundle's rows are as wide as config.d_in and
+    the encoder's first layer."""
+    width = bundle.id_train.shape[1]
+    if not width == config.d_in == config.encoder_widths[0]:
+        raise ConfigError(
+            f"bundle dimension {width} does not match config d_in "
+            f"{config.d_in} and encoder_widths[0] {config.encoder_widths[0]}")
+
+
 def _layer_features_np(encoder, projection, x, layer):
     h = model.mlp_forward_np(encoder, x)[-1]
     return h if layer == "embedding" else model.mlp_forward_np(projection, h)[-1]
@@ -199,6 +219,7 @@ def step_gradients(config, encoder, projection, views, state):
 
 def train(config, bundle, probe_epochs=()):
     """Run the full two-phase schedule; deterministic for a fixed config."""
+    check_width(config, bundle)
     encoder, projection = model.init_params(
         config.seed, config.encoder_widths, config.projection_widths)
     params = [*encoder.arrays().values(), *projection.arrays().values()]
@@ -296,10 +317,7 @@ def evaluate(result, bundle, score_kind=None, k_top=None):
     config = result.config
     score_kind = score_kind or config.score_kind
     k_top = k_top or config.k_top
-    if bundle.id_train.shape[1] != config.d_in:
-        raise ConfigError(
-            f"bundle dimension {bundle.id_train.shape[1]} does not match "
-            f"config d_in {config.d_in}")
+    check_width(config, bundle)
     feats = lambda x: _layer_features_np(result.encoder, result.projection,
                                          x, config.score_layer)
     bank = scoring.ReferenceBank(feats(bundle.id_train))
@@ -314,16 +332,15 @@ def mean_max_center_similarity(result, bundle):
         raise ConfigError("checkpoint has no cluster state")
     feats = _layer_features_np(result.encoder, result.projection,
                                bundle.id_test, result.cluster_state.layer)
-    feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-    centers = result.cluster_state.centers
-    centers = centers / np.linalg.norm(centers, axis=1, keepdims=True)
-    return float(np.mean(np.max(feats @ centers.T, axis=1)))
+    centers = normalize_rows(result.cluster_state.centers)[0]
+    return float(np.mean(np.max(normalize_rows(feats)[0] @ centers.T, axis=1)))
 
 
 def export_features(result, bundle, layer, path):
     """Write every set's features at the chosen layer as one labeled CSV."""
     if layer not in ("embedding", "projection"):
         raise ConfigError(f"unknown layer {layer!r}")
+    check_width(result.config, bundle)
     sets = [("id_train", bundle.id_train), ("id_test", bundle.id_test)]
     sets += [(name, bundle.ood_sets[name]) for name in sorted(bundle.ood_sets)]
     with open(path, "w", newline="") as f:

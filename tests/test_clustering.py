@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from clood import clustering
-from clood.errors import ConfigError, ContractError, DomainError
+from clood.errors import ConfigError, ContractError, DomainError, NumericError
 
 
 def _unit(rows):
@@ -155,3 +155,11 @@ def test_fit_state_invariants():
     for k in range(5):
         assert (state.assignments == k).sum() >= 1
     assert (state.phis >= 0.05).all()
+
+
+def test_fit_state_reports_collapse_as_numeric_failure():
+    # five points on two directions cannot fill three clusters
+    pts = np.array([[1.0, 0], [1.0, 0], [1.0, 0], [0, 1.0], [0, 1.0]])
+    with pytest.raises(NumericError, match="epoch 7: cluster 2"):
+        clustering.fit_state(pts, 3, seed=0, alpha=10.0, phi_floor=0.05,
+                             layer="embedding", epoch=7)

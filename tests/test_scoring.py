@@ -74,6 +74,47 @@ class TestScoreVar:
             scoring.score_var(bank, [1.0, 0, 0], k_top=4)
 
 
+class TestScoreSet:
+    def test_chunks_match_oracles_and_one_row_calls(self, monkeypatch):
+        # a chunk holds three cos queries (25 candidates each) or one var
+        # query (25 candidates and 6 top rows of 4), so 11 queries make
+        # four chunks for cos and eleven for var
+        monkeypatch.setattr(scoring, "_CHUNK_ENTRIES", 3 * 25)
+        rng = np.random.default_rng(6)
+        feats = rng.standard_normal((25, 4))
+        queries = rng.standard_normal((11, 4))
+        bank = _bank(feats)
+        cos = scoring.score_set(bank, queries, "cos")
+        var = scoring.score_set(bank, queries, "var", k_top=6)
+        for i, z in enumerate(queries):
+            assert cos[i] == pytest.approx(
+                oracles.score_cos_oracle(feats.tolist(), z.tolist()), abs=1e-10)
+            assert var[i] == pytest.approx(
+                oracles.score_var_oracle(feats.tolist(), z.tolist(), 6), abs=1e-10)
+            assert cos[i] == pytest.approx(scoring.score_cos(bank, z), rel=1e-12)
+            assert var[i] == pytest.approx(scoring.score_var(bank, z, 6), rel=1e-12)
+
+    def test_tie_at_top_k_boundary_takes_lowest_index(self, monkeypatch):
+        # one query per var chunk
+        monkeypatch.setattr(scoring, "_CHUNK_ENTRIES", 7)
+        # on the query [1, 0, 0] rows 2 and 3 tie for the fourth place
+        rows = np.array([[5.0, 0, 0], [0, 5.0, 0], [3.0, 0, 4.0], [3.0, 4.0, 0],
+                         [4.0, 3.0, 0], [4.0, 3.0, 0], [0, 0, 5.0]])
+        queries = np.array([[0.3, 1.0, 0.2], [1.0, 0, 0], [0.5, 0.1, 1.0]])
+        got = scoring.score_set(_bank(rows), queries, "var", k_top=4)[1]
+        lowest = oracles.score_var_oracle(rows.tolist(), [1.0, 0, 0], 4)
+        swapped = oracles.score_var_oracle(rows[[0, 1, 3, 2, 4, 5, 6]].tolist(),
+                                           [1.0, 0, 0], 4)
+        assert got == pytest.approx(lowest, rel=1e-12)
+        assert got != pytest.approx(swapped)
+
+    @pytest.mark.parametrize("kind", ["cos", "var"])
+    def test_zero_norm_query_names_its_row(self, kind):
+        queries = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainError, match="row 2"):
+            scoring.score_set(_bank(np.eye(2)), queries, kind, k_top=2)
+
+
 class TestAuroc:
     def test_perfect_separation(self):
         assert scoring.auroc([3.0, 4.0], [1.0, 2.0]) == 1.0

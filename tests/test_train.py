@@ -115,6 +115,35 @@ class TestCheckpoint:
         train_mod.save_checkpoint(p2, result)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_write_keeps_existing_checkpoint(self, tmp_path,
+                                                     monkeypatch):
+        result, _ = _small_run()
+        path = tmp_path / "model.ckpt"
+        train_mod.save_checkpoint(path, result)
+        before = path.read_bytes()
+
+        class HalfWrite:
+            # writes half of what it is given, then fails like a full disk
+            def __init__(self, file, mode):
+                self.f = open(file, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError("no space left on device")
+
+        result.encoder.weights[0][0, 0] += 1.0
+        monkeypatch.setattr(train_mod, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError):
+            train_mod.save_checkpoint(path, result)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint\n")
@@ -300,6 +329,48 @@ class TestCli:
         capsys.readouterr()
         assert self._eval(tmp_path, ckpt, data_dir) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_narrow_bundle_set_exits_2(self, tmp_path, capsys, command):
+        data_dir, ckpt = self._trained(tmp_path)
+        path = data_dir / "ood_shifted.csv"
+        lines = path.read_text().splitlines()
+        lines = ["shifted,7"] + [line.rsplit(",", 1)[0] for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        if command == "eval":
+            rc = self._eval(tmp_path, ckpt, data_dir)
+        else:
+            rc = cli.main(["export", "--checkpoint", str(ckpt),
+                           "--data", str(data_dir),
+                           "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        assert f"{path}: set 'shifted' is 7 wide, id_train is 8" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [False, True], ids=["generated", "bundle"])
+    def test_train_width_mismatch_exits_2(self, tmp_path, capsys, data):
+        # the default encoder takes 16 columns: give it 8-wide rows either
+        # generated at d_in=8 or read from an 8-wide bundle
+        args = ["train", "--checkpoint", str(tmp_path / "m.ckpt")]
+        if data:
+            data_dir = str(tmp_path / "bundle")
+            assert cli.main(["gen-data", "--config", self._config_file(tmp_path),
+                             "--out", data_dir]) == 0
+            args += ["--data", data_dir]
+        else:
+            args += ["--set", "d_in=8"]
+        capsys.readouterr()
+        assert cli.main(args) == 2
+        assert "bundle dimension 8 does not match config d_in" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_ablate_without_seeds_exits_2(self, tmp_path, capsys, seeds):
+        rc = cli.main(["ablate", "--sweep", "loss-terms", "--seeds", seeds,
+                       "--config", self._config_file(tmp_path)])
+        assert rc == 2
+        assert "at least one seed" in capsys.readouterr().err
 
     def test_non_finite_scores_exit_3(self, tmp_path, capsys):
         data_dir, ckpt = self._trained(tmp_path)
