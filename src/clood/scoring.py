@@ -72,8 +72,9 @@ def score_set(bank, features, score_kind, k_top=10):
     A bank row's candidate score, sim(bank_m, z) * ||bank_m||, is its dot
     product with the unit query. `cos` is the best candidate; `var`
     divides it by the spread of the top-K bank rows by candidate score
-    (ties to the lowest index), clamped at 1e-8. Queries are scored in
-    chunks that hold about _CHUNK_ENTRIES entries.
+    (ties to the lowest index; `_top_k` selects them in linear time),
+    clamped at 1e-8. Queries are scored in chunks that hold about
+    _CHUNK_ENTRIES entries.
     """
     if score_kind not in ("cos", "var"):
         raise ConfigError(f"unknown score kind {score_kind!r}")
@@ -89,7 +90,8 @@ def score_set(bank, features, score_kind, k_top=10):
         cand = queries[start:start + step] @ bank.features.T
         best = cand.max(axis=1)
         if score_kind == "var":
-            top = np.argsort(-cand, axis=1, kind="stable")[:, :k_top]
+            # cand is not read again: negate it in place, largest first
+            top = _top_k(np.negative(cand, out=cand), k_top)
             # the gathered rows are a fresh copy: centre and square in place
             dev = bank.features[top]
             dev -= dev.mean(axis=1, keepdims=True)
@@ -98,6 +100,32 @@ def score_set(bank, features, score_kind, k_top=10):
             best = best / np.maximum(spread, 1e-8)
         scores[start:start + step] = best
     return scores
+
+
+def _top_k(values, k):
+    """Columns of each row's k smallest values, ordered by (value, column).
+
+    Equal to np.argsort(values, axis=1, kind="stable")[:, :k], in linear
+    time: argpartition picks k columns, and a stable sort of the picks,
+    taken in column order, orders them. A row whose k-th value is NaN,
+    or ties with a value left out, may hold the wrong ones of its tied
+    columns; only those rows are sorted in full.
+    """
+    n = values.shape[1]
+    # column k of the partition holds the (k+1)-th smallest value
+    part = np.argpartition(values, min(k, n - 1), axis=1)
+    picks = np.sort(part[:, :k], axis=1)
+    picked = np.take_along_axis(values, picks, axis=1)
+    order = np.argsort(picked, axis=1, kind="stable")
+    top = np.take_along_axis(picks, order, axis=1)
+    kth = np.take_along_axis(picked, order[:, -1:], axis=1)[:, 0]
+    redo = np.isnan(kth)
+    if k < n:
+        after = np.take_along_axis(values, part[:, k:k + 1], axis=1)[:, 0]
+        redo |= after == kth
+    if redo.any():
+        top[redo] = np.argsort(values[redo], axis=1, kind="stable")[:, :k]
+    return top
 
 
 def build_report(bank, id_test_features, ood_features, score_kind, k_top=10,

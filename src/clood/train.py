@@ -313,10 +313,17 @@ def write_metrics(metrics, path):
 # ---- evaluation ----
 
 def evaluate(result, bundle, score_kind=None, k_top=None):
-    """Score ID test and every OOD set against the training-feature bank."""
+    """Score ID test and every OOD set against the training-feature bank.
+
+    `score_kind` and `k_top` default to the checkpoint's; an explicit
+    `k_top` must be positive, whatever the score kind.
+    """
     config = result.config
     score_kind = score_kind or config.score_kind
-    k_top = k_top or config.k_top
+    if k_top is None:
+        k_top = config.k_top
+    elif k_top < 1:
+        raise ConfigError(f"k_top must be positive, got {k_top}")
     check_width(config, bundle)
     feats = lambda x: _layer_features_np(result.encoder, result.projection,
                                          x, config.score_layer)

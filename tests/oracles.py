@@ -1,10 +1,14 @@
 """Independent brute-force oracles, written as plain python loops.
 
 These deliberately avoid the package's numpy code so that agreement
-with the production implementations is meaningful.
+with the production implementations is meaningful. `score_var_sorted`
+is the one numpy reference: it repeats the scorer's arithmetic query by
+query, so that its scores can be compared exactly.
 """
 
 import math
+
+import numpy as np
 
 
 def dot(a, b):
@@ -101,6 +105,20 @@ def score_var_oracle(bank, z, k):
               for row in top) / (k - 1)
     denom = max(math.sqrt(var), 1e-8)
     return score_cos_oracle(bank, z) / denom
+
+
+def score_var_sorted(bank, queries, k):
+    """`var` scores, each query's top-K rows taken by a full stable sort."""
+    bank = np.asarray(bank, dtype=np.float64)
+    scores = []
+    for z in np.asarray(queries, dtype=np.float64):
+        cand = bank @ (z / np.linalg.norm(z))
+        top = np.argsort(-cand, kind="stable")[:k]
+        dev = bank[top][None]
+        dev = np.square(dev - dev.mean(axis=1, keepdims=True))
+        spread = np.sqrt(dev.sum(axis=(1, 2))[0] / (k - 1))
+        scores.append(cand.max() / max(spread, 1e-8))
+    return np.array(scores)
 
 
 def auroc_oracle(id_scores, ood_scores):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from clood import scoring
@@ -8,6 +10,20 @@ from clood.errors import ConfigError, ContractError, DomainError
 
 def _bank(rows):
     return scoring.ReferenceBank(np.asarray(rows, dtype=np.float64))
+
+
+@st.composite
+def _exact_query(draw, d):
+    """A query whose unit vector has entries in {0, +-1/2, +-1}."""
+    if d == 4 and draw(st.booleans()):
+        row = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=4,
+                            max_size=4))
+    else:
+        row = draw(st.lists(st.sampled_from([-0.0, 0.0]), min_size=d,
+                            max_size=d))
+        row[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+    scale = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    return [scale * v for v in row]
 
 
 class TestScoreCos:
@@ -108,11 +124,59 @@ class TestScoreSet:
         assert got == pytest.approx(lowest, rel=1e-12)
         assert got != pytest.approx(swapped)
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_var_matches_stable_sort_reference(self, data):
+        # every candidate score is exact: bank entries are multiples of 1/2
+        # and unit queries have entries in {0, +-1/2, +-1}; a few distinct
+        # rows repeated many times make ties at the K-th place common
+        d = data.draw(st.integers(1, 4))
+        cell = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+        pool = data.draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                                  min_size=2, max_size=6))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=2, max_size=40))
+        feats = np.array([pool[i] for i in picks])
+        queries = np.array(data.draw(st.lists(_exact_query(d), min_size=1,
+                                              max_size=8)))
+        k = data.draw(st.integers(2, len(feats)))
+        # from one query per chunk up to a few
+        per_query = len(feats) + k * d
+        chunk = data.draw(st.integers(1, 4 * per_query))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "_CHUNK_ENTRIES", chunk)
+            got = scoring.score_set(_bank(feats), queries, "var", k)
+        assert np.array_equal(got, oracles.score_var_sorted(feats, queries, k))
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_nan_bank_rows_give_nan_var_scores(self, k):
+        # with k=4 the fourth candidate is a NaN row's
+        rows = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        queries = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
+        assert np.isnan(scoring.score_set(_bank(rows), queries, "var", k)).all()
+
     @pytest.mark.parametrize("kind", ["cos", "var"])
     def test_zero_norm_query_names_its_row(self, kind):
         queries = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DomainError, match="row 2"):
             scoring.score_set(_bank(np.eye(2)), queries, kind, k_top=2)
+
+
+class TestTopK:
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_equals_stable_argsort(self, data):
+        # a few distinct values, among them signed zeros, infinities and
+        # NaN: ties and NaN at the K-th place are common
+        n = data.draw(st.integers(1, 40))
+        pool = data.draw(st.lists(
+            st.one_of(st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan]),
+                      st.floats()), min_size=1, max_size=4))
+        values = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), n),
+                                  elements=st.sampled_from(pool)))
+        k = data.draw(st.integers(1, n))
+        want = np.argsort(values, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(scoring._top_k(values, k), want)
 
 
 class TestAuroc:
@@ -136,6 +200,12 @@ class TestAuroc:
             oods = rng.integers(0, 6, size=9).astype(float)
             assert scoring.auroc(ids, oods) == pytest.approx(
                 oracles.auroc_oracle(ids.tolist(), oods.tolist()), abs=1e-12)
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=30),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=30))
+    def test_tied_integers_match_quadratic_oracle(self, ids, oods):
+        assert scoring.auroc(ids, oods) == pytest.approx(
+            oracles.auroc_oracle(ids, oods), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):

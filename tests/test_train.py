@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import clood.train as train_mod
 from clood import ablate, cli, losses
-from clood.config import TrainConfig, benchmark_config
+from clood.config import TrainConfig, benchmark_config, config_from_dict
 from clood.data import DatasetSpec, generate_synthetic
 from clood.errors import ConfigError, NumericError
 
@@ -32,6 +33,28 @@ def _small_run(**kw):
 def test_config_rejects_bad_value(key, value):
     with pytest.raises(ConfigError):
         TrainConfig(**{key: value})
+
+
+_POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@given(st.builds(
+    TrainConfig,
+    seed=st.integers(0, 2**63), d_in=st.integers(1, 4096),
+    component_spread=_POSITIVE, ood_angle=_POSITIVE,
+    interp_noise=st.floats(allow_nan=False, allow_infinity=False),
+    encoder_widths=st.lists(st.integers(1, 512), min_size=1).map(tuple),
+    projection_widths=st.lists(st.integers(1, 512), min_size=1).map(tuple),
+    update_per_batch=st.booleans(), tau=_POSITIVE,
+    lambda_weight=st.floats(0.0, 1.0), lr=_POSITIVE,
+    clustering_layer=st.sampled_from(["embedding", "projection"]),
+    use_cil=st.booleans(), aug_gain=st.floats(0.0, 1.0, exclude_max=True),
+    kmeans_tol=st.floats(allow_nan=False, allow_infinity=False),
+    score_kind=st.sampled_from(["cos", "var"]), k_top=st.integers(1, 10**6)))
+def test_config_round_trips_through_dict(config):
+    back = config_from_dict(config.to_dict())
+    assert back == config
+    assert back.hash() == config.hash()
 
 
 class TestTrainLoop:
@@ -300,11 +323,11 @@ class TestCli:
                          "--checkpoint", str(ckpt)]) == 0
         return data_dir, ckpt
 
-    def _eval(self, tmp_path, ckpt, data_dir):
+    def _eval(self, tmp_path, ckpt, data_dir, *flags):
         return cli.main(["eval", "--checkpoint", str(ckpt),
                          "--data", str(data_dir),
                          "--scores", str(tmp_path / "s.csv"),
-                         "--summary", str(tmp_path / "a.csv")])
+                         "--summary", str(tmp_path / "a.csv"), *flags])
 
     @pytest.mark.parametrize("edit,message", [
         (lambda line: "x," + line.split(",", 1)[1],
@@ -364,6 +387,15 @@ class TestCli:
         assert cli.main(args) == 2
         assert "bundle dimension 8 does not match config d_in" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["cos", "var"])
+    @pytest.mark.parametrize("k_top", ["0", "-1"])
+    def test_eval_k_top_below_one_exits_2(self, tmp_path, capsys, k_top, kind):
+        data_dir, ckpt = self._trained(tmp_path)
+        capsys.readouterr()
+        assert self._eval(tmp_path, ckpt, data_dir,
+                          "--score-kind", kind, "--k-top", k_top) == 2
+        assert f"k_top must be positive, got {k_top}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_ablate_without_seeds_exits_2(self, tmp_path, capsys, seeds):
