@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import benchmark_config
-from .data import DatasetSpec, generate_synthetic
+from .data import generate_synthetic
 from .errors import ConfigError
 from .train import evaluate, mean_max_center_similarity, train
 
@@ -62,7 +62,7 @@ def run_one(config):
     """
     key = config.hash()
     if key not in _runs:
-        bundle = generate_synthetic(DatasetSpec.from_config(config), config.seed)
+        bundle = generate_synthetic(config, config.seed)
         _runs[key] = (train(config, bundle), bundle)
     return _runs[key]
 

@@ -9,7 +9,7 @@ import sys
 
 from . import ablate as ablate_mod
 from .config import benchmark_config, config_from_dict, load_config_file
-from .data import DatasetSpec, generate_synthetic, load_bundle, save_bundle
+from .data import generate_synthetic, load_bundle, save_bundle
 from .errors import ConfigError, DomainError, NumericError
 from .scoring import write_report
 from .train import (evaluate, export_features, load_checkpoint,
@@ -37,12 +37,12 @@ def _add_config_args(p):
 def _get_bundle(config, args):
     if args.data:
         return load_bundle(args.data)
-    return generate_synthetic(DatasetSpec.from_config(config), config.seed)
+    return generate_synthetic(config, config.seed)
 
 
 def _cmd_gen_data(args):
     config = _build_config(args)
-    bundle = generate_synthetic(DatasetSpec.from_config(config), config.seed)
+    bundle = generate_synthetic(config, config.seed)
     save_bundle(bundle, args.out)
     print(f"wrote bundle to {args.out} "
           f"(train {bundle.id_train.shape[0]}, test {bundle.id_test.shape[0]}, "

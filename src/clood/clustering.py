@@ -11,7 +11,6 @@ import numpy as np
 
 from .autodiff import normalize_rows
 from .errors import ConfigError, ContractError, DomainError, NumericError
-from .losses import concentration
 
 
 @dataclass
@@ -19,7 +18,6 @@ class ClusterState:
     centers: np.ndarray          # R x d, unit rows
     assignments: np.ndarray      # over the full ID training set
     phis: np.ndarray             # R concentrations, all >= phi_floor
-    layer: str                   # "embedding" | "projection"
     updated_at_epoch: int
 
 
@@ -90,16 +88,20 @@ def assign(points, centers):
 
 
 def compute_concentrations(points, assignments, centers, alpha, phi_floor=0.05):
-    """Per-cluster concentration of normalized points around their center."""
-    pts = normalize_rows(points)[0]
+    """Per-cluster concentration of normalized points around their center:
+    the mean member-to-center distance scaled by ln(T + alpha), clamped
+    below at phi_floor, for a cluster of T members."""
     centers = np.asarray(centers, dtype=np.float64)
     assignments = np.asarray(assignments, dtype=np.intp)
+    dists = np.linalg.norm(normalize_rows(points)[0] - centers[assignments],
+                           axis=1)
     phis = np.empty(centers.shape[0])
     for k in range(centers.shape[0]):
-        members = pts[assignments == k]
-        if members.shape[0] == 0:
+        members = dists[assignments == k]
+        t = members.shape[0]
+        if t == 0:
             raise ContractError(f"cluster {k} is empty; refit must repair first")
-        phis[k] = concentration(members, centers[k], alpha, phi_floor)
+        phis[k] = max(members.sum() / (t * np.log(t + alpha)), phi_floor)
     return phis
 
 
@@ -110,8 +112,8 @@ def should_update(epoch, warmup_epochs, update_interval):
     return epoch >= warmup_epochs and (epoch - warmup_epochs) % update_interval == 0
 
 
-def fit_state(points, r, seed, alpha, phi_floor, layer, epoch,
-              max_iters=100, tol=1e-6):
+def fit_state(points, r, seed, alpha, phi_floor, epoch, max_iters=100,
+              tol=1e-6):
     """Full refit: centers, assignments over `points`, and concentrations.
 
     A cluster the repair pass cannot fill (the points have fewer distinct
@@ -134,4 +136,4 @@ def fit_state(points, r, seed, alpha, phi_floor, layer, epoch,
                            f"distinct directions")
     phis = compute_concentrations(points, labels, centers, alpha, phi_floor)
     return ClusterState(centers=centers, assignments=labels, phis=phis,
-                        layer=layer, updated_at_epoch=epoch)
+                        updated_at_epoch=epoch)

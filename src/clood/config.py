@@ -5,9 +5,9 @@ is CLI flag > file > default.
 """
 
 import hashlib
-import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
+from .data import DatasetSpec
 from .errors import ConfigError
 
 
@@ -28,19 +28,11 @@ def _parse_bool(text):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    seed: int = 0
+class TrainConfig(DatasetSpec):
+    """Every run setting; the synthetic dataset's are declared on
+    `DatasetSpec`."""
 
-    # synthetic dataset
-    d_in: int = 16
-    components: int = 4
-    train_per_component: int = 100
-    test_per_component: int = 50
-    ood_samples: int = 200
-    component_spread: float = 0.15
-    ood_angle: float = 0.45
-    ood_scale: float = 3.0
-    interp_noise: float = 0.02
+    seed: int = 0
 
     # model
     encoder_widths: tuple = (16, 64, 64, 32)
@@ -58,11 +50,9 @@ class TrainConfig:
     lambda_weight: float = 0.5
     phi_floor: float = 0.05
     lr: float = 0.05
-    cosine_anneal: bool = True
     clustering_layer: str = "embedding"
     use_ccl: bool = True
     use_cil: bool = True
-    denominator_includes_positive: bool = False
 
     # augmentation
     aug_noise: float = 0.15
@@ -79,10 +69,9 @@ class TrainConfig:
     score_layer: str = "projection"
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        super().__post_init__()
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
         if self.warmup_epochs > self.epochs_total:
@@ -97,12 +86,7 @@ class TrainConfig:
             raise ConfigError(f"bad score_layer {self.score_layer!r}")
         if self.score_kind not in ("cos", "var"):
             raise ConfigError(f"bad score_kind {self.score_kind!r}")
-        for name in ("d_in", "components", "train_per_component",
-                     "test_per_component", "ood_samples", "k_top"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("component_spread", "tau", "alpha", "phi_floor", "lr",
-                     "ood_scale"):
+        for name in ("k_top", "tau", "alpha", "phi_floor", "lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 <= self.lambda_weight <= 1.0:
@@ -111,8 +95,6 @@ class TrainConfig:
             raise ConfigError("aug_mask_prob must lie in [0, 1)")
         if not 0.0 <= self.aug_gain < 1.0:
             raise ConfigError("aug_gain must lie in [0, 1)")
-        if self.ood_angle <= 0.0:
-            raise ConfigError("ood_angle must be positive (0 duplicates ID)")
 
     def to_dict(self):
         out = {}

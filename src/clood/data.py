@@ -9,7 +9,7 @@ and "interp" takes midpoints of random ID pairs plus small noise.
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,8 +18,11 @@ from .errors import ConfigError
 OOD_SET_NAMES = ("shifted", "scaled", "interp")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
+    """The synthetic dataset's settings; `TrainConfig` extends it, so a
+    config is a spec."""
+
     d_in: int = 16
     components: int = 4
     train_per_component: int = 100
@@ -30,15 +33,24 @@ class DatasetSpec:
     ood_scale: float = 3.0
     interp_noise: float = 0.02
 
+    def __post_init__(self):
+        # every float field, a TrainConfig's included, must be finite
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name in ("d_in", "components", "train_per_component",
+                     "test_per_component", "ood_samples", "component_spread",
+                     "ood_scale"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        if self.ood_angle <= 0.0:
+            raise ConfigError("ood_angle must be positive (0 duplicates ID)")
+
     @classmethod
     def from_config(cls, cfg):
-        return cls(d_in=cfg.d_in, components=cfg.components,
-                   train_per_component=cfg.train_per_component,
-                   test_per_component=cfg.test_per_component,
-                   ood_samples=cfg.ood_samples,
-                   component_spread=cfg.component_spread,
-                   ood_angle=cfg.ood_angle, ood_scale=cfg.ood_scale,
-                   interp_noise=cfg.interp_noise)
+        # only bench/worker.py still calls this projection
+        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
 @dataclass
@@ -89,12 +101,8 @@ def _rotate_centers(rng, centers, angle):
 
 
 def generate_synthetic(spec, seed):
-    """Deterministic DatasetBundle for a DatasetSpec and seed."""
-    if spec.ood_angle <= 0.0:
-        raise ConfigError("ood_angle must be positive (0 duplicates ID)")
-    if spec.ood_scale == 1.0 and spec.component_spread == 0.0:
-        raise ConfigError("scaled OOD set would be identical to ID")
-
+    """Deterministic DatasetBundle for a DatasetSpec (or a TrainConfig)
+    and seed."""
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(6)]
     r_centers, r_train, r_test, r_shift, r_scale, r_interp = rngs

@@ -52,26 +52,11 @@ def self_supervised_loss(projections, tau):
                     np.full(n, 1.0 / n))
 
 
-def concentration(member_embeddings, center, alpha, phi_floor=0.05):
-    """Adaptive temperature for one cluster: mean member-to-center distance
-    scaled by ln(T + alpha), clamped below at phi_floor.
-    """
-    members = np.asarray(member_embeddings, dtype=np.float64)
-    if members.ndim != 2 or members.shape[0] < 1:
-        raise ContractError("cluster must have at least one member")
-    t = members.shape[0]
-    dists = np.linalg.norm(members - np.asarray(center, dtype=np.float64), axis=1)
-    raw = dists.sum() / (t * np.log(t + alpha))
-    return max(float(raw), float(phi_floor))
-
-
-def cluster_center_loss(embeddings, centers, assignments, phis,
-                        include_positive=False):
+def cluster_center_loss(embeddings, centers, assignments, phis):
     """Pull each embedding toward its assigned center, push from the others.
 
     As written, the denominator covers only the R-1 non-assigned centers,
-    each tempered by its own concentration; `include_positive=True` switches
-    to the conventional form with the positive term in the denominator.
+    each tempered by its own concentration.
     """
     centers = np.asarray(centers, dtype=np.float64)
     assignments = np.asarray(assignments, dtype=np.intp)
@@ -88,8 +73,7 @@ def cluster_center_loss(embeddings, centers, assignments, phis,
     logits, backward = cosine_logits(embeddings, centers, scale=1.0 / phis)
     pos = np.zeros((n, r))
     pos[np.arange(n), assignments] = 1.0
-    mask = np.ones((n, r), dtype=bool) if include_positive else pos == 0.0
-    return _infonce(logits, backward, mask, pos, np.full(n, 1.0 / n))
+    return _infonce(logits, backward, pos == 0.0, pos, np.full(n, 1.0 / n))
 
 
 def cluster_instance_loss(embeddings, assignments, tau):

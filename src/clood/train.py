@@ -60,7 +60,6 @@ def serialize_checkpoint(encoder, projection, cluster_state, config):
     buf.write(config.hash().encode() + b"\n")
     cfg = config.to_dict()
     if cluster_state is not None:
-        cfg["_cluster_layer"] = cluster_state.layer
         cfg["_cluster_epoch"] = str(cluster_state.updated_at_epoch)
     buf.write(f"{len(cfg)}\n".encode())
     for key in sorted(cfg):
@@ -114,9 +113,11 @@ def load_checkpoint(path):
             for _ in range(int(f.readline())):
                 key, val = f.readline().decode().rstrip("\n").split("=", 1)
                 cfg[key] = val
-            cluster_layer = cfg.pop("_cluster_layer", None)
-            cluster_epoch = int(cfg.pop("_cluster_epoch", "0"))
-            config = config_from_dict(cfg)
+            cluster_epoch = cfg.pop("_cluster_epoch", None)
+            try:
+                config = config_from_dict(cfg)
+            except ConfigError as e:
+                raise ConfigError(f"{path}: {e}") from None
             if config.hash() != stored_hash:
                 raise ConfigError(f"{path}: config hash mismatch")
             arrays = {}
@@ -135,12 +136,12 @@ def load_checkpoint(path):
             part = "arrays"
             encoder, projection = _unpack(arrays, "encoder"), _unpack(arrays, "projection")
             cluster_state = None
-            if cluster_layer is not None:
+            if cluster_epoch is not None:
                 cluster_state = ClusterState(
                     centers=arrays["cluster.centers"],
                     assignments=arrays["cluster.assignments"],
                     phis=arrays["cluster.phis"],
-                    layer=cluster_layer, updated_at_epoch=cluster_epoch)
+                    updated_at_epoch=int(cluster_epoch))
         except (ValueError, TypeError, KeyError) as e:
             raise ConfigError(f"{path}: corrupt checkpoint, {part}: {e}") from None
     return TrainResult(encoder=encoder, projection=projection,
@@ -170,14 +171,8 @@ def _refit(config, encoder, projection, bundle, epoch):
     seed = int(np.random.SeedSequence([config.seed, 13, epoch]).generate_state(1)[0])
     return clustering.fit_state(
         feats, config.clusters, seed=seed, alpha=config.alpha,
-        phi_floor=config.phi_floor, layer=config.clustering_layer, epoch=epoch,
+        phi_floor=config.phi_floor, epoch=epoch,
         max_iters=config.kmeans_max_iters, tol=config.kmeans_tol)
-
-
-def _epoch_lr(config, epoch):
-    if not config.cosine_anneal:
-        return config.lr
-    return config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs_total))
 
 
 def step_gradients(config, encoder, projection, views, state):
@@ -199,8 +194,7 @@ def step_gradients(config, encoder, projection, views, state):
         terms = []
         if config.use_ccl:
             terms.append(losses.cluster_center_loss(
-                feats, state.centers, assigns, state.phis,
-                include_positive=config.denominator_includes_positive))
+                feats, state.centers, assigns, state.phis))
         if config.use_cil:
             terms.append(losses.cluster_instance_loss(feats, assigns, config.tau))
         l_cluster, d_cluster = terms[0] if len(terms) == 1 else \
@@ -249,7 +243,8 @@ def train(config, bundle, probe_epochs=()):
             if not per_batch:
                 state = _refit(config, encoder, projection, bundle, epoch)
 
-        lr = _epoch_lr(config, epoch)
+        # cosine annealing from lr towards 0
+        lr = config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs_total))
         epoch_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, 7, epoch]))
         order = epoch_rng.permutation(m)
@@ -258,8 +253,6 @@ def train(config, bundle, probe_epochs=()):
 
         for b in range(n_batches):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-            if idx.size < 2:
-                continue
             if per_batch:
                 state = _refit(config, encoder, projection, bundle, epoch)
 
@@ -338,7 +331,7 @@ def mean_max_center_similarity(result, bundle):
     if result.cluster_state is None:
         raise ConfigError("checkpoint has no cluster state")
     feats = _layer_features_np(result.encoder, result.projection,
-                               bundle.id_test, result.cluster_state.layer)
+                               bundle.id_test, result.config.clustering_layer)
     centers = normalize_rows(result.cluster_state.centers)[0]
     return float(np.mean(np.max(normalize_rows(feats)[0] @ centers.T, axis=1)))
 

@@ -45,17 +45,15 @@ def concentration_oracle(members, center, alpha, floor):
     return max(total / (t * math.log(t + alpha)), floor)
 
 
-def cluster_center_oracle(rows, centers, assignments, phis,
-                          include_positive=False):
+def cluster_center_oracle(rows, centers, assignments, phis):
     total = 0.0
     for i, row in enumerate(rows):
         a = assignments[i]
         num = math.exp(cosine(row, centers[a]) / phis[a])
         den = 0.0
         for j, c in enumerate(centers):
-            if j == a and not include_positive:
-                continue
-            den += math.exp(cosine(row, c) / phis[j])
+            if j != a:
+                den += math.exp(cosine(row, c) / phis[j])
         total += -math.log(num / den)
     return total / len(rows)
 

@@ -16,7 +16,7 @@ from clood import ablate, losses, scoring
 from clood.autodiff import finite_difference_check
 from clood.clustering import assign
 from clood.config import benchmark_config
-from clood.data import DatasetSpec, generate_synthetic
+from clood.data import generate_synthetic
 from clood.scoring import ReferenceBank
 from clood.scoring import write_report
 from clood.train import (evaluate, load_checkpoint,
@@ -124,7 +124,7 @@ def test_criterion_2_oracle_suite():
 def test_criterion_3_schedule_contract(tmp_path):
     config = benchmark_config(epochs_total=50, warmup_epochs=20,
                               update_interval=10)
-    bundle = generate_synthetic(DatasetSpec.from_config(config), config.seed)
+    bundle = generate_synthetic(config, config.seed)
     full = train(config, bundle, probe_epochs=(20,))
     refits_ok = full.refit_epochs == [20, 30, 40]
 
@@ -218,8 +218,7 @@ def test_criterion_9_determinism(tmp_path):
                               warmup_epochs=10, k_top=10)
     blobs, files = [], []
     for run in range(2):
-        bundle = generate_synthetic(DatasetSpec.from_config(config),
-                                    config.seed)
+        bundle = generate_synthetic(config, config.seed)
         result = train(config, bundle)
         blobs.append(serialize_checkpoint(result.encoder, result.projection,
                                           result.cluster_state, config))

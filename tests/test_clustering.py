@@ -122,6 +122,20 @@ class TestConcentrations:
         phis = clustering.compute_concentrations(pts, assigns, centers, 10.0)
         assert phis[0] == pytest.approx(phis[1])
 
+    def test_matches_bruteforce_oracle(self):
+        rng = np.random.default_rng(10)
+        pts = rng.standard_normal((40, 5))
+        centers = _unit(rng.standard_normal((3, 5)))
+        assigns = clustering.assign(pts, centers)
+        unit = _unit(pts)
+        got = clustering.compute_concentrations(pts, assigns, centers, 10.0,
+                                                0.01)
+        want = [oracles.concentration_oracle(
+            unit[assigns == k].tolist(), centers[k].tolist(), 10.0, 0.01)
+            for k in range(3)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert (got > 0.01).all()
+
     def test_empty_cluster_rejected(self):
         with pytest.raises(ContractError):
             clustering.compute_concentrations(
@@ -149,9 +163,8 @@ def test_fit_state_invariants():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((50, 6))
     state = clustering.fit_state(pts, 5, seed=1, alpha=10.0, phi_floor=0.05,
-                                 layer="embedding", epoch=20)
+                                 epoch=20)
     assert state.updated_at_epoch == 20
-    assert state.layer == "embedding"
     for k in range(5):
         assert (state.assignments == k).sum() >= 1
     assert (state.phis >= 0.05).all()
@@ -162,4 +175,4 @@ def test_fit_state_reports_collapse_as_numeric_failure():
     pts = np.array([[1.0, 0], [1.0, 0], [1.0, 0], [0, 1.0], [0, 1.0]])
     with pytest.raises(NumericError, match="epoch 7: cluster 2"):
         clustering.fit_state(pts, 3, seed=0, alpha=10.0, phi_floor=0.05,
-                             layer="embedding", epoch=7)
+                             epoch=7)

@@ -66,31 +66,6 @@ class TestSelfSupervisedLoss:
             losses.self_supervised_loss(np.ones((3, 2)), 0.5)
 
 
-class TestConcentration:
-    def test_collapsed_cluster_clamps_to_floor(self):
-        members = np.ones((4, 3))
-        assert losses.concentration(members, np.ones(3), 10.0, 0.05) == 0.05
-
-    def test_unit_distances(self):
-        center = np.zeros(2)
-        members = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
-        expected = 1.0 / math.log(14.0)
-        assert losses.concentration(members, center, 10.0, 0.01) == \
-            pytest.approx(expected)
-
-    def test_distance_homogeneity(self):
-        rng = np.random.default_rng(4)
-        members = rng.standard_normal((5, 3))
-        center = np.zeros(3)
-        a = losses.concentration(members, center, 10.0, 1e-12)
-        b = losses.concentration(2.0 * members, center, 10.0, 1e-12)
-        assert b == pytest.approx(2.0 * a)
-
-    def test_empty_cluster_rejected(self):
-        with pytest.raises(ContractError):
-            losses.concentration(np.empty((0, 3)), np.zeros(3), 10.0)
-
-
 class TestClusterCenterLoss:
     def test_sample_at_center_orthogonal_pair(self):
         centers = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -119,13 +94,10 @@ class TestClusterCenterLoss:
         centers = rng.standard_normal((3, 5))
         assigns = rng.integers(3, size=8)
         phis = rng.uniform(0.3, 1.0, 3)
-        for include in (False, True):
-            got = losses.cluster_center_loss(h, centers, assigns, phis,
-                                             include_positive=include)[0]
-            want = oracles.cluster_center_oracle(
-                h.tolist(), centers.tolist(), assigns.tolist(),
-                phis.tolist(), include_positive=include)
-            assert got == pytest.approx(want, abs=1e-10)
+        got = losses.cluster_center_loss(h, centers, assigns, phis)[0]
+        want = oracles.cluster_center_oracle(
+            h.tolist(), centers.tolist(), assigns.tolist(), phis.tolist())
+        assert got == pytest.approx(want, abs=1e-10)
 
     def test_single_center_rejected(self):
         with pytest.raises(ConfigError):

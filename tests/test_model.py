@@ -107,7 +107,7 @@ def _tiny_step(layer, lambda_weight=0.5, seed=2):
     width = 3 if layer == "embedding" else 2
     state = ClusterState(centers=rng.standard_normal((2, width)),
                          assignments=None, phis=np.array([0.5, 0.7]),
-                         layer=layer, updated_at_epoch=0)
+                         updated_at_epoch=0)
     return config, enc, proj, rng.standard_normal((6, 5)), state
 
 

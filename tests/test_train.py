@@ -22,14 +22,14 @@ def _small_config(**kw):
 
 def _small_run(**kw):
     config = _small_config(**kw)
-    bundle = generate_synthetic(DatasetSpec.from_config(config), config.seed)
+    bundle = generate_synthetic(config, config.seed)
     return train_mod.train(config, bundle), bundle
 
 
 @pytest.mark.parametrize("key,value", [
     ("tau", 0.0), ("lambda_weight", 1.5), ("phi_floor", 0.0),
     ("warmup_epochs", -1), ("update_interval", 0),
-    ("lr", float("nan")), ("tau", float("inf"))])
+    ("lr", float("nan")), ("tau", float("inf")), ("seed", -1)])
 def test_config_rejects_bad_value(key, value):
     with pytest.raises(ConfigError):
         TrainConfig(**{key: value})
@@ -85,8 +85,7 @@ class TestTrainLoop:
 
     def test_probe_snapshots_taken_at_epoch_start(self):
         config = _small_config()
-        bundle = generate_synthetic(DatasetSpec.from_config(config),
-                                    config.seed)
+        bundle = generate_synthetic(config, config.seed)
         result = train_mod.train(config, bundle, probe_epochs=(0, 3, 6))
         assert set(result.snapshots) == {0, 3, 6}
         assert result.snapshots[0] != result.snapshots[3]
@@ -100,7 +99,7 @@ class TestTrainLoop:
 
     def test_training_set_smaller_than_clusters_rejected(self):
         config = _small_config(clusters=2)
-        bundle = generate_synthetic(DatasetSpec.from_config(config), 0)
+        bundle = generate_synthetic(config, 0)
         bundle.id_train = bundle.id_train[:1]
         with pytest.raises(ConfigError):
             train_mod.train(config, bundle)
@@ -129,7 +128,10 @@ class TestCheckpoint:
                                       result.cluster_state.centers)
         np.testing.assert_array_equal(loaded.cluster_state.assignments,
                                       result.cluster_state.assignments)
-        assert loaded.cluster_state.layer == result.cluster_state.layer
+        np.testing.assert_array_equal(loaded.cluster_state.phis,
+                                      result.cluster_state.phis)
+        assert loaded.cluster_state.updated_at_epoch == \
+            result.cluster_state.updated_at_epoch
 
     def test_save_is_byte_deterministic(self, tmp_path):
         result, _ = _small_run()
@@ -308,6 +310,12 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["gen-data", "--set", "seed=-1",
+                       "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
     def test_non_finite_config_exits_2(self, tmp_path, capsys):
         rc = cli.main(["train", "--set", "lr=nan",
                        "--checkpoint", str(tmp_path / "m.ckpt")])
@@ -435,6 +443,18 @@ class TestCli:
         assert "similarity" in header.split(",")
         assert [row.split(",")[1] for row in rows] == ["r=2", "r=10"]
         assert "r=10" in capsys.readouterr().out
+
+    def test_checkpoint_with_removed_key_exits_2(self, tmp_path, capsys):
+        data_dir, ckpt = self._trained(tmp_path)
+        lines = ckpt.read_bytes().split(b"\n")
+        # line 2 counts the header's key=value lines, which follow it
+        lines[2] = str(int(lines[2]) + 1).encode()
+        lines.insert(3, b"denominator_includes_positive=False")
+        ckpt.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert self._eval(tmp_path, ckpt, data_dir) == 2
+        assert f"{ckpt}: unknown config key 'denominator_includes_positive'" \
+            in capsys.readouterr().err
 
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys):
         result, _ = _small_run()
