@@ -1,13 +1,13 @@
 """Closed-form gradients of clood's losses, on plain float64 arrays.
 
 Every loss term is one masked InfoNCE over a matrix of cosine logits
-L = cos(A, B) * scale:
+L = (U V^T) * scale of unit rows U and V:
 
     loss = sum_i a_i (LSE_{j in D_i} L_ij - sum_j W_ij L_ij)
 
 with a denominator mask D, positive weights W and anchor weights a. Its
-gradient with respect to L is a_i (softmax_D(L_i) - W_i); the cosine
-backward carries that through the row normalisation to the rows of A.
+gradient with respect to L is a_i (softmax_D(L_i) - W_i), and one
+`normalize_backward` carries a layer's summed unit-row gradient back.
 """
 
 import numpy as np
@@ -25,24 +25,11 @@ def normalize_rows(x):
     return x / norms[:, None], norms
 
 
-def cosine_logits(a, b=None, scale=1.0):
-    """L = cos(a, b) * scale, and a function mapping dL to the gradient wrt `a`.
-
-    `b` is held constant; None means `a` itself, and then both uses of `a`
-    carry gradient. `scale` is a scalar or one factor per column of L.
-    """
-    ua, norms = normalize_rows(a)
-    ub = ua if b is None else normalize_rows(b)[0]
-    logits = (ua @ ub.T) * scale
-
-    def backward(dlogits):
-        g = dlogits * scale
-        du = g @ ub if b is not None else g @ ub + g.T @ ua
-        # d(x / |x|) takes off the part of the gradient along the row itself
-        dot = np.sum(du * ua, axis=1, keepdims=True)
-        return (du - dot * ua) / norms[:, None]
-
-    return logits, backward
+def normalize_backward(unit, norms, d_unit):
+    """Gradient wrt x, given `d_unit` wrt unit = x / |x| and norms = |x|."""
+    # d(x / |x|) takes off the part of the gradient along the row itself
+    dot = np.sum(d_unit * unit, axis=1, keepdims=True)
+    return (d_unit - dot * unit) / norms[:, None]
 
 
 def masked_infonce(logits, mask, pos_weights, anchor_weights):

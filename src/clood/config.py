@@ -70,8 +70,10 @@ class TrainConfig(DatasetSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name in ("seed", "aug_noise"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"{name} must be non-negative, got {getattr(self, name)}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
         if self.warmup_epochs > self.epochs_total:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .autodiff import normalize_rows
 from .errors import ConfigError
 
 OOD_SET_NAMES = ("shifted", "scaled", "interp")
@@ -61,14 +62,10 @@ class DatasetBundle:
     provenance: dict
 
 
-def _unit(rows):
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
 def _mixture_centers(rng, c, d, max_cos=0.5, tries=200):
     """Random unit centers with bounded pairwise cosine similarity."""
     for _ in range(tries):
-        centers = _unit(rng.standard_normal((c, d)))
+        centers = normalize_rows(rng.standard_normal((c, d)))[0]
         sims = centers @ centers.T
         np.fill_diagonal(sims, -1.0)
         if sims.max() < max_cos:
@@ -80,7 +77,7 @@ def _sample_mixture(rng, centers, per_component, spread):
     rows = []
     for c in centers:
         rows.append(c + spread * rng.standard_normal((per_component, len(c))))
-    return _unit(np.concatenate(rows))
+    return normalize_rows(np.concatenate(rows))[0]
 
 
 def _rotate_centers(rng, centers, angle):
@@ -125,7 +122,7 @@ def generate_synthetic(spec, seed):
     b = r_interp.integers(n, size=spec.ood_samples)
     mid = 0.5 * (id_train[a] + id_train[b])
     mid += spec.interp_noise * r_interp.standard_normal(mid.shape)
-    interp = _unit(mid)
+    interp = normalize_rows(mid)[0]
 
     provenance = {
         "id": {"components": spec.components, "spread": spec.component_spread,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clustering, losses, model, scoring
-from .autodiff import normalize_rows
+from .autodiff import normalize_backward, normalize_rows
 from .data import augment
 from .clustering import ClusterState
 from .config import TrainConfig, config_from_dict
@@ -88,20 +88,33 @@ def save_checkpoint(path, result):
             os.remove(tmp)
 
 
+def _array_shapes(config, clustered):
+    """{name: shape} of a checkpoint's float64 arrays; None for its int64
+    assignments, one per training row."""
+    shapes = {}
+    for net in ("encoder", "projection"):
+        widths = getattr(config, f"{net}_widths")
+        for i, fan in enumerate(zip(widths, widths[1:])):
+            shapes[f"{net}.w{i}"], shapes[f"{net}.b{i}"] = fan, fan[1:]
+    if clustered:
+        net = "encoder" if config.clustering_layer == "embedding" else "projection"
+        r, width = config.clusters, getattr(config, f"{net}_widths")[-1]
+        shapes.update({"cluster.centers": (r, width), "cluster.phis": (r,),
+                       "cluster.assignments": None})
+    return shapes
+
+
 def _unpack(arrays, prefix):
-    params = MLPParams()
-    while f"{prefix}.w{len(params.weights)}" in arrays:
-        i = len(params.weights)
-        params.weights.append(arrays[f"{prefix}.w{i}"])
-        params.biases.append(arrays[f"{prefix}.b{i}"])
-    return params
+    n = sum(name.startswith(f"{prefix}.w") for name in arrays)
+    return MLPParams([arrays[f"{prefix}.w{i}"] for i in range(n)],
+                     [arrays[f"{prefix}.b{i}"] for i in range(n)])
 
 
 def load_checkpoint(path):
     """Round-trips serialize_checkpoint bit-exactly.
 
-    A truncated or corrupt file raises ConfigError naming the path and the
-    part that could not be read.
+    A truncated or corrupt file, or arrays other than its config implies,
+    raise ConfigError naming the path and the part that could not be read.
     """
     with open(path, "rb") as f:
         if f.readline().strip() != _MAGIC:
@@ -120,18 +133,26 @@ def load_checkpoint(path):
                 raise ConfigError(f"{path}: {e}") from None
             if config.hash() != stored_hash:
                 raise ConfigError(f"{path}: config hash mismatch")
+            shapes = _array_shapes(config, cluster_epoch is not None)
             arrays = {}
             for _ in range(int(f.readline())):
                 part = "array header"
                 name, dtype, *shape = f.readline().decode().split()
                 part = f"array {name}"
                 dtype, shape = np.dtype(dtype), tuple(int(s) for s in shape)
+                want = shapes.pop(name, "absent")
+                kind = np.int64 if want is None else np.float64
+                if dtype != kind or shape != (want or shape[:1] or (0,)):
+                    raise ConfigError(f"{path}: array {name} ({dtype} {shape}) "
+                                      f"is repeated or not one its config implies")
                 size = math.prod(shape) * dtype.itemsize
                 raw = f.read(size)
                 if len(raw) != size:
                     raise ConfigError(f"{path}: array {name} is truncated "
                                       f"({len(raw)} of {size} bytes)")
                 arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            if shapes:
+                raise ConfigError(f"{path}: array {min(shapes)} is missing")
 
             part = "arrays"
             encoder, projection = _unpack(arrays, "encoder"), _unpack(arrays, "projection")
@@ -180,33 +201,35 @@ def step_gradients(config, encoder, projection, views, state):
 
     The instance loss is taken at the projections. With a cluster `state`
     (the joint phase) the cluster terms, at the configured layer and with
-    assignments to the state's centers, join it. Returns the total loss,
-    the instance loss, the cluster loss (NaN without a state) and the
-    gradients of the encoder's then the projection's `arrays()`.
+    assignments to the state's centers, join it. Each layer is normalized
+    once. Returns the total loss, the instance loss, the cluster loss (NaN
+    without a state) and the gradients of the encoder's then the
+    projection's `arrays()`.
     """
     batch = model.encode_batch(encoder, projection, views)
-    l_self, d_proj = losses.self_supervised_loss(batch.projections, config.tau)
+    u_proj, n_proj = normalize_rows(batch.projections)
+    l_self, du_proj = losses.self_supervised_loss(u_proj, config.tau)
     total, l_cluster, d_emb = l_self, float("nan"), None
     if state is not None:
         on_embeddings = config.clustering_layer == "embedding"
-        feats = batch.embeddings if on_embeddings else batch.projections
-        assigns = clustering.assign(feats, state.centers)
+        unit, norms = normalize_rows(batch.embeddings) if on_embeddings \
+            else (u_proj, n_proj)
+        assigns = clustering.assign(unit, state.centers)
         terms = []
         if config.use_ccl:
             terms.append(losses.cluster_center_loss(
-                feats, state.centers, assigns, state.phis))
+                unit, state.centers, assigns, state.phis))
         if config.use_cil:
-            terms.append(losses.cluster_instance_loss(feats, assigns, config.tau))
-        l_cluster, d_cluster = terms[0] if len(terms) == 1 else \
-            [losses.cluster_aware_loss(*pair) for pair in zip(*terms)]
-
+            terms.append(losses.cluster_instance_loss(unit, assigns, config.tau))
+        l_cluster, du_cluster = (sum(part) / len(terms) for part in zip(*terms))
         lam = config.lambda_weight
-        total = losses.total_loss(l_self, l_cluster, lam)
-        d_proj, d_cluster = d_proj * (1.0 - lam), d_cluster * lam
+        total = l_self * (1.0 - lam) + l_cluster * lam
+        du_proj, du_cluster = du_proj * (1.0 - lam), du_cluster * lam
         if on_embeddings:
-            d_emb = d_cluster
+            d_emb = normalize_backward(unit, norms, du_cluster)
         else:
-            d_proj = d_proj + d_cluster
+            du_proj = du_proj + du_cluster
+    d_proj = normalize_backward(u_proj, n_proj, du_proj)
     return total, l_self, l_cluster, \
         model.backward(encoder, projection, batch, d_proj, d_emb)
 

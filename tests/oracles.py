@@ -3,12 +3,26 @@
 These deliberately avoid the package's numpy code so that agreement
 with the production implementations is meaningful. `score_var_sorted`
 is the one numpy reference: it repeats the scorer's arithmetic query by
-query, so that its scores can be compared exactly.
+query, so that its scores can be compared exactly. `on_raw_rows` is the
+one harness around package code: it turns a loss of unit rows into the
+function of raw rows that training differentiates.
 """
 
 import math
 
 import numpy as np
+
+from clood.autodiff import normalize_backward, normalize_rows
+
+
+def on_raw_rows(loss):
+    """`loss(unit)` -> (value, gradient wrt unit rows), as a function of
+    raw rows x: normalize_rows, the loss, then normalize_backward."""
+    def f(x):
+        unit, norms = normalize_rows(x)
+        value, d_unit = loss(unit)
+        return value, normalize_backward(unit, norms, d_unit)
+    return f
 
 
 def dot(a, b):

@@ -13,7 +13,7 @@ import numpy as np
 
 import oracles
 from clood import ablate, losses, scoring
-from clood.autodiff import finite_difference_check
+from clood.autodiff import finite_difference_check, normalize_rows
 from clood.clustering import assign
 from clood.config import benchmark_config
 from clood.data import generate_synthetic
@@ -54,27 +54,30 @@ def test_criterion_1_gradient_suite():
     failures = []
     for seed in range(20):
         z, centers, assigns, phis = _seeded_instance(seed)
+        centers = normalize_rows(centers)[0]
+
+        def cluster(u):
+            return _combine(lambda c, i: (c + i) * 0.5,
+                            losses.cluster_center_loss(u, centers, assigns,
+                                                       phis),
+                            losses.cluster_instance_loss(u, assigns, 0.5))
+
         cases = {
-            "pair": lambda t: losses.nt_xent_pair(0, 1, t, 0.5),
-            "self": lambda t: losses.self_supervised_loss(t, 0.5),
-            "center": lambda t: losses.cluster_center_loss(
-                t, centers, assigns, phis),
-            "instance": lambda t: losses.cluster_instance_loss(
-                t, assigns, 0.5),
-            "cluster": lambda t: _combine(
-                losses.cluster_aware_loss,
-                losses.cluster_center_loss(t, centers, assigns, phis),
-                losses.cluster_instance_loss(t, assigns, 0.5)),
-            "total": lambda t: _combine(
-                lambda s, c: losses.total_loss(s, c, 0.5),
-                losses.self_supervised_loss(t, 0.5),
-                _combine(
-                    losses.cluster_aware_loss,
-                    losses.cluster_center_loss(t, centers, assigns, phis),
-                    losses.cluster_instance_loss(t, assigns, 0.5))),
+            "pair": lambda u: losses.nt_xent_pair(0, 1, u, 0.5),
+            "self": lambda u: losses.self_supervised_loss(u, 0.5),
+            "center": lambda u: losses.cluster_center_loss(
+                u, centers, assigns, phis),
+            "instance": lambda u: losses.cluster_instance_loss(
+                u, assigns, 0.5),
+            "cluster": cluster,
+            # (1 - lambda) * self + lambda * cluster, at lambda = 0.5
+            "total": lambda u: _combine(
+                lambda s, c: (s + c) * 0.5,
+                losses.self_supervised_loss(u, 0.5), cluster(u)),
         }
-        for name, f in cases.items():
-            err = finite_difference_check(f, z, step=1e-5)
+        for name, loss in cases.items():
+            err = finite_difference_check(oracles.on_raw_rows(loss), z,
+                                          step=1e-5)
             if not err < 1e-4:
                 failures.append((name, seed, err))
     _verdict(1, "gradient suite", not failures,
@@ -87,16 +90,17 @@ def test_criterion_2_oracle_suite():
     for seed in range(100):
         z, centers, assigns, phis = _seeded_instance(seed)
         rng = np.random.default_rng(1000 + seed)
+        u, c = normalize_rows(z)[0], normalize_rows(centers)[0]
         checks = [
-            (losses.nt_xent_pair(0, 1, z, 0.5)[0],
-             oracles.ntxent_pair_oracle(0, 1, z.tolist(), 0.5)),
-            (losses.self_supervised_loss(z, 0.5)[0],
-             oracles.self_supervised_oracle(z.tolist(), 0.5)),
-            (losses.cluster_center_loss(z, centers, assigns, phis)[0],
-             oracles.cluster_center_oracle(z.tolist(), centers.tolist(),
+            (losses.nt_xent_pair(0, 1, u, 0.5)[0],
+             oracles.ntxent_pair_oracle(0, 1, u.tolist(), 0.5)),
+            (losses.self_supervised_loss(u, 0.5)[0],
+             oracles.self_supervised_oracle(u.tolist(), 0.5)),
+            (losses.cluster_center_loss(u, c, assigns, phis)[0],
+             oracles.cluster_center_oracle(u.tolist(), c.tolist(),
                                            assigns.tolist(), phis.tolist())),
-            (losses.cluster_instance_loss(z, assigns, 0.5)[0],
-             oracles.cluster_instance_oracle(z.tolist(), assigns.tolist(),
+            (losses.cluster_instance_loss(u, assigns, 0.5)[0],
+             oracles.cluster_instance_oracle(u.tolist(), assigns.tolist(),
                                              0.5)),
         ]
         got_assign = assign(z, centers)

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from clood import losses, model
-from clood.autodiff import (cosine_logits, finite_difference_check,
-                            masked_infonce, normalize_rows)
+from clood.autodiff import (finite_difference_check, masked_infonce,
+                            normalize_backward, normalize_rows)
 from clood.errors import DomainError
-
-
-def test_cosine_orthogonal_is_zero():
-    s, _ = cosine_logits(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-    assert s[0, 0] == pytest.approx(0.0)
 
 
 def test_normalize_rows_345():
@@ -26,27 +22,25 @@ def test_log_domain_error():
 
 
 def test_gradient_accumulation_double_use():
-    # cos(x, x) uses x as rows and as columns; the gradient sums both uses
+    # cos(x, x) uses x as rows and as columns; the unit-row gradient sums
+    # both uses before the one normalization backward
     rng = np.random.default_rng(6)
     x = rng.standard_normal((3, 4))
     dlogits = rng.standard_normal((3, 3))
 
-    def f(t):
-        logits, backward = cosine_logits(t, scale=2.0)
-        return float(np.sum(logits * dlogits)), backward(dlogits)
+    def f(u):
+        g = 2.0 * dlogits
+        return float(np.sum(2.0 * (u @ u.T) * dlogits)), g @ u + g.T @ u
 
-    assert finite_difference_check(f, x) < 1e-6
-    _, both = cosine_logits(x, scale=2.0)
-    _, one_use = cosine_logits(x, x.copy(), scale=2.0)
-    np.testing.assert_allclose(both(dlogits),
-                               one_use(dlogits) + one_use(dlogits.T), atol=1e-12)
+    assert finite_difference_check(oracles.on_raw_rows(f), x) < 1e-6
 
 
 def test_self_cosine_has_zero_gradient():
-    # cosine similarity of x with itself is constant 1 under normalization
-    _, backward = cosine_logits(np.array([[1.0, 2.0, -3.0]]))
-    np.testing.assert_allclose(backward(np.ones((1, 1))), np.zeros((1, 3)),
-                               atol=1e-12)
+    # cosine similarity of x with itself is constant 1 under normalization:
+    # its unit-row gradient 2u lies along the row and carries nothing back
+    unit, norms = normalize_rows(np.array([[1.0, 2.0, -3.0]]))
+    np.testing.assert_allclose(normalize_backward(unit, norms, 2.0 * unit),
+                               np.zeros((1, 3)), atol=1e-12)
 
 
 def test_relu_masks_negative_gradients():
@@ -107,26 +101,28 @@ def test_fd_check_ntxent_small_batch():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((4, 6))
     err = finite_difference_check(
-        lambda t: losses.self_supervised_loss(t, 0.5), z, step=1e-5)
+        oracles.on_raw_rows(lambda u: losses.self_supervised_loss(u, 0.5)), z,
+        step=1e-5)
     assert err < 1e-4
 
 
 def test_fd_check_total_loss_instance():
     rng = np.random.default_rng(1)
     h = rng.standard_normal((6, 5))
-    centers = rng.standard_normal((3, 5))
+    centers = normalize_rows(rng.standard_normal((3, 5)))[0]
     assigns = np.array([0, 0, 1, 1, 2, 2])
     phis = np.array([0.6, 0.7, 0.8])
 
-    def f(t):
-        # the combinations are linear, so they apply to values and gradients
-        terms = zip(losses.self_supervised_loss(t, 0.5),
-                    losses.cluster_center_loss(t, centers, assigns, phis),
-                    losses.cluster_instance_loss(t, assigns, 0.5))
-        return tuple(losses.total_loss(s, losses.cluster_aware_loss(c, i), 0.5)
-                     for s, c, i in terms)
+    def f(u):
+        # the combinations are linear, so they apply to values and gradients:
+        # (1 - lambda) * self + lambda * mean(center, instance), lambda = 0.5
+        terms = zip(losses.self_supervised_loss(u, 0.5),
+                    losses.cluster_center_loss(u, centers, assigns, phis),
+                    losses.cluster_instance_loss(u, assigns, 0.5))
+        return tuple(s * 0.5 + (c + i) * 0.5 * 0.5 for s, c, i in terms)
 
-    assert finite_difference_check(f, h, step=1e-5) < 1e-4
+    assert finite_difference_check(oracles.on_raw_rows(f), h,
+                                   step=1e-5) < 1e-4
 
 
 def test_replay_is_bit_identical():

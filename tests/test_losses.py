@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from clood import losses
+from clood.autodiff import normalize_rows
 from clood.errors import ConfigError, ContractError, DomainError
 
 
@@ -21,8 +22,8 @@ class TestNtXentPair:
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal((6, 4))
-        a = losses.nt_xent_pair(2, 3, z, 0.5)[0]
-        b = losses.nt_xent_pair(2, 3, 5.0 * z, 0.5)[0]
+        loss = oracles.on_raw_rows(lambda u: losses.nt_xent_pair(2, 3, u, 0.5))
+        a, b = loss(z)[0], loss(5.0 * z)[0]
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_rejects_equal_indices(self):
@@ -32,7 +33,7 @@ class TestNtXentPair:
     def test_zero_norm_row_rejected(self):
         z = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DomainError, match="row 1"):
-            losses.nt_xent_pair(0, 1, z, 0.5)
+            oracles.on_raw_rows(lambda u: losses.nt_xent_pair(0, 1, u, 0.5))(z)
 
 
 class TestSelfSupervisedLoss:
@@ -51,7 +52,8 @@ class TestSelfSupervisedLoss:
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((8, 3))
-        assert losses.self_supervised_loss(z, 0.6)[0] == pytest.approx(
+        loss = oracles.on_raw_rows(lambda u: losses.self_supervised_loss(u, 0.6))
+        assert loss(z)[0] == pytest.approx(
             oracles.self_supervised_oracle(z.tolist(), 0.6), abs=1e-10)
 
     def test_view_swap_symmetry(self):
@@ -91,10 +93,11 @@ class TestClusterCenterLoss:
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(6)
         h = rng.standard_normal((8, 5))
-        centers = rng.standard_normal((3, 5))
+        centers = normalize_rows(rng.standard_normal((3, 5)))[0]
         assigns = rng.integers(3, size=8)
         phis = rng.uniform(0.3, 1.0, 3)
-        got = losses.cluster_center_loss(h, centers, assigns, phis)[0]
+        got = oracles.on_raw_rows(lambda u: losses.cluster_center_loss(
+            u, centers, assigns, phis))(h)[0]
         want = oracles.cluster_center_oracle(
             h.tolist(), centers.tolist(), assigns.tolist(), phis.tolist())
         assert got == pytest.approx(want, abs=1e-10)
@@ -126,7 +129,8 @@ class TestClusterInstanceLoss:
         rng = np.random.default_rng(7)
         h = rng.standard_normal((8, 4))
         assigns = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        got = losses.cluster_instance_loss(h, assigns, 0.5)[0]
+        got = oracles.on_raw_rows(lambda u: losses.cluster_instance_loss(
+            u, assigns, 0.5))(h)[0]
         want = oracles.cluster_instance_oracle(h.tolist(), assigns.tolist(), 0.5)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -134,38 +138,23 @@ class TestClusterInstanceLoss:
         rng = np.random.default_rng(8)
         h = rng.standard_normal((5, 3))
         assigns = np.array([0, 0, 1, 1, 2])   # sample 4 has no positives
-        got = losses.cluster_instance_loss(h, assigns, 0.5)[0]
+        got = oracles.on_raw_rows(lambda u: losses.cluster_instance_loss(
+            u, assigns, 0.5))(h)[0]
         want = oracles.cluster_instance_oracle(h.tolist(), assigns.tolist(), 0.5)
         assert got == pytest.approx(want, abs=1e-10)
-
-
-def test_cluster_aware_loss_means():
-    assert losses.cluster_aware_loss(0.0, 0.0) == pytest.approx(0.0)
-    assert losses.cluster_aware_loss(2.0, 4.0) == pytest.approx(3.0)
-    assert losses.cluster_aware_loss(-1.0, 1.0) == pytest.approx(0.0)
-
-
-def test_total_loss_endpoints():
-    assert losses.total_loss(2.0, 4.0, 0.0) == pytest.approx(2.0)
-    assert losses.total_loss(2.0, 4.0, 1.0) == pytest.approx(4.0)
-    assert losses.total_loss(2.0, 4.0, 0.5) == pytest.approx(3.0)
-    with pytest.raises(ConfigError):
-        losses.total_loss(1.0, 1.0, 1.5)
 
 
 def test_all_losses_scale_invariant():
     rng = np.random.default_rng(9)
     h = rng.standard_normal((6, 4))
-    centers = rng.standard_normal((3, 4))
+    centers = normalize_rows(rng.standard_normal((3, 4)))[0]
     assigns = np.array([0, 1, 2, 0, 1, 2])
     phis = np.array([0.4, 0.6, 0.8])
-    for gamma in (0.1, 7.0):
-        assert losses.self_supervised_loss(gamma * h, 0.5)[0] == \
-            pytest.approx(losses.self_supervised_loss(h, 0.5)[0], abs=1e-10)
-        assert losses.cluster_center_loss(gamma * h, centers, assigns,
-                                          phis)[0] == \
-            pytest.approx(losses.cluster_center_loss(h, centers, assigns,
-                                                     phis)[0], abs=1e-10)
-        assert losses.cluster_instance_loss(gamma * h, assigns, 0.5)[0] == \
-            pytest.approx(losses.cluster_instance_loss(h, assigns, 0.5)[0],
-                          abs=1e-10)
+    for loss in (lambda u: losses.self_supervised_loss(u, 0.5),
+                 lambda u: losses.cluster_center_loss(u, centers, assigns,
+                                                      phis),
+                 lambda u: losses.cluster_instance_loss(u, assigns, 0.5)):
+        on_raw = oracles.on_raw_rows(loss)
+        for gamma in (0.1, 7.0):
+            assert on_raw(gamma * h)[0] == pytest.approx(on_raw(h)[0],
+                                                         abs=1e-10)

@@ -1,8 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import clood.train as train_mod
 from clood import ablate, cli, losses
@@ -29,7 +30,8 @@ def _small_run(**kw):
 @pytest.mark.parametrize("key,value", [
     ("tau", 0.0), ("lambda_weight", 1.5), ("phi_floor", 0.0),
     ("warmup_epochs", -1), ("update_interval", 0),
-    ("lr", float("nan")), ("tau", float("inf")), ("seed", -1)])
+    ("lr", float("nan")), ("tau", float("inf")), ("seed", -1),
+    ("aug_noise", -1.0)])
 def test_config_rejects_bad_value(key, value):
     with pytest.raises(ConfigError):
         TrainConfig(**{key: value})
@@ -265,6 +267,28 @@ def test_ablation_sweep_smoke(tmp_path):
     assert "self_only" in ablate.format_sweep(rows)
 
 
+def _text_positions(blob):
+    """Offsets of every byte on a checkpoint's text lines: the header and
+    each array's header line, but not the raw array bytes."""
+    positions, pos = [], 0
+
+    def line():
+        nonlocal pos
+        end = blob.index(b"\n", pos) + 1
+        positions.extend(range(pos, end))
+        text, pos = blob[pos:end], end
+        return text
+
+    line()
+    line()
+    for _ in range(int(line())):
+        line()
+    for _ in range(int(line())):
+        name, dtype, *shape = line().split()
+        pos += math.prod(map(int, shape)) * np.dtype(dtype.decode()).itemsize
+    return positions
+
+
 class TestCli:
     def _config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -315,6 +339,14 @@ class TestCli:
                        "--out", str(tmp_path / "d")])
         assert rc == 2
         assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+    def test_negative_aug_noise_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["train", "--config", self._config_file(tmp_path),
+                       "--set", "aug_noise=-1",
+                       "--checkpoint", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert "aug_noise must be non-negative, got -1.0" in \
+            capsys.readouterr().err
 
     def test_non_finite_config_exits_2(self, tmp_path, capsys):
         rc = cli.main(["train", "--set", "lr=nan",
@@ -455,6 +487,48 @@ class TestCli:
         assert self._eval(tmp_path, ckpt, data_dir) == 2
         assert f"{ckpt}: unknown config key 'denominator_includes_positive'" \
             in capsys.readouterr().err
+
+    # the small config's checkpoint holds 11 arrays: encoder and projection
+    # w0, w1, b0, b1 and the three cluster arrays
+    @pytest.mark.parametrize("old,new,message", [
+        (b"encoder.w1 ", b"encoder.x1 ", "array encoder.x1 (float64 (8, 6))"),
+        (b"encoder.w1 ", b"encoder.w0 ", "array encoder.w0 (float64 (8, 6))"),
+        (b"projection.b1 ", b"projection.b2 ",
+         "array projection.b2 (float64 (4,))"),
+        (b"cluster.phis ", b"cluster.phiz ", "array cluster.phiz (float64 (2,))"),
+        (b"encoder.b0 float64 8\n", b"encoder.b0 float64 9\n",
+         "array encoder.b0 (float64 (9,))"),
+        (b"\n11\n", b"\n10\n", "array projection.w1 is missing")],
+        ids=["unknown", "repeated", "beyond-widths", "cluster", "shape",
+             "missing"])
+    def test_checkpoint_arrays_off_config_exit_2(self, tmp_path, capsys, old,
+                                                 new, message):
+        data_dir, ckpt = self._trained(tmp_path)
+        blob = ckpt.read_bytes()
+        assert blob.count(old) == 1
+        ckpt.write_bytes(blob.replace(old, new))
+        capsys.readouterr()
+        assert self._eval(tmp_path, ckpt, data_dir) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: {message}" in err
+        assert "missing" in message or "not one its config implies" in err
+
+    @pytest.fixture(scope="class")
+    def trained_once(self, tmp_path_factory):
+        return self._trained(tmp_path_factory.mktemp("cli"))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_corrupt_text_byte_never_raises(self, trained_once, data):
+        # a single-byte change to the header or an array header is read, or
+        # rejected with exit 2 (3 for a numeric failure), never a traceback
+        data_dir, ckpt = trained_once
+        blob = ckpt.read_bytes()
+        pos = data.draw(st.sampled_from(_text_positions(blob)))
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]))
+        bad = ckpt.with_name("bad.ckpt")
+        bad.write_bytes(blob[:pos] + bytes([byte]) + blob[pos + 1:])
+        assert self._eval(ckpt.parent, bad, data_dir) in (0, 2, 3)
 
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys):
         result, _ = _small_run()
