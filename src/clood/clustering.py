@@ -1,8 +1,9 @@
 """Spherical k-means over encoder features and the center-update schedule.
 
-Points and centers are L2-normalized, so Lloyd's Euclidean updates followed
-by re-normalization cluster by cosine similarity, matching the geometry of
-every loss term.
+Points and centers are unit rows, so Lloyd's Euclidean updates followed by
+re-normalization cluster by cosine similarity, matching the geometry of
+every loss term. Every function takes unit rows but `fit_state`, which
+normalizes the raw features once.
 """
 
 from dataclasses import dataclass
@@ -38,42 +39,41 @@ def _kmeanspp_init(points, r, rng):
     return centers
 
 
-def kmeans_fit(points, r, seed=0, max_iters=100, tol=1e-6):
-    """Lloyd's algorithm on normalized points with k-means++ seeding.
+def _reseed_empty(unit, labels, centers):
+    """Move each empty cluster's center, in place and in index order, to the
+    row farthest from its assigned center that no earlier one took (ties to
+    the lowest row); True if any cluster was empty."""
+    empty = np.flatnonzero(np.bincount(labels, minlength=len(centers)) == 0)
+    if empty.size:
+        dists = np.linalg.norm(unit - centers[labels], axis=1)
+        centers[empty] = unit[np.argsort(-dists, kind="stable")[:empty.size]]
+    return empty.size > 0
 
-    Empty clusters are re-seeded at the point farthest from its current
-    center. Deterministic given (points, r, seed).
-    """
-    points = np.asarray(points, dtype=np.float64)
-    m = points.shape[0]
+
+def kmeans_fit(unit, r, seed=0, max_iters=100, tol=1e-6):
+    """Lloyd's algorithm on unit rows with k-means++ seeding; empty clusters
+    are re-seeded. Deterministic given (unit, r, seed)."""
+    m = unit.shape[0]
     if r < 2:
         raise ConfigError(f"need at least 2 clusters, got {r}")
     if m < r:
         raise ConfigError(f"{m} points cannot support {r} clusters")
-    if not np.all(np.isfinite(points)):
+    if not np.all(np.isfinite(unit)):
         raise DomainError("points must be finite")
 
-    pts = normalize_rows(points)[0]
     rng = np.random.default_rng(seed)
-    centers = _kmeanspp_init(pts, r, rng)
+    centers = _kmeanspp_init(unit, r, rng)
 
     for _ in range(max_iters):
-        labels = assign(pts, centers)
-        dists = np.linalg.norm(pts - centers[labels], axis=1)
+        labels = assign(unit, centers)
         new_centers = centers.copy()
-        taken = set()
-        for k in range(r):
-            members = labels == k
-            if members.any():
-                mean = pts[members].mean(axis=0)
-                norm = np.linalg.norm(mean)
-                # antipodal cancellation: keep the previous center direction
-                new_centers[k] = mean / norm if norm > 0 else centers[k]
-            else:
-                order = np.argsort(-dists, kind="stable")
-                pick = next(int(i) for i in order if int(i) not in taken)
-                taken.add(pick)
-                new_centers[k] = pts[pick]
+        _reseed_empty(unit, labels, new_centers)
+        for k in np.unique(labels):
+            mean = unit[labels == k].mean(axis=0)
+            norm = np.linalg.norm(mean)
+            # antipodal cancellation: keep the previous center direction
+            if norm > 0:
+                new_centers[k] = mean / norm
         movement = np.max(np.linalg.norm(new_centers - centers, axis=1))
         centers = new_centers
         if movement < tol:
@@ -81,20 +81,17 @@ def kmeans_fit(points, r, seed=0, max_iters=100, tol=1e-6):
     return centers
 
 
-def assign(points, centers):
-    """Nearest center by cosine similarity; ties go to the lowest index."""
-    sims = normalize_rows(points)[0] @ normalize_rows(centers)[0].T
-    return np.argmax(sims, axis=1)
+def assign(unit, centers):
+    """Nearest unit center to each unit row by cosine similarity; ties go
+    to the lowest index."""
+    return np.argmax(unit @ centers.T, axis=1)
 
 
-def compute_concentrations(points, assignments, centers, alpha, phi_floor=0.05):
-    """Per-cluster concentration of normalized points around their center:
-    the mean member-to-center distance scaled by ln(T + alpha), clamped
-    below at phi_floor, for a cluster of T members."""
-    centers = np.asarray(centers, dtype=np.float64)
-    assignments = np.asarray(assignments, dtype=np.intp)
-    dists = np.linalg.norm(normalize_rows(points)[0] - centers[assignments],
-                           axis=1)
+def compute_concentrations(unit, assignments, centers, alpha, phi_floor=0.05):
+    """Per-cluster concentration of unit rows around their center: the
+    mean member-to-center distance scaled by ln(T + alpha), clamped below
+    at phi_floor, for a cluster of T members."""
+    dists = np.linalg.norm(unit - centers[assignments], axis=1)
     phis = np.empty(centers.shape[0])
     for k in range(centers.shape[0]):
         members = dists[assignments == k]
@@ -114,26 +111,23 @@ def should_update(epoch, warmup_epochs, update_interval):
 
 def fit_state(points, r, seed, alpha, phi_floor, epoch, max_iters=100,
               tol=1e-6):
-    """Full refit: centers, assignments over `points`, and concentrations.
+    """Full refit on raw `points`, normalized once: centers, assignments
+    and concentrations.
 
-    A cluster the repair pass cannot fill (the points have fewer distinct
+    A cluster the final assignment leaves empty is re-seeded once by
+    `_reseed_empty`. One that stays empty (the points have fewer distinct
     directions than `r`) raises NumericError naming the epoch and cluster.
     """
-    centers = kmeans_fit(points, r, seed=seed, max_iters=max_iters, tol=tol)
-    labels = assign(points, centers)
-    # repair clusters emptied by the final assignment pass
-    for k in range(r):
-        if not (labels == k).any():
-            pts = normalize_rows(points)[0]
-            dists = np.linalg.norm(pts - centers[labels], axis=1)
-            far = int(np.argmax(dists))
-            centers[k] = pts[far]
-            labels = assign(points, centers)
+    unit = normalize_rows(points)[0]
+    centers = kmeans_fit(unit, r, seed=seed, max_iters=max_iters, tol=tol)
+    labels = assign(unit, centers)
+    if _reseed_empty(unit, labels, centers):
+        labels = assign(unit, centers)
     empty = np.flatnonzero(np.bincount(labels, minlength=r) == 0)
     if empty.size:
         raise NumericError(f"epoch {epoch}: cluster {empty[0]} is still empty "
                            f"after repair; the features have fewer than {r} "
                            f"distinct directions")
-    phis = compute_concentrations(points, labels, centers, alpha, phi_floor)
+    phis = compute_concentrations(unit, labels, centers, alpha, phi_floor)
     return ClusterState(centers=centers, assignments=labels, phis=phis,
                         updated_at_epoch=epoch)

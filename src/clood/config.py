@@ -88,7 +88,8 @@ class TrainConfig(DatasetSpec):
             raise ConfigError(f"bad score_layer {self.score_layer!r}")
         if self.score_kind not in ("cos", "var"):
             raise ConfigError(f"bad score_kind {self.score_kind!r}")
-        for name in ("k_top", "tau", "alpha", "phi_floor", "lr"):
+        for name in ("k_top", "tau", "alpha", "phi_floor", "lr",
+                     "kmeans_max_iters"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 <= self.lambda_weight <= 1.0:

@@ -254,17 +254,13 @@ def train(config, bundle, probe_epochs=()):
         if epoch in probe_epochs:
             result.snapshots[epoch] = serialize_checkpoint(
                 encoder, projection, state, config)
-        # the epoch refits at its start, or before each batch when
-        # update_per_batch is set, and reports that in its "refit" column
-        refits = cluster_on and (
-            epoch >= config.warmup_epochs if config.update_per_batch else
-            clustering.should_update(epoch, config.warmup_epochs,
-                                     config.update_interval))
-        per_batch = refits and config.update_per_batch
+        # a refit epoch refits before its first batch, or before each batch
+        # when update_per_batch is set, and reports that in its "refit" column
+        refits = cluster_on and clustering.should_update(
+            epoch, config.warmup_epochs,
+            1 if config.update_per_batch else config.update_interval)
         if refits:
             result.refit_epochs.append(epoch)
-            if not per_batch:
-                state = _refit(config, encoder, projection, bundle, epoch)
 
         # cosine annealing from lr towards 0
         lr = config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs_total))
@@ -272,11 +268,11 @@ def train(config, bundle, probe_epochs=()):
             np.random.SeedSequence([config.seed, 7, epoch]))
         order = epoch_rng.permutation(m)
         n_batches = max(1, m // config.batch_size)
-        epoch_self, epoch_cluster, n_cluster_terms = 0.0, 0.0, 0
+        epoch_self, epoch_cluster = 0.0, 0.0
 
         for b in range(n_batches):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-            if per_batch:
+            if refits and (b == 0 or config.update_per_batch):
                 state = _refit(config, encoder, projection, bundle, epoch)
 
             aug_seed = np.random.SeedSequence([config.seed, 11, epoch, b])
@@ -290,16 +286,14 @@ def train(config, bundle, probe_epochs=()):
             for p, g in zip(params, grads):
                 p -= lr * g
             epoch_self += l_self
-            if state is not None:
-                epoch_cluster += l_cluster
-                n_cluster_terms += 1
+            epoch_cluster += l_cluster
 
         result.metrics.append({
             "epoch": epoch,
             "lr": lr,
             "l_self": epoch_self / n_batches,
-            "l_cluster": (epoch_cluster / n_cluster_terms
-                          if n_cluster_terms else float("nan")),
+            # NaN until the joint phase, whose epochs all have a state
+            "l_cluster": epoch_cluster / n_batches,
             "refit": int(refits),
             "config_hash": cfg_hash,
         })
@@ -355,7 +349,7 @@ def mean_max_center_similarity(result, bundle):
         raise ConfigError("checkpoint has no cluster state")
     feats = _layer_features_np(result.encoder, result.projection,
                                bundle.id_test, result.config.clustering_layer)
-    centers = normalize_rows(result.cluster_state.centers)[0]
+    centers = result.cluster_state.centers
     return float(np.mean(np.max(normalize_rows(feats)[0] @ centers.T, axis=1)))
 
 

@@ -103,7 +103,7 @@ def test_criterion_2_oracle_suite():
              oracles.cluster_instance_oracle(u.tolist(), assigns.tolist(),
                                              0.5)),
         ]
-        got_assign = assign(z, centers)
+        got_assign = assign(u, c)
         want_assign = oracles.assign_oracle(z.tolist(), centers.tolist())
         assign_ok = assign_ok and list(got_assign) == list(want_assign)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from clood import clustering
@@ -10,6 +11,20 @@ from clood.errors import ConfigError, ContractError, DomainError, NumericError
 
 def _unit(rows):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _exact_unit_rows(d):
+    """Unit rows with entries in {0, +-1/2, +-1}: a signed axis, or four
+    signed halves. Their dot products are exact multiples of 1/4."""
+    def row(order, signs, halves):
+        n = 4 if halves else 1
+        out = np.zeros(d)
+        out[list(order[:n])] = np.array(signs[:n]) / math.sqrt(n)
+        return out
+    return st.builds(row, st.permutations(range(d)),
+                     st.lists(st.sampled_from([-1.0, 1.0]), min_size=4,
+                              max_size=4),
+                     st.booleans())
 
 
 class TestKmeansFit:
@@ -26,7 +41,7 @@ class TestKmeansFit:
         rng = np.random.default_rng(0)
         a = np.array([10.0, 0.0]) + 0.1 * rng.standard_normal((30, 2))
         b = np.array([0.0, 10.0]) + 0.1 * rng.standard_normal((30, 2))
-        pts = np.concatenate([a, b])
+        pts = _unit(np.concatenate([a, b]))
         centers = clustering.kmeans_fit(pts, 2, seed=1)
         labels = clustering.assign(pts, centers)
         # purity check against the construction
@@ -48,7 +63,7 @@ class TestKmeansFit:
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        pts = rng.standard_normal((40, 5))
+        pts = _unit(rng.standard_normal((40, 5)))
         c1 = clustering.kmeans_fit(pts, 4, seed=9)
         c2 = clustering.kmeans_fit(pts, 4, seed=9)
         np.testing.assert_array_equal(c1, c2)
@@ -70,7 +85,8 @@ class TestKmeansFit:
 
     def test_centers_are_unit_norm(self):
         rng = np.random.default_rng(6)
-        centers = clustering.kmeans_fit(rng.standard_normal((30, 4)), 3, seed=0)
+        centers = clustering.kmeans_fit(_unit(rng.standard_normal((30, 4))), 3,
+                                        seed=0)
         np.testing.assert_allclose(np.linalg.norm(centers, axis=1), 1.0,
                                    atol=1e-12)
 
@@ -78,23 +94,39 @@ class TestKmeansFit:
 class TestAssign:
     def test_point_at_center(self):
         centers = np.eye(3)
-        assert clustering.assign(np.array([[0.0, 0, 2.0]]), centers)[0] == 2
+        assert clustering.assign(np.array([[0.0, 0, 1.0]]), centers)[0] == 2
 
     def test_tie_goes_to_lowest_index(self):
         centers = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert clustering.assign(np.array([[1.0, 1.0]]), centers)[0] == 0
+        assert clustering.assign(_unit(np.array([[1.0, 1.0]])), centers)[0] == 0
 
     def test_matches_argmax_oracle(self):
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((25, 4))
         centers = rng.standard_normal((5, 4))
-        got = clustering.assign(pts, centers)
+        got = clustering.assign(_unit(pts), _unit(centers))
         want = oracles.assign_oracle(pts.tolist(), centers.tolist())
         np.testing.assert_array_equal(got, want)
 
-    def test_zero_norm_point_rejected(self):
-        with pytest.raises(DomainError):
-            clustering.assign(np.zeros((1, 3)), np.eye(3))
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_exact_ties_go_to_lowest_index_as_in_oracle(self, data):
+        # few distinct centers, repeated, and similarities that are exact:
+        # equal cosines tie exactly, in `assign` and in the oracle alike
+        d = data.draw(st.integers(4, 6))
+        distinct = data.draw(st.lists(_exact_unit_rows(d), min_size=1,
+                                      max_size=4))
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1),
+                                   min_size=2, max_size=8))
+        centers = np.array([distinct[i] for i in picks])
+        pts = np.array(data.draw(st.lists(_exact_unit_rows(d), min_size=1,
+                                          max_size=10)))
+        got = clustering.assign(pts, centers)
+        assert got.tolist() == oracles.assign_oracle(pts.tolist(),
+                                                     centers.tolist())
+        # a repeated center never wins over its first occurrence
+        for k in got:
+            assert not (centers[:k] == centers[k]).all(axis=1).any()
 
 
 class TestConcentrations:
@@ -116,7 +148,7 @@ class TestConcentrations:
     def test_identical_clusters_identical_phis(self):
         rng = np.random.default_rng(8)
         blob = rng.standard_normal((6, 3)) + np.array([5.0, 0, 0])
-        pts = np.concatenate([blob, blob @ _rotation_swap()])
+        pts = _unit(np.concatenate([blob, blob @ _rotation_swap()]))
         centers = _unit(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
         assigns = np.array([0] * 6 + [1] * 6)
         phis = clustering.compute_concentrations(pts, assigns, centers, 10.0)
@@ -124,11 +156,10 @@ class TestConcentrations:
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(10)
-        pts = rng.standard_normal((40, 5))
+        unit = _unit(rng.standard_normal((40, 5)))
         centers = _unit(rng.standard_normal((3, 5)))
-        assigns = clustering.assign(pts, centers)
-        unit = _unit(pts)
-        got = clustering.compute_concentrations(pts, assigns, centers, 10.0,
+        assigns = clustering.assign(unit, centers)
+        got = clustering.compute_concentrations(unit, assigns, centers, 10.0,
                                                 0.01)
         want = [oracles.concentration_oracle(
             unit[assigns == k].tolist(), centers[k].tolist(), 10.0, 0.01)
@@ -176,3 +207,22 @@ def test_fit_state_reports_collapse_as_numeric_failure():
     with pytest.raises(NumericError, match="epoch 7: cluster 2"):
         clustering.fit_state(pts, 3, seed=0, alpha=10.0, phi_floor=0.05,
                              epoch=7)
+
+
+def test_fit_state_rejects_zero_norm_row():
+    pts = np.array([[1.0, 0], [0, 1.0], [0, 0], [1.0, 1.0]])
+    with pytest.raises(DomainError, match="zero-norm row 2"):
+        clustering.fit_state(pts, 2, seed=0, alpha=10.0, phi_floor=0.05,
+                             epoch=0)
+
+
+def test_fit_state_repairs_a_cluster_the_final_assignment_empties():
+    # after one Lloyd iteration on nine directions, the last assignment to
+    # the centers leaves cluster 2 empty; one re-seed fills it
+    theta = np.random.default_rng(9526).uniform(0, 2 * np.pi, 9)
+    pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    centers = clustering.kmeans_fit(pts, 4, seed=9526, max_iters=1)
+    assert np.bincount(clustering.assign(pts, centers), minlength=4)[2] == 0
+    state = clustering.fit_state(pts, 4, seed=9526, alpha=10.0,
+                                 phi_floor=0.05, epoch=0, max_iters=1)
+    assert np.bincount(state.assignments, minlength=4).tolist() == [3, 1, 2, 3]

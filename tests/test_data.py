@@ -1,5 +1,9 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clood import data
 from clood.errors import ConfigError
@@ -93,6 +97,41 @@ def test_bundle_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.id_test, b.id_test)
     for name in b.ood_sets:
         np.testing.assert_array_equal(loaded.ood_sets[name], b.ood_sets[name])
+
+
+@st.composite
+def _bundles(draw):
+    d = draw(st.integers(1, 4))
+
+    def rows():
+        return draw(arrays(np.float64, (draw(st.integers(1, 4)), d),
+                           elements=st.floats(allow_nan=False,
+                                              allow_infinity=False)))
+    names = draw(st.sets(st.sampled_from(data.OOD_SET_NAMES)))
+    return data.DatasetBundle(id_train=rows(), id_test=rows(),
+                              ood_sets={name: rows() for name in sorted(names)},
+                              provenance={})
+
+
+@settings(deadline=None, max_examples=100)
+@given(_bundles())
+@example(data.DatasetBundle(
+    id_train=np.array([[-0.0, 5e-324], [0.0, -1.7976931348623157e308]]),
+    id_test=np.array([[-0.0, 0.1]]),
+    ood_sets={"scaled": np.array([[-5e-324, -0.0]])}, provenance={}))
+def test_bundle_round_trips_bit_exactly(bundle):
+    # signed zeros, subnormals and the largest floats survive the CSV
+    with tempfile.TemporaryDirectory() as directory:
+        data.save_bundle(bundle, directory)
+        loaded = data.load_bundle(directory)
+    assert sorted(loaded.ood_sets) == sorted(bundle.ood_sets)
+    pairs = [(loaded.id_train, bundle.id_train),
+             (loaded.id_test, bundle.id_test)]
+    pairs += [(loaded.ood_sets[name], bundle.ood_sets[name])
+              for name in bundle.ood_sets]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_load_bundle_name_mismatch(tmp_path):

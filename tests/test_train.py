@@ -31,7 +31,7 @@ def _small_run(**kw):
     ("tau", 0.0), ("lambda_weight", 1.5), ("phi_floor", 0.0),
     ("warmup_epochs", -1), ("update_interval", 0),
     ("lr", float("nan")), ("tau", float("inf")), ("seed", -1),
-    ("aug_noise", -1.0)])
+    ("aug_noise", -1.0), ("kmeans_max_iters", 0), ("kmeans_max_iters", -1)])
 def test_config_rejects_bad_value(key, value):
     with pytest.raises(ConfigError):
         TrainConfig(**{key: value})
@@ -289,6 +289,12 @@ def _text_positions(blob):
     return positions
 
 
+def _array_positions(blob):
+    """Offsets of every raw array byte of a checkpoint."""
+    text = set(_text_positions(blob))
+    return [pos for pos in range(len(blob)) if pos not in text]
+
+
 class TestCli:
     def _config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -347,6 +353,14 @@ class TestCli:
         assert rc == 2
         assert "aug_noise must be non-negative, got -1.0" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_kmeans_max_iters_below_one_exits_2(self, tmp_path, capsys, iters):
+        rc = cli.main(["train", "--config", self._config_file(tmp_path),
+                       "--set", f"kmeans_max_iters={iters}",
+                       "--checkpoint", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert "kmeans_max_iters must be positive" in capsys.readouterr().err
 
     def test_non_finite_config_exits_2(self, tmp_path, capsys):
         rc = cli.main(["train", "--set", "lr=nan",
@@ -517,18 +531,40 @@ class TestCli:
     def trained_once(self, tmp_path_factory):
         return self._trained(tmp_path_factory.mktemp("cli"))
 
+    def _eval_changed_byte(self, trained_once, data, positions):
+        """Exit code of `clood eval` on the checkpoint with one byte, drawn
+        from `positions(blob)`, changed."""
+        data_dir, ckpt = trained_once
+        blob = ckpt.read_bytes()
+        pos = data.draw(st.sampled_from(positions(blob)))
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]))
+        bad = ckpt.with_name("bad.ckpt")
+        bad.write_bytes(blob[:pos] + bytes([byte]) + blob[pos + 1:])
+        return self._eval(ckpt.parent, bad, data_dir)
+
     @settings(deadline=None, max_examples=200)
     @given(st.data())
     def test_corrupt_text_byte_never_raises(self, trained_once, data):
         # a single-byte change to the header or an array header is read, or
         # rejected with exit 2 (3 for a numeric failure), never a traceback
+        assert self._eval_changed_byte(trained_once, data,
+                                       _text_positions) in (0, 2, 3)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_corrupt_array_byte_never_raises(self, trained_once, data):
+        # so is any value in an array's raw bytes
+        assert self._eval_changed_byte(trained_once, data,
+                                       _array_positions) in (0, 2, 3)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_truncated_checkpoint_exits_2(self, trained_once, data):
         data_dir, ckpt = trained_once
         blob = ckpt.read_bytes()
-        pos = data.draw(st.sampled_from(_text_positions(blob)))
-        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]))
-        bad = ckpt.with_name("bad.ckpt")
-        bad.write_bytes(blob[:pos] + bytes([byte]) + blob[pos + 1:])
-        assert self._eval(ckpt.parent, bad, data_dir) in (0, 2, 3)
+        bad = ckpt.with_name("cut.ckpt")
+        bad.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        assert self._eval(ckpt.parent, bad, data_dir) == 2
 
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys):
         result, _ = _small_run()
