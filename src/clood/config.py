@@ -74,6 +74,21 @@ class TrainConfig(DatasetSpec):
             if getattr(self, name) < 0:
                 raise ConfigError(
                     f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("encoder_widths", "projection_widths"):
+            widths = getattr(self, name)
+            if len(widths) < 2 or min(widths) <= 0:
+                raise ConfigError(
+                    f"{name} must hold at least two positive widths, "
+                    f"got {widths}")
+        embedding = self.encoder_widths[-1]
+        if self.projection_widths[0] != embedding:
+            raise ConfigError(
+                f"projection input width {self.projection_widths[0]} must "
+                f"equal embedding width {embedding}")
+        if self.projection_widths[-1] > embedding:
+            raise ConfigError(
+                f"projection output width {self.projection_widths[-1]} must "
+                f"not exceed embedding width {embedding}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
         if self.warmup_epochs > self.epochs_total:

@@ -9,10 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-
-DEFAULT_ENCODER_WIDTHS = (16, 64, 64, 32)
-DEFAULT_PROJECTION_WIDTHS = (32, 32, 16)
+from .errors import ShapeError
 
 
 @dataclass
@@ -53,8 +50,6 @@ class EncodedBatch:
 
 
 def _init_mlp(rng, widths):
-    if not widths or any(w <= 0 for w in widths):
-        raise ConfigError(f"layer widths must be non-empty and positive: {widths}")
     params = MLPParams()
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)
@@ -63,23 +58,14 @@ def _init_mlp(rng, widths):
     return params
 
 
-def init_params(seed, encoder_widths=DEFAULT_ENCODER_WIDTHS,
-                projection_widths=DEFAULT_PROJECTION_WIDTHS):
+def init_params(seed, encoder_widths, projection_widths):
     """Deterministically initialize encoder and projection parameters.
 
-    Weights are uniform on [-1/sqrt(fan_in), 1/sqrt(fan_in)].
+    Weights are uniform on [-1/sqrt(fan_in), 1/sqrt(fan_in)]. The widths
+    are a `TrainConfig`'s, which checks them.
     """
-    if len(encoder_widths) < 2 or len(projection_widths) < 2:
-        raise ConfigError("encoder and projection need at least two widths")
-    if encoder_widths[-1] != projection_widths[0]:
-        raise ConfigError(
-            f"projection input width {projection_widths[0]} must equal "
-            f"embedding width {encoder_widths[-1]}"
-        )
-    if projection_widths[-1] > encoder_widths[-1]:
-        raise ConfigError("projection output must not exceed embedding width")
     rng = np.random.default_rng(seed)
-    return _init_mlp(rng, list(encoder_widths)), _init_mlp(rng, list(projection_widths))
+    return _init_mlp(rng, encoder_widths), _init_mlp(rng, projection_widths)
 
 
 def mlp_forward_np(params, x):

@@ -8,6 +8,7 @@ and cluster-aware losses with plain SGD.
 """
 
 import csv
+import hashlib
 import io
 import math
 import os
@@ -65,12 +66,15 @@ def serialize_checkpoint(encoder, projection, cluster_state, config):
     for key in sorted(cfg):
         buf.write(f"{key}={cfg[key]}\n".encode())
     arrays = _named_arrays(encoder, projection, cluster_state)
-    buf.write(f"{len(arrays)}\n".encode())
+    parts = [f"{len(arrays)}\n".encode()]
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         shape = " ".join(str(s) for s in arr.shape)
-        buf.write(f"{name} {arr.dtype.name} {shape}\n".encode())
-        buf.write(arr.tobytes())
+        parts += [f"{name} {arr.dtype.name} {shape}\n".encode(), arr.tobytes()]
+    # the array section follows the line holding its sha256
+    section = b"".join(parts)
+    buf.write(hashlib.sha256(section).hexdigest().encode() + b"\n")
+    buf.write(section)
     return buf.getvalue()
 
 
@@ -113,8 +117,9 @@ def _unpack(arrays, prefix):
 def load_checkpoint(path):
     """Round-trips serialize_checkpoint bit-exactly.
 
-    A truncated or corrupt file, or arrays other than its config implies,
-    raise ConfigError naming the path and the part that could not be read.
+    A truncated or corrupt file, arrays other than its config implies, or
+    an array section whose sha256 differs from the stored one raise
+    ConfigError naming the path and the part that could not be read.
     """
     with open(path, "rb") as f:
         if f.readline().strip() != _MAGIC:
@@ -134,10 +139,13 @@ def load_checkpoint(path):
             if config.hash() != stored_hash:
                 raise ConfigError(f"{path}: config hash mismatch")
             shapes = _array_shapes(config, cluster_epoch is not None)
+            stored_sum = f.readline().strip().decode()
+            section = f.read()
+            body = io.BytesIO(section)
             arrays = {}
-            for _ in range(int(f.readline())):
+            for _ in range(int(body.readline())):
                 part = "array header"
-                name, dtype, *shape = f.readline().decode().split()
+                name, dtype, *shape = body.readline().decode().split()
                 part = f"array {name}"
                 dtype, shape = np.dtype(dtype), tuple(int(s) for s in shape)
                 want = shapes.pop(name, "absent")
@@ -146,13 +154,15 @@ def load_checkpoint(path):
                     raise ConfigError(f"{path}: array {name} ({dtype} {shape}) "
                                       f"is repeated or not one its config implies")
                 size = math.prod(shape) * dtype.itemsize
-                raw = f.read(size)
+                raw = body.read(size)
                 if len(raw) != size:
                     raise ConfigError(f"{path}: array {name} is truncated "
                                       f"({len(raw)} of {size} bytes)")
                 arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
             if shapes:
                 raise ConfigError(f"{path}: array {min(shapes)} is missing")
+            if hashlib.sha256(section).hexdigest() != stored_sum:
+                raise ConfigError(f"{path}: array checksum mismatch")
 
             part = "arrays"
             encoder, projection = _unpack(arrays, "encoder"), _unpack(arrays, "projection")

@@ -198,14 +198,17 @@ class TestAuroc:
         for _ in range(20):
             ids = rng.integers(0, 6, size=13).astype(float)
             oods = rng.integers(0, 6, size=9).astype(float)
-            assert scoring.auroc(ids, oods) == pytest.approx(
-                oracles.auroc_oracle(ids.tolist(), oods.tolist()), abs=1e-12)
+            assert scoring.auroc(ids, oods) == \
+                oracles.auroc_oracle(ids.tolist(), oods.tolist())
 
-    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=30),
-           st.lists(st.integers(-3, 3), min_size=1, max_size=30))
+    # both sides count half-integers exactly, so they must agree exactly;
+    # -0.0 ties 0.0
+    _tied = st.one_of(st.integers(-3, 3), st.sampled_from([-0.0, 0.0]))
+
+    @given(st.lists(_tied, min_size=1, max_size=30),
+           st.lists(_tied, min_size=1, max_size=30))
     def test_tied_integers_match_quadratic_oracle(self, ids, oods):
-        assert scoring.auroc(ids, oods) == pytest.approx(
-            oracles.auroc_oracle(ids, oods), abs=1e-12)
+        assert scoring.auroc(ids, oods) == oracles.auroc_oracle(ids, oods)
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):

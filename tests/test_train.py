@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import clood
 import clood.train as train_mod
-from clood import ablate, cli, losses
+from clood import ablate, cli, losses, model
 from clood.config import TrainConfig, benchmark_config, config_from_dict
 from clood.data import DatasetSpec, generate_synthetic
 from clood.errors import ConfigError, NumericError
@@ -37,22 +42,46 @@ def test_config_rejects_bad_value(key, value):
         TrainConfig(**{key: value})
 
 
+@pytest.mark.parametrize("encoder,projection,message", [
+    ((), (4, 2), "encoder_widths must hold at least two positive widths"),
+    ((8,), (8, 4), "encoder_widths must hold at least two positive widths"),
+    ((8, 4), (4,), "projection_widths must hold at least two positive"),
+    ((8, 0, 4), (4, 2), "encoder_widths must hold at least two positive"),
+    ((8, 8, 5), (6, 6, 4), "projection input width 6 must equal embedding "
+                           "width 5"),
+    ((8, 4), (4, 8), "projection output width 8 must not exceed embedding "
+                     "width 4")],
+    ids=["empty", "one-width", "one-projection-width", "zero-width",
+         "projection-input", "projection-wider"])
+def test_config_rejects_bad_widths(encoder, projection, message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(encoder_widths=encoder, projection_widths=projection)
+
+
 _POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 
 
-@given(st.builds(
+@st.composite
+def _widths(draw):
+    """Encoder and projection widths a TrainConfig accepts."""
+    encoder = draw(st.lists(st.integers(1, 512), min_size=2))
+    hidden = draw(st.lists(st.integers(1, 512)))
+    last = draw(st.integers(1, encoder[-1]))
+    return tuple(encoder), (encoder[-1], *hidden, last)
+
+
+@given(_widths().flatmap(lambda widths: st.builds(
     TrainConfig,
     seed=st.integers(0, 2**63), d_in=st.integers(1, 4096),
     component_spread=_POSITIVE, ood_angle=_POSITIVE,
     interp_noise=st.floats(allow_nan=False, allow_infinity=False),
-    encoder_widths=st.lists(st.integers(1, 512), min_size=1).map(tuple),
-    projection_widths=st.lists(st.integers(1, 512), min_size=1).map(tuple),
+    encoder_widths=st.just(widths[0]), projection_widths=st.just(widths[1]),
     update_per_batch=st.booleans(), tau=_POSITIVE,
     lambda_weight=st.floats(0.0, 1.0), lr=_POSITIVE,
     clustering_layer=st.sampled_from(["embedding", "projection"]),
     use_cil=st.booleans(), aug_gain=st.floats(0.0, 1.0, exclude_max=True),
     kmeans_tol=st.floats(allow_nan=False, allow_infinity=False),
-    score_kind=st.sampled_from(["cos", "var"]), k_top=st.integers(1, 10**6)))
+    score_kind=st.sampled_from(["cos", "var"]), k_top=st.integers(1, 10**6))))
 def test_config_round_trips_through_dict(config):
     back = config_from_dict(config.to_dict())
     assert back == config
@@ -268,8 +297,9 @@ def test_ablation_sweep_smoke(tmp_path):
 
 
 def _text_positions(blob):
-    """Offsets of every byte on a checkpoint's text lines: the header and
-    each array's header line, but not the raw array bytes."""
+    """Offsets of every byte on a checkpoint's text lines: the header, the
+    array section's checksum and each array's header line, but not the raw
+    array bytes."""
     positions, pos = [], 0
 
     def line():
@@ -283,6 +313,7 @@ def _text_positions(blob):
     line()
     for _ in range(int(line())):
         line()
+    line()
     for _ in range(int(line())):
         name, dtype, *shape = line().split()
         pos += math.prod(map(int, shape)) * np.dtype(dtype.decode()).itemsize
@@ -553,9 +584,49 @@ class TestCli:
     @settings(deadline=None, max_examples=200)
     @given(st.data())
     def test_corrupt_array_byte_never_raises(self, trained_once, data):
-        # so is any value in an array's raw bytes
+        # a changed raw array byte fails the array section's checksum
         assert self._eval_changed_byte(trained_once, data,
-                                       _array_positions) in (0, 2, 3)
+                                       _array_positions) == 2
+
+    @pytest.mark.parametrize("key,widths", [
+        ("encoder_widths", (8,)), ("projection_widths", (6,)),
+        ("encoder_widths", (8, 8, 5)), ("projection_widths", (6, 8))],
+        ids=["encoder-one", "projection-one", "projection-input",
+             "projection-wider"])
+    def test_checkpoint_with_bad_widths_exits_2(self, trained_once, tmp_path,
+                                                 capsys, key, widths):
+        # header, config hash, arrays and checksum all agree; only the
+        # widths break TrainConfig's rules, which a config written past
+        # its own checks can hold
+        data_dir, _ = trained_once
+        config = _small_config()
+        object.__setattr__(config, key, widths)
+        encoder, projection = model.init_params(
+            0, config.encoder_widths, config.projection_widths)
+        ckpt = tmp_path / "widths.ckpt"
+        ckpt.write_bytes(train_mod.serialize_checkpoint(
+            encoder, projection, None, config))
+        capsys.readouterr()
+        assert self._eval(tmp_path, ckpt, data_dir) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {ckpt}: " in err and "width" in err
+
+    def test_eval_imports_no_scipy(self, trained_once, tmp_path):
+        data_dir, ckpt = trained_once
+        script = ("import sys\n"
+                  "from clood import cli\n"
+                  "assert cli.main(sys.argv[1:]) == 0\n"
+                  "print(sorted(m for m in sys.modules\n"
+                  "             if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(clood.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-c", script, "eval", "--checkpoint", str(ckpt),
+             "--data", str(data_dir), "--scores", str(tmp_path / "s.csv"),
+             "--summary", str(tmp_path / "a.csv")],
+            env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "[]"
 
     @settings(deadline=None, max_examples=200)
     @given(st.data())
