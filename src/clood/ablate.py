@@ -2,7 +2,9 @@
 schedule, and cluster count, aggregated over seeds.
 
 `variants` is the one table of sweep variants and `run_one` the one run
-cache; `clood ablate` and the acceptance gate both go through them.
+cache; `clood ablate` and the acceptance gate both go through them. Runs
+whose configs differ only in `train.WARMUP_FREE` fields train their
+shared warm-up once per process.
 """
 
 import csv
@@ -46,6 +48,8 @@ SWEEPS = tuple(_VARIANTS)
 
 # (TrainResult, DatasetBundle) of every config trained in this process
 _runs = {}
+# the warm-up of every config trained in this process, by `warmup_key`
+_warm = {}
 
 
 def variants(name, base):
@@ -63,7 +67,7 @@ def run_one(config):
     key = config.hash()
     if key not in _runs:
         bundle = generate_synthetic(config, config.seed)
-        _runs[key] = (train(config, bundle), bundle)
+        _runs[key] = (train(config, bundle, warm=_warm), bundle)
     return _runs[key]
 
 
@@ -76,9 +80,16 @@ def run_sweep(name, base=None, n_seeds=5):
     if n_seeds < 1:
         raise ConfigError(f"a sweep needs at least one seed, got {n_seeds}")
     base = base or benchmark_config()
+    sweep = variants(name, base)
+    # the row count `generate_synthetic` draws, checked before any training
+    for label, cfg in sweep:
+        m = cfg.components * cfg.train_per_component
+        if m < cfg.clusters:
+            raise ConfigError(f"sweep {name} variant {label}: clusters="
+                              f"{cfg.clusters} exceeds the {m} training rows")
     want_sim = name == "cluster-count"
     rows = []
-    for label, cfg in variants(name, base):
+    for label, cfg in sweep:
         aurocs, sims = {}, []
         for s in range(n_seeds):
             result, bundle = run_one(replace(cfg, seed=base.seed + s))

@@ -12,7 +12,7 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -244,8 +244,34 @@ def step_gradients(config, encoder, projection, views, state):
         model.backward(encoder, projection, batch, d_proj, d_emb)
 
 
-def train(config, bundle, probe_epochs=()):
-    """Run the full two-phase schedule; deterministic for a fixed config."""
+# the TrainConfig fields that act only from the first refit on, or only
+# after training: two configs that differ in nothing else take the same
+# warm-up steps
+WARMUP_FREE = ("update_interval", "update_per_batch", "clusters", "alpha",
+               "lambda_weight", "phi_floor", "clustering_layer", "use_ccl",
+               "use_cil", "kmeans_max_iters", "kmeans_tol", "score_kind",
+               "score_layer", "k_top")
+
+
+def warmup_key(config, bundle):
+    """The key `train` shares a warm-up under: the hash of `config` with
+    its WARMUP_FREE fields at their defaults, and the sha256 of the
+    training rows."""
+    shared = replace(config, **{name: getattr(TrainConfig, name)
+                                for name in WARMUP_FREE})
+    return shared.hash(), hashlib.sha256(bundle.id_train.tobytes()).hexdigest()
+
+
+def train(config, bundle, probe_epochs=(), warm=None):
+    """Run the full two-phase schedule; deterministic for a fixed config.
+
+    With a `warm` mapping the instance-only warm-up is trained once per
+    `warmup_key`: the first call stores copies of the parameters and the
+    metric rows at `warmup_epochs` in it, and later calls resume from
+    copies of those. The result is byte-identical to training from
+    scratch. A probe epoch inside the warm-up is only taken by training
+    it, so it turns the sharing off.
+    """
     check_width(config, bundle)
     encoder, projection = model.init_params(
         config.seed, config.encoder_widths, config.projection_widths)
@@ -260,7 +286,22 @@ def train(config, bundle, probe_epochs=()):
     cluster_on = config.use_ccl or config.use_cil
     cfg_hash = config.hash()
 
-    for epoch in range(config.epochs_total):
+    warmup = config.warmup_epochs
+    start, key = 0, None
+    if warm is not None and warmup > 0 \
+            and all(probe >= warmup for probe in probe_epochs):
+        key = warmup_key(config, bundle)
+        if key in warm:
+            saved, rows = warm[key]
+            for p, s in zip(params, saved):
+                p[...] = s
+            result.metrics = [dict(row, config_hash=cfg_hash) for row in rows]
+            start = warmup
+
+    for epoch in range(start, config.epochs_total):
+        if epoch == warmup and key is not None and key not in warm:
+            warm[key] = ([p.copy() for p in params],
+                         [dict(row) for row in result.metrics])
         if epoch in probe_epochs:
             result.snapshots[epoch] = serialize_checkpoint(
                 encoder, projection, state, config)
@@ -290,7 +331,7 @@ def train(config, bundle, probe_epochs=()):
             # state is None until the first refit, which opens the joint phase
             total, l_self, l_cluster, grads = step_gradients(
                 config, encoder, projection, views, state)
-            if not np.isfinite(total):
+            if not math.isfinite(total):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {b}")
             for p, g in zip(params, grads):

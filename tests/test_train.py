@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -262,8 +262,8 @@ def test_clood_train_is_the_module():
 def test_sweeps_train_each_config_once(monkeypatch):
     monkeypatch.setattr(ablate, "_runs", {})
     trained, real_train = [], ablate.train
-    monkeypatch.setattr(ablate, "train", lambda config, bundle: (
-        trained.append(config.hash()) or real_train(config, bundle)))
+    monkeypatch.setattr(ablate, "train", lambda config, bundle, **kw: (
+        trained.append(config.hash()) or real_train(config, bundle, **kw)))
     for sweep in ("loss-terms", "cluster-count"):
         ablate.run_sweep(sweep, _small_config(), n_seeds=1)
     # the four loss-term variants, then only r=10: r=2 is the full model
@@ -294,6 +294,120 @@ def test_ablation_sweep_smoke(tmp_path):
     ablate.write_sweep(rows, out)
     assert out.read_text().startswith("sweep,variant,")
     assert "self_only" in ablate.format_sweep(rows)
+
+
+def _blob(result):
+    return train_mod.serialize_checkpoint(result.encoder, result.projection,
+                                          result.cluster_state, result.config)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_shared_warmup_equals_fresh_training(monkeypatch, reverse):
+    monkeypatch.setattr(ablate, "_runs", {})
+    monkeypatch.setattr(ablate, "_warm", {})
+    steps, real_augment = [], train_mod.data_augment
+    monkeypatch.setattr(train_mod, "data_augment", lambda *a: (
+        steps.append(a) or real_augment(*a)))
+    labelled = [(label, replace(cfg, seed=seed)) for sweep in ablate.SWEEPS
+                for label, cfg in ablate.variants(sweep, _small_config())
+                for seed in (0, 1)]
+    assert {"no_warmup_u10", "warmup_u_batch"} <= {label for label, _ in labelled}
+    if reverse:
+        labelled.reverse()
+    stored = {}
+    for _, cfg in labelled:
+        new = cfg.hash() not in ablate._runs
+        bundle = generate_synthetic(cfg, cfg.seed)
+        hit = train_mod.warmup_key(cfg, bundle) in ablate._warm
+        del steps[:]
+        result, bundle = ablate.run_one(cfg)
+        # a run that finds its warm-up takes only the steps after it
+        epochs = cfg.epochs_total - cfg.warmup_epochs * hit
+        assert len(steps) == new * epochs * (len(bundle.id_train) // cfg.batch_size)
+        for key, (params, rows) in ablate._warm.items():
+            stored.setdefault(key, ([p.copy() for p in params], repr(rows)))
+
+        fresh = train_mod.train(cfg, bundle)
+        assert _blob(result) == _blob(fresh)
+        assert repr(result.metrics) == repr(fresh.metrics)
+        assert result.refit_epochs == fresh.refit_epochs
+    # one warm-up per seed; SGD updates in place, so a run that aliased
+    # the stored arrays would have changed them
+    assert len(ablate._warm) == 2
+    for key, (params, rows) in ablate._warm.items():
+        assert all(np.array_equal(a, b) for a, b in zip(params, stored[key][0]))
+        assert repr(rows) == stored[key][1]
+
+
+def test_a_probe_inside_the_warmup_trains_it():
+    config = _small_config()
+    bundle = generate_synthetic(config, config.seed)
+    warm = {}
+    train_mod.train(config, bundle, warm=warm)
+    plain = replace(config, use_ccl=False, use_cil=False)
+    probed = train_mod.train(plain, bundle, probe_epochs=(1,), warm=warm)
+    assert probed.snapshots == train_mod.train(
+        plain, bundle, probe_epochs=(1,)).snapshots
+
+
+def _other_value(config, name):
+    """A valid value of field `name` other than `config`'s."""
+    value = getattr(config, name)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value - 1 if name == "warmup_epochs" else value + 1
+    if isinstance(value, float):
+        return value / 2
+    if isinstance(value, tuple):
+        return value[:1] + (value[1] + 1,) + value[2:]
+    return {"embedding": "projection", "projection": "embedding",
+            "var": "cos", "cos": "var"}[value]
+
+
+def _warmup_params(config, bundle, tmp_path):
+    """The parameter arrays at the epoch-`warmup_epochs` probe."""
+    path = tmp_path / "probe.ckpt"
+    path.write_bytes(train_mod.train(config, bundle, probe_epochs=(
+        config.warmup_epochs,)).snapshots[config.warmup_epochs])
+    result = train_mod.load_checkpoint(path)
+    return [a for net in (result.encoder, result.projection)
+            for a in net.arrays().values()]
+
+
+def test_warmup_free_fields_leave_the_warmup_alone(tmp_path):
+    config = _small_config()
+    bundle = generate_synthetic(config, config.seed)
+    key = train_mod.warmup_key(config, bundle)
+    want = _warmup_params(config, bundle, tmp_path)
+    for name in train_mod.WARMUP_FREE:
+        changed = replace(config, **{name: _other_value(config, name)})
+        assert train_mod.warmup_key(changed, bundle) == key, name
+        got = _warmup_params(changed, bundle, tmp_path)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), name
+
+
+def test_every_other_field_changes_the_warmup_key():
+    config = _small_config()
+    bundle = generate_synthetic(config, config.seed)
+    key = train_mod.warmup_key(config, bundle)
+    others = [f.name for f in fields(TrainConfig)
+              if f.name not in train_mod.WARMUP_FREE]
+    for name in others:
+        changed = replace(config, **{name: _other_value(config, name)})
+        assert train_mod.warmup_key(changed, bundle) != key, name
+    other_rows = replace(bundle, id_train=bundle.id_train[::-1].copy())
+    assert train_mod.warmup_key(config, other_rows) != key
+
+
+def test_sweep_checks_every_cluster_count_before_training(monkeypatch, capsys):
+    monkeypatch.setattr(ablate, "train", lambda *a, **kw: pytest.fail(
+        "a variant trained before the cluster counts were checked"))
+    rc = cli.main(["ablate", "--sweep", "cluster-count", "--seeds", "1",
+                   "--set", "components=2", "--set", "train_per_component=4"])
+    assert rc == 2
+    assert ("sweep cluster-count variant r=10: clusters=10 exceeds the 8 "
+            "training rows") in capsys.readouterr().err
 
 
 def _text_positions(blob):
