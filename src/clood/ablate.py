@@ -17,29 +17,29 @@ from .data import generate_synthetic
 from .errors import ConfigError
 from .train import evaluate, mean_max_center_similarity, train
 
-# (label, config) variants of each sweep around a base config
+# (label, overrides) variants of each sweep around a base config
 _VARIANTS = {
     "loss-terms": lambda c: [
-        ("self_only", replace(c, use_ccl=False, use_cil=False)),
-        ("self+ccl", replace(c, use_ccl=True, use_cil=False)),
-        ("self+cil", replace(c, use_ccl=False, use_cil=True)),
-        ("full", replace(c, use_ccl=True, use_cil=True)),
+        ("self_only", dict(use_ccl=False, use_cil=False)),
+        ("self+ccl", dict(use_ccl=True, use_cil=False)),
+        ("self+cil", dict(use_ccl=False, use_cil=True)),
+        ("full", dict(use_ccl=True, use_cil=True)),
     ],
     "cluster-layer": lambda c: [
-        ("self_only", replace(c, use_ccl=False, use_cil=False)),
-        ("projection", replace(c, clustering_layer="projection")),
-        ("embedding", replace(c, clustering_layer="embedding")),
+        ("self_only", dict(use_ccl=False, use_cil=False)),
+        ("projection", dict(clustering_layer="projection")),
+        ("embedding", dict(clustering_layer="embedding")),
     ],
     "schedule": lambda c: [
-        ("no_warmup_u10", replace(c, warmup_epochs=0, update_interval=10)),
-        ("warmup_u_batch", replace(c, update_per_batch=True)),
-        ("warmup_u1", replace(c, update_interval=1)),
-        ("warmup_u10", replace(c, update_interval=10)),
-        ("warmup_u50", replace(c, update_interval=50)),
+        ("no_warmup_u10", dict(warmup_epochs=0, update_interval=10)),
+        ("warmup_u_batch", dict(update_per_batch=True)),
+        ("warmup_u1", dict(update_interval=1)),
+        ("warmup_u10", dict(update_interval=10)),
+        ("warmup_u50", dict(update_interval=50)),
     ],
     # half, equal to and five times the mixture's component count
     "cluster-count": lambda c: [
-        (f"r={r}", replace(c, clusters=r))
+        (f"r={r}", dict(clusters=r))
         for r in sorted({max(2, c.components // 2), c.components,
                          5 * c.components})
     ],
@@ -53,10 +53,17 @@ _warm = {}
 
 
 def variants(name, base):
-    """The (label, config) variants of sweep `name` around `base`."""
+    """The (label, config) variants of sweep `name` around `base`; a
+    variant's invalid config is a ConfigError naming it."""
     if name not in _VARIANTS:
         raise ConfigError(f"unknown sweep {name!r}; choose {', '.join(SWEEPS)}")
-    return _VARIANTS[name](base)
+    out = []
+    for label, overrides in _VARIANTS[name](base):
+        try:
+            out.append((label, replace(base, **overrides)))
+        except ConfigError as e:
+            raise ConfigError(f"sweep {name} variant {label}: {e}") from None
+    return out
 
 
 def run_one(config):
@@ -80,16 +87,9 @@ def run_sweep(name, base=None, n_seeds=5):
     if n_seeds < 1:
         raise ConfigError(f"a sweep needs at least one seed, got {n_seeds}")
     base = base or benchmark_config()
-    sweep = variants(name, base)
-    # the row count `generate_synthetic` draws, checked before any training
-    for label, cfg in sweep:
-        m = cfg.components * cfg.train_per_component
-        if m < cfg.clusters:
-            raise ConfigError(f"sweep {name} variant {label}: clusters="
-                              f"{cfg.clusters} exceeds the {m} training rows")
     want_sim = name == "cluster-count"
     rows = []
-    for label, cfg in sweep:
+    for label, cfg in variants(name, base):
         aurocs, sims = {}, []
         for s in range(n_seeds):
             result, bundle = run_one(replace(cfg, seed=base.seed + s))

@@ -18,8 +18,7 @@ from .errors import DomainError
 def normalize_rows(x):
     """Each row of `x`, as float64, divided by its L2 norm, and the norms."""
     x = np.asarray(x, dtype=np.float64)
-    # np.linalg.norm's own 2-norm path, without its dispatch
-    norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    norms = np.linalg.norm(x, axis=1)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
         raise DomainError(f"zero-norm row {bad[0]} cannot be normalized")

@@ -97,6 +97,7 @@ class TrainConfig(DatasetSpec):
             raise ConfigError("bad schedule: need warmup >= 0 and interval >= 1")
         if self.clusters < 2:
             raise ConfigError("clusters must be >= 2")
+        self.check_training_rows(self.components * self.train_per_component)
         if self.clustering_layer not in ("embedding", "projection"):
             raise ConfigError(f"bad clustering_layer {self.clustering_layer!r}")
         if self.score_layer not in ("embedding", "projection"):
@@ -113,6 +114,12 @@ class TrainConfig(DatasetSpec):
             raise ConfigError("aug_mask_prob must lie in [0, 1)")
         if not 0.0 <= self.aug_gain < 1.0:
             raise ConfigError("aug_gain must lie in [0, 1)")
+
+    def check_training_rows(self, m):
+        """ConfigError unless m training rows can fill `clusters` clusters."""
+        if m < self.clusters:
+            raise ConfigError(
+                f"clusters={self.clusters} exceeds the {m} training rows")
 
     def to_dict(self):
         out = {}

@@ -8,7 +8,6 @@ with respect to the unit rows)`. Centers, assignments and concentrations
 are constants within a step.
 """
 
-import functools
 import warnings
 
 import numpy as np
@@ -26,27 +25,6 @@ def _self_infonce(unit, tau, mask, pos_weights, anchor_weights):
     return value, g @ unit + g.T @ unit
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=None)
-def _others(n):
-    """The n x n mask of every entry off the diagonal, read-only."""
-    return _read_only(~np.eye(n, dtype=bool))[0]
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_weights(n):
-    """Positive weights pairing rows 2k and 2k + 1, and uniform anchor
-    weights, for a batch of n rows; read-only."""
-    pos = np.zeros((n, n))
-    pos[np.arange(n), np.arange(n) ^ 1] = 1.0
-    return _read_only(pos, np.full(n, 1.0 / n))
-
-
 def nt_xent_pair(i, j, unit, tau):
     """Temperature-scaled contrastive loss for the ordered pair (i, j).
 
@@ -59,7 +37,7 @@ def nt_xent_pair(i, j, unit, tau):
         raise ContractError("need at least two rows")
     pos, anchor = np.zeros((n, n)), np.zeros(n)
     pos[i, j] = anchor[i] = 1.0
-    return _self_infonce(unit, tau, _others(n), pos, anchor)
+    return _self_infonce(unit, tau, ~np.eye(n, dtype=bool), pos, anchor)
 
 
 def self_supervised_loss(unit, tau):
@@ -70,7 +48,10 @@ def self_supervised_loss(unit, tau):
     n = len(unit)
     if n < 2 or n % 2 != 0:
         raise ContractError(f"row count must be even and >= 2, got {n}")
-    return _self_infonce(unit, tau, _others(n), *_pair_weights(n))
+    pos = np.zeros((n, n))
+    pos[np.arange(n), np.arange(n) ^ 1] = 1.0
+    return _self_infonce(unit, tau, ~np.eye(n, dtype=bool), pos,
+                         np.full(n, 1.0 / n))
 
 
 def cluster_center_loss(unit, centers, assignments, phis):
@@ -112,7 +93,7 @@ def cluster_instance_loss(unit, assignments, tau):
     if len(assignments) != n:
         raise ContractError("one assignment per row required")
 
-    others = _others(n)
+    others = ~np.eye(n, dtype=bool)
     pos_mask = (assignments[:, None] == assignments[None, :]) & others
     counts = pos_mask.sum(axis=1)
     anchors = counts > 0

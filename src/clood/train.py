@@ -278,8 +278,7 @@ def train(config, bundle, probe_epochs=(), warm=None):
     params = [*encoder.arrays().values(), *projection.arrays().values()]
 
     m = bundle.id_train.shape[0]
-    if m < config.clusters:
-        raise ConfigError("training set smaller than the cluster count")
+    config.check_training_rows(m)
     state = None
     result = TrainResult(encoder=encoder, projection=projection,
                          cluster_state=None, config=config)
@@ -331,7 +330,7 @@ def train(config, bundle, probe_epochs=(), warm=None):
             # state is None until the first refit, which opens the joint phase
             total, l_self, l_cluster, grads = step_gradients(
                 config, encoder, projection, views, state)
-            if not math.isfinite(total):
+            if not np.isfinite(total):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {b}")
             for p, g in zip(params, grads):

@@ -36,7 +36,8 @@ def _small_run(**kw):
     ("tau", 0.0), ("lambda_weight", 1.5), ("phi_floor", 0.0),
     ("warmup_epochs", -1), ("update_interval", 0),
     ("lr", float("nan")), ("tau", float("inf")), ("seed", -1),
-    ("aug_noise", -1.0), ("kmeans_max_iters", 0), ("kmeans_max_iters", -1)])
+    ("aug_noise", -1.0), ("kmeans_max_iters", 0), ("kmeans_max_iters", -1),
+    ("clusters", 401)])
 def test_config_rejects_bad_value(key, value):
     with pytest.raises(ConfigError):
         TrainConfig(**{key: value})
@@ -132,7 +133,8 @@ class TestTrainLoop:
         config = _small_config(clusters=2)
         bundle = generate_synthetic(config, 0)
         bundle.id_train = bundle.id_train[:1]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="clusters=2 exceeds the 1 training rows"):
             train_mod.train(config, bundle)
 
     def test_write_metrics(self, tmp_path):
