@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields, replace
 
 from .data import DatasetSpec
 from .errors import ConfigError
+from .scoring import check_k_top
 
 
 def _parse_widths(text):
@@ -116,10 +117,13 @@ class TrainConfig(DatasetSpec):
             raise ConfigError("aug_gain must lie in [0, 1)")
 
     def check_training_rows(self, m):
-        """ConfigError unless m training rows can fill `clusters` clusters."""
+        """ConfigError unless m training rows can fill `clusters` clusters
+        and, for `var`, hold the top-K of a bank of those rows."""
         if m < self.clusters:
             raise ConfigError(
                 f"clusters={self.clusters} exceeds the {m} training rows")
+        if self.score_kind == "var":
+            check_k_top(self.k_top, m)
 
     def to_dict(self):
         out = {}

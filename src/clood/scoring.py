@@ -1,7 +1,9 @@
 """OOD score functions over a bank of training features, plus exact AUROC."""
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,7 +17,11 @@ _CHUNK_ENTRIES = 1 << 18
 
 @dataclass
 class ReferenceBank:
-    """Training-set features test samples are scored against."""
+    """Training-set features test samples are scored against.
+
+    What scoring derives from the rows is built on first use and kept, so
+    the rows must not change once the bank has scored.
+    """
 
     features: np.ndarray
 
@@ -26,6 +32,47 @@ class ReferenceBank:
 
     def __len__(self):
         return self.features.shape[0]
+
+    @cached_property
+    def _norms(self):
+        return np.linalg.norm(self.features, axis=1)
+
+    @cached_property
+    def _finite(self):
+        """True when every row norm is finite.
+
+        Then no candidate of a unit query can overflow: a partial sum of
+        b . q is at most ||b|| ||q|| in magnitude.
+        """
+        return bool(np.isfinite(self._norms).all())
+
+    @cached_property
+    def _negated(self):
+        """The bank, negated and transposed into a contiguous (d, n) array."""
+        rows = self.features.T.copy()
+        return np.negative(rows, out=rows)
+
+    @cached_property
+    def _tiles(self):
+        """Norm-ordered tiles for `cos`, or None to scan the bank whole.
+
+        The rows, stably sorted by norm, largest first, are cut into
+        contiguous transposed (d, width) tiles, the last one taking a lone
+        leftover row. Next to them: the norm of the first row after each
+        tile but the last, the largest norm of all rows after it. A bank
+        that fits in one tile, or has a non-finite row norm, gets None.
+        """
+        width = _tile_width()
+        if len(self) <= width or not self._finite:
+            return None
+        order = np.argsort(-self._norms, kind="stable")
+        starts = list(range(0, len(self), width))
+        if len(self) - starts[-1] == 1:
+            starts.pop()
+        ends = starts[1:] + [len(self)]
+        tiles = [np.ascontiguousarray(self.features[order[a:b]].T)
+                 for a, b in zip(starts, ends)]
+        return tiles, self._norms[order[starts[1:]]]
 
 
 @dataclass
@@ -68,6 +115,14 @@ def auroc(id_scores, ood_scores):
     return float(u / (id_scores.size * ood_scores.size))
 
 
+def check_k_top(k_top, rows):
+    """ConfigError unless `var`'s top-K fits a bank of `rows` rows: its
+    spread needs two rows or more."""
+    if not 2 <= k_top <= rows:
+        raise ConfigError(f"k_top must lie in [2, {rows}] for a bank of "
+                          f"{rows} rows, got {k_top}")
+
+
 def score_set(bank, features, score_kind, k_top=10):
     """Score every row of `features` against the bank.
 
@@ -75,32 +130,110 @@ def score_set(bank, features, score_kind, k_top=10):
     product with the unit query. `cos` is the best candidate; `var`
     divides it by the spread of the top-K bank rows by candidate score
     (ties to the lowest index; `_top_k` selects them in linear time),
-    clamped at 1e-8. Queries are scored in chunks that hold about
-    _CHUNK_ENTRIES entries.
+    clamped at 1e-8.
+
+    `var` scores chunks of queries that hold about _CHUNK_ENTRIES entries
+    against the whole bank, prepared once as a negated transposed copy, so
+    the best candidate is the first of the top-K. `cos` scans the bank's
+    norm-ordered tiles (`_cos_scores`) and stops a query once no row left
+    can beat its best; a bank that fits in one tile, or has a non-finite
+    row norm, is scanned whole, a chunk at a time. No product has a single
+    row on either side: BLAS computes those on another path, whose last
+    bit differs, so a query scores the same alone and in a batch.
     """
     if score_kind not in ("cos", "var"):
         raise ConfigError(f"unknown score kind {score_kind!r}")
-    if score_kind == "var" and not 2 <= k_top <= len(bank):
-        raise ConfigError(f"k_top must lie in [2, {len(bank)}], got {k_top}")
+    if score_kind == "var":
+        check_k_top(k_top, len(bank))
     queries = normalize_rows(features)[0]
+    if score_kind == "cos":
+        return _cos_scores(bank, queries)
     scores = np.empty(queries.shape[0])
-    # a query holds its candidates and, for var, its top-K bank rows
-    per_query = len(bank) + (k_top * bank.features.shape[1]
-                             if score_kind == "var" else 0)
+    # a query holds its candidates and its top-K bank rows
+    per_query = len(bank) + k_top * bank.features.shape[1]
     step = max(1, _CHUNK_ENTRIES // per_query)
     for start in range(0, queries.shape[0], step):
-        cand = queries[start:start + step] @ bank.features.T
-        best = cand.max(axis=1)
-        if score_kind == "var":
-            # cand is not read again: negate it in place, largest first
-            top = _top_k(np.negative(cand, out=cand), k_top)
-            # the gathered rows are a fresh copy: centre and square in place
-            dev = bank.features[top]
-            dev -= dev.mean(axis=1, keepdims=True)
-            np.square(dev, out=dev)
-            spread = np.sqrt(dev.sum(axis=(1, 2)) / (k_top - 1))
-            best = best / np.maximum(spread, 1e-8)
-        scores[start:start + step] = best
+        neg = _product(queries[start:start + step], bank._negated)
+        top = _top_k(neg, k_top)
+        # a NaN candidate can only come from a row with a non-finite norm
+        lowest = (np.take_along_axis(neg, top[:, :1], axis=1)[:, 0]
+                  if bank._finite else neg.min(axis=1))
+        # the gathered rows are a fresh copy: centre and square in place
+        dev = bank.features[top]
+        dev -= dev.mean(axis=1, keepdims=True)
+        np.square(dev, out=dev)
+        spread = np.sqrt(dev.sum(axis=(1, 2)) / (k_top - 1))
+        scores[start:start + step] = -lowest / np.maximum(spread, 1e-8)
+    return scores
+
+
+def _tile_width():
+    """Bank rows per `cos` tile, about the square root of _CHUNK_ENTRIES;
+    a block of queries times a tile holds no more than that many entries."""
+    return max(2, math.isqrt(_CHUNK_ENTRIES))
+
+
+def _product(queries, rows):
+    """queries @ rows, with a lone query (or bank row) doubled first, so
+    that BLAS takes the path a batch takes."""
+    if rows.shape[1] == 1:
+        rows = np.repeat(rows, 2, axis=1)
+    if queries.shape[0] == 1:
+        return (np.repeat(queries, 2, axis=0) @ rows)[:1]
+    return queries @ rows
+
+
+def _cos_scores(bank, queries):
+    """Best candidate of each unit query, exactly.
+
+    With the bank's norm-ordered tiles (`ReferenceBank._tiles`), each
+    block of queries is multiplied by one tile after another, largest
+    norms first; a query drops out once its best candidate reaches the
+    limit of the tile it would take next. The limit bounds every computed
+    candidate of the rows left, so the maximum, and every bit of it, is
+    that of the unpruned scan over the same tiles. Without tiles, the
+    whole bank is one tile, and a block holds _CHUNK_ENTRIES // n queries.
+
+    The limit. Let u = 2**-53, d the row width and g = d u / (1 - d u).
+    Without underflow or overflow, a d-term dot product computed in any
+    order, with or without fused multiply-adds, has
+        fl(b . q) <= (1 + g) ||b|| ||q||,
+    and a computed norm v = fl(||x||) has ||x|| <= v / ((1 - u) sqrt(1 - g)).
+    Hence
+        fl(b . q) <= v_b v_q (1 + g) / ((1 - u)^2 (1 - g))
+                   = v_b v_q (1 + (2d + 3) u + O(d^2 u^2)),
+    with v_b the largest norm among the rows left (the first row of the
+    next tile) and v_q the largest query norm. The limit is
+        v_b (v_q (1 + 4(d + 2) u)) + d 2**-536,   4u = 2**-51;
+    its four roundings take off at most 4u, so the factor keeps a margin
+    of about 2d u while d u < 2**-10. Underflow costs each product or
+    square at most 2**-1074, so the dot product gains at most d 2**-1074
+    and a row norm loses at most sqrt(d) 2**-537; the term d 2**-536
+    covers both. A unit query's largest entry is about 1 / sqrt(d) or
+    more, so its own norm does not underflow. Only a row of non-finite
+    norm can overflow, and such a bank is not pruned. A NaN query scores
+    NaN however far it is scanned, so v_q skips it.
+    """
+    if bank._tiles is None:
+        tiles, limits = [bank.features.T], []
+    else:
+        tiles, after = bank._tiles
+        d = queries.shape[1]
+        v_q = np.fmax.reduce(np.linalg.norm(queries, axis=1), initial=0.0)
+        limits = after * (v_q * (1 + (d + 2) * 2.0 ** -51)) + d * 2.0 ** -536
+    block = max(1, _CHUNK_ENTRIES // tiles[0].shape[1])
+    scores = np.empty(queries.shape[0])
+    for start in range(0, queries.shape[0], block):
+        q = queries[start:start + block]
+        best = _product(q, tiles[0]).max(axis=1)
+        active = np.arange(q.shape[0])
+        for tile, limit in zip(tiles[1:], limits):
+            active = active[best[active] < limit]
+            if not active.size:
+                break
+            best[active] = np.maximum(
+                best[active], _product(q[active], tile).max(axis=1))
+        scores[start:start + block] = best
     return scores
 
 

@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from clood import scoring
+from clood.autodiff import normalize_rows
 from clood.errors import ConfigError, ContractError, DomainError
 
 
@@ -92,9 +93,9 @@ class TestScoreVar:
 
 class TestScoreSet:
     def test_chunks_match_oracles_and_one_row_calls(self, monkeypatch):
-        # a chunk holds three cos queries (25 candidates each) or one var
-        # query (25 candidates and 6 top rows of 4), so 11 queries make
-        # four chunks for cos and eleven for var
+        # cos scans tiles of 8 bank rows (8, 8 and 9) in blocks of 9
+        # queries; a var chunk holds one query (25 candidates and 6 top
+        # rows of 4), so 11 queries make eleven chunks
         monkeypatch.setattr(scoring, "_CHUNK_ENTRIES", 3 * 25)
         rng = np.random.default_rng(6)
         feats = rng.standard_normal((25, 4))
@@ -107,8 +108,59 @@ class TestScoreSet:
                 oracles.score_cos_oracle(feats.tolist(), z.tolist()), abs=1e-10)
             assert var[i] == pytest.approx(
                 oracles.score_var_oracle(feats.tolist(), z.tolist(), 6), abs=1e-10)
-            assert cos[i] == pytest.approx(scoring.score_cos(bank, z), rel=1e-12)
-            assert var[i] == pytest.approx(scoring.score_var(bank, z, 6), rel=1e-12)
+            assert cos[i] == scoring.score_cos(bank, z)
+            assert var[i] == scoring.score_var(bank, z, 6)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_cos_scan_matches_unpruned_tiles(self, data):
+        # tiles of 2 to 6 rows; a bank of one row, of one tile or of many,
+        # with norms over eight decades, repeated rows and maybe one
+        # non-finite entry; queries near bank rows stop the scan early
+        chunk = data.draw(st.integers(4, 48))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "_CHUNK_ENTRIES", chunk)
+            width = scoring._tile_width()
+            n = data.draw(st.one_of(st.just(1), st.just(width),
+                                    st.integers(width + 1, 8 * width)))
+            d = data.draw(st.integers(1, 6))
+            p = data.draw(st.integers(1, n))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            pool = (rng.standard_normal((p, d))
+                    * 10.0 ** rng.uniform(-4, 4, (p, 1)))
+            rows = pool[rng.integers(0, p, n)]
+            bad = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+            if bad is not None:
+                rows[rng.integers(n), rng.integers(d)] = bad
+            m = data.draw(st.integers(1, 9))
+            noise = 10.0 ** rng.uniform(-6, 1)
+            queries = (rows[rng.integers(0, n, m)] * rng.uniform(0.5, 2, (m, 1))
+                       + noise * rng.standard_normal((m, d)))
+            bank = _bank(rows)
+            got = scoring.score_set(bank, queries, "cos")
+            alone = [scoring.score_cos(bank, z) for z in queries]
+        want = _unpruned_cos(bank, queries)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, alone, equal_nan=True)
+        if bad is None:
+            unit = normalize_rows(queries)[0]
+            np.testing.assert_allclose(got, (unit @ rows.T).max(axis=1),
+                                       rtol=1e-12)
+
+    def test_long_parallel_row_stops_scan_after_first_tile(self, monkeypatch):
+        # tiles of 4 rows: the 100-long row along the query beats every
+        # other row, whose norms are below 1
+        monkeypatch.setattr(scoring, "_CHUNK_ENTRIES", 16)
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((20, 3))
+        rows /= 2 * np.linalg.norm(rows, axis=1)[:, None]
+        rows[13] = [100.0, 0.0, 0.0]
+        products, product = [], scoring._product
+        monkeypatch.setattr(scoring, "_product", lambda q, r: (
+            products.append(r.shape) or product(q, r)))
+        got = scoring.score_set(_bank(rows), [[3.0, 0.0, 0.0]], "cos")
+        assert got[0] == 100.0
+        assert products == [(3, 4)]
 
     def test_tie_at_top_k_boundary_takes_lowest_index(self, monkeypatch):
         # one query per var chunk
@@ -160,6 +212,24 @@ class TestScoreSet:
         queries = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DomainError, match="row 2"):
             scoring.score_set(_bank(np.eye(2)), queries, kind, k_top=2)
+
+
+def _unpruned_cos(bank, queries):
+    """cos over every tile the scan uses: all queries at once (two or more
+    rows) times each tile (two or more rows), best over the tiles."""
+    unit = normalize_rows(queries)[0]
+    both = np.vstack([unit, unit])
+    if bank._tiles is None:
+        tiles = [bank.features.T]
+    else:
+        tiles = bank._tiles[0]
+        # the tiles hold every bank row once
+        counts = [np.unique(r, axis=0, return_counts=True)
+                  for r in (np.hstack(tiles).T, bank.features)]
+        assert all(np.array_equal(a, b) for a, b in zip(*counts))
+    best = [(both @ (np.hstack([t, t]) if t.shape[1] == 1 else t)).max(axis=1)
+            for t in tiles]
+    return np.max(best, axis=0)[:len(unit)]
 
 
 class TestTopK:

@@ -82,7 +82,8 @@ def _widths(draw):
     clustering_layer=st.sampled_from(["embedding", "projection"]),
     use_cil=st.booleans(), aug_gain=st.floats(0.0, 1.0, exclude_max=True),
     kmeans_tol=st.floats(allow_nan=False, allow_infinity=False),
-    score_kind=st.sampled_from(["cos", "var"]), k_top=st.integers(1, 10**6))))
+    # var's top-K must fit the 400 training rows of the default mixture
+    score_kind=st.sampled_from(["cos", "var"]), k_top=st.integers(2, 400))))
 def test_config_round_trips_through_dict(config):
     back = config_from_dict(config.to_dict())
     assert back == config
@@ -406,10 +407,27 @@ def test_sweep_checks_every_cluster_count_before_training(monkeypatch, capsys):
     monkeypatch.setattr(ablate, "train", lambda *a, **kw: pytest.fail(
         "a variant trained before the cluster counts were checked"))
     rc = cli.main(["ablate", "--sweep", "cluster-count", "--seeds", "1",
-                   "--set", "components=2", "--set", "train_per_component=4"])
+                   "--set", "components=2", "--set", "train_per_component=4",
+                   "--set", "k_top=5"])
     assert rc == 2
     assert ("sweep cluster-count variant r=10: clusters=10 exceeds the 8 "
             "training rows") in capsys.readouterr().err
+
+
+def test_sweep_checks_k_top_against_training_rows_before_training(
+        monkeypatch, capsys):
+    # var's top-K of 10 cannot fit a bank of the 8 training rows
+    monkeypatch.setattr(ablate, "train", lambda *a, **kw: pytest.fail(
+        "a variant trained before k_top was checked"))
+    rc = cli.main(["ablate", "--sweep", "loss-terms", "--seeds", "1",
+                   "--set", "components=2", "--set", "train_per_component=4",
+                   "--set", "clusters=2"])
+    assert rc == 2
+    assert ("k_top must lie in [2, 8] for a bank of 8 rows, got 10"
+            in capsys.readouterr().err)
+    # cos has no top-K
+    TrainConfig(score_kind="cos", components=2, train_per_component=4,
+                clusters=2)
 
 
 def _text_positions(blob):
