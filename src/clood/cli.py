@@ -1,11 +1,16 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, export, ablate. Exit codes: 0 on
-success, 2 on configuration or file errors, 3 on numeric failures.
+success, 2 on configuration or file errors, 3 on numeric failures. A
+command runs with floating-point overflow, invalid operations and division
+by zero raised, so a value that overflows ends in exit 3, not in a
+silently wrong result.
 """
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import ablate as ablate_mod
 from .config import benchmark_config, config_from_dict, load_config_file
@@ -134,7 +139,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args.func(args)
+    except FloatingPointError as e:
+        print(f"numeric failure in {args.command}: {e}", file=sys.stderr)
+        return 3
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -11,6 +11,9 @@ import numpy as np
 
 from .errors import ShapeError
 
+# rows per block of `layer_features`
+_FORWARD_ROWS = 1024
+
 
 @dataclass
 class MLPParams:
@@ -68,17 +71,22 @@ def init_params(seed, encoder_widths, projection_widths):
     return _init_mlp(rng, encoder_widths), _init_mlp(rng, projection_widths)
 
 
-def mlp_forward_np(params, x):
-    """The MLP's input and every layer's output; the last is the MLP's output.
-
-    Hidden outputs are taken after the ReLU.
-    """
+def _check_input(params, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != params.weights[0].shape[0]:
         raise ShapeError(
             f"input width {x.shape[1]} does not match "
             f"first layer fan-in {params.weights[0].shape[0]}"
         )
+    return x
+
+
+def mlp_forward_np(params, x):
+    """The MLP's input and every layer's output; the last is the MLP's output.
+
+    Hidden outputs are taken after the ReLU.
+    """
+    x = _check_input(params, x)
     acts = [x]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -87,6 +95,38 @@ def mlp_forward_np(params, x):
             x = np.maximum(x, 0.0)
         acts.append(x)
     return acts
+
+
+def layer_features(encoder, projection, x, layer):
+    """The rows of `x` at the "embedding" layer, or else at the projection.
+
+    The last of `mlp_forward_np`'s outputs, through the encoder and, for
+    the projection, the head, but only the output is kept: blocks of about
+    _FORWARD_ROWS rows go through every layer in turn, in place, into one
+    preallocated array. A block's products are the ones `mlp_forward_np`
+    takes on those rows alone. BLAS picks its kernel by a product's shape,
+    so the last bit of an entry can depend on the row count, and the
+    output equals `mlp_forward_np`'s on all of `x` bit for bit only where
+    it does not, as for the benchmark's widths. No block holds a lone row
+    when `x` has more: BLAS computes a one-row product on another path.
+    """
+    x = _check_input(encoder, x)
+    nets = [encoder] if layer == "embedding" else [encoder, projection]
+    n = x.shape[0]
+    out = np.empty((n, nets[-1].weights[-1].shape[1]))
+    # no block starts at the last row, unless it is the only one
+    starts = range(0, max(n - 1, 1), _FORWARD_ROWS)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        h = x[start:stop]
+        for net in nets:
+            last = len(net.weights) - 1
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                h = h @ w
+                h += b
+                if i != last:
+                    np.maximum(h, 0.0, out=h)
+        out[start:stop] = h
+    return out
 
 
 def mlp_backward(params, acts, grad):

@@ -2,8 +2,10 @@
 
 import csv
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,6 +85,9 @@ class ScoreReport:
     ood_scores: dict          # set name -> scores array
     aurocs: dict              # set name -> float in [0, 1]
     config_hash: str = ""
+    # queries whose `var` spread was clamped at 1e-8: ID test, per OOD set
+    id_clamped: int = 0
+    ood_clamped: dict = field(default_factory=dict)
 
 
 def score_cos(bank, z):
@@ -123,23 +128,27 @@ def check_k_top(k_top, rows):
                           f"{rows} rows, got {k_top}")
 
 
-def score_set(bank, features, score_kind, k_top=10):
+def score_set(bank, features, score_kind, k_top=10, clamped=False):
     """Score every row of `features` against the bank.
 
     A bank row's candidate score, sim(bank_m, z) * ||bank_m||, is its dot
     product with the unit query. `cos` is the best candidate; `var`
     divides it by the spread of the top-K bank rows by candidate score
     (ties to the lowest index; `_top_k` selects them in linear time),
-    clamped at 1e-8.
+    clamped at 1e-8. With `clamped`, also returns which queries' spread
+    was clamped (none under `cos`).
 
     `var` scores chunks of queries that hold about _CHUNK_ENTRIES entries
     against the whole bank, prepared once as a negated transposed copy, so
-    the best candidate is the first of the top-K. `cos` scans the bank's
-    norm-ordered tiles (`_cos_scores`) and stops a query once no row left
-    can beat its best; a bank that fits in one tile, or has a non-finite
-    row norm, is scanned whole, a chunk at a time. No product has a single
-    row on either side: BLAS computes those on another path, whose last
-    bit differs, so a query scores the same alone and in a batch.
+    the best candidate is the first of the top-K; a chunk's top-K rows,
+    at most half of _CHUNK_ENTRIES entries, are gathered into one
+    workspace kept for the call. `cos` scans the bank's norm-ordered tiles
+    (`_cos_scores`) and stops a query once no row left can beat its best;
+    a bank that fits in one tile, or has a non-finite row norm, is scanned
+    whole, a chunk at a time. No product has a single row on either side:
+    BLAS computes those on another path, whose last bit differs. BLAS
+    also picks its kernel by a product's shape, so the last bit of a
+    score can depend on how many queries share its product.
     """
     if score_kind not in ("cos", "var"):
         raise ConfigError(f"unknown score kind {score_kind!r}")
@@ -147,24 +156,39 @@ def score_set(bank, features, score_kind, k_top=10):
         check_k_top(k_top, len(bank))
     queries = normalize_rows(features)[0]
     if score_kind == "cos":
-        return _cos_scores(bank, queries)
-    scores = np.empty(queries.shape[0])
-    # a query holds its candidates and its top-K bank rows
-    per_query = len(bank) + k_top * bank.features.shape[1]
-    step = max(1, _CHUNK_ENTRIES // per_query)
-    for start in range(0, queries.shape[0], step):
+        scores = _cos_scores(bank, queries)
+        spread_clamped = np.zeros(len(queries), dtype=bool)
+    else:
+        scores, spread_clamped = _var_scores(bank, queries, k_top)
+    return (scores, spread_clamped) if clamped else scores
+
+
+def _var_scores(bank, queries, k_top):
+    """`var` scores of unit queries, and which of them had their spread
+    clamped."""
+    n, d = bank.features.shape
+    # a query holds its candidates and its top-K bank rows; a chunk's top-K
+    # rows take at most half of the entries
+    step = max(1, min(_CHUNK_ENTRIES // (n + k_top * d),
+                      _CHUNK_ENTRIES // 2 // (k_top * d)))
+    work = np.empty((min(step, len(queries)), k_top, d))
+    scores = np.empty(len(queries))
+    clamped = np.empty(len(queries), dtype=bool)
+    for start in range(0, len(queries), step):
         neg = _product(queries[start:start + step], bank._negated)
         top = _top_k(neg, k_top)
         # a NaN candidate can only come from a row with a non-finite norm
         lowest = (np.take_along_axis(neg, top[:, :1], axis=1)[:, 0]
                   if bank._finite else neg.min(axis=1))
-        # the gathered rows are a fresh copy: centre and square in place
-        dev = bank.features[top]
+        # "clip" writes straight into the workspace; the indices are in range
+        dev = np.take(bank.features, top, axis=0, out=work[:len(top)],
+                      mode="clip")
         dev -= dev.mean(axis=1, keepdims=True)
         np.square(dev, out=dev)
         spread = np.sqrt(dev.sum(axis=(1, 2)) / (k_top - 1))
+        clamped[start:start + step] = spread < 1e-8
         scores[start:start + step] = -lowest / np.maximum(spread, 1e-8)
-    return scores
+    return scores, clamped
 
 
 def _tile_width():
@@ -266,14 +290,44 @@ def _top_k(values, k):
 def build_report(bank, id_test_features, ood_features, score_kind, k_top=10,
                  config_hash=""):
     """Score ID test and every OOD set, with one AUROC per OOD set."""
-    id_scores = score_set(bank, id_test_features, score_kind, k_top)
-    ood_scores, aurocs = {}, {}
-    for name in sorted(ood_features):
-        ood_scores[name] = score_set(bank, ood_features[name], score_kind, k_top)
-        aurocs[name] = auroc(id_scores, ood_scores[name])
-    return ScoreReport(score_kind=score_kind, k_top=k_top,
-                       id_scores=id_scores, ood_scores=ood_scores,
-                       aurocs=aurocs, config_hash=config_hash)
+    names = sorted(ood_features)
+    parts = [np.asarray(x, dtype=np.float64)
+             for x in [id_test_features] + [ood_features[n] for n in names]]
+    return stacked_report(bank, np.concatenate(parts), len(parts[0]),
+                          {n: len(x) for n, x in zip(names, parts[1:])},
+                          score_kind, k_top, config_hash)
+
+
+def stacked_report(bank, features, id_rows, ood_rows, score_kind, k_top=10,
+                   config_hash=""):
+    """The report on `features`: the ID test set's `id_rows` rows, then
+    each OOD set's, in the order of `ood_rows` (set name -> row count),
+    scored by one `score_set` call.
+
+    A zero-norm row raises DomainError naming its set and its index there.
+    """
+    ends = list(accumulate([id_rows, *ood_rows.values()]))
+    spans = [slice(a, b) for a, b in zip([0, *ends], ends)]
+    try:
+        scores, clamped = score_set(bank, features, score_kind, k_top,
+                                    clamped=True)
+    except DomainError:
+        zero = np.flatnonzero(np.linalg.norm(features, axis=1) == 0.0)
+        if not zero.size:
+            raise
+        i = bisect_right(ends, zero[0])
+        raise DomainError(f"zero-norm row {zero[0] - spans[i].start} of set "
+                          f"{['id_test', *ood_rows][i]!r} cannot be "
+                          f"normalized") from None
+    scores = [scores[span] for span in spans]
+    counts = [int(np.count_nonzero(clamped[span])) for span in spans]
+    return ScoreReport(
+        score_kind=score_kind, k_top=k_top, id_scores=scores[0],
+        ood_scores=dict(zip(ood_rows, scores[1:])),
+        aurocs={name: auroc(scores[0], s)
+                for name, s in zip(ood_rows, scores[1:])},
+        config_hash=config_hash, id_clamped=counts[0],
+        ood_clamped=dict(zip(ood_rows, counts[1:])))
 
 
 def write_report(report, scores_path, summary_path):
@@ -288,7 +342,9 @@ def write_report(report, scores_path, summary_path):
                 w.writerow([name, i, repr(float(s))])
     with open(summary_path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["set", "score_kind", "k_top", "auroc", "config_hash"])
+        w.writerow(["set", "score_kind", "k_top", "auroc", "config_hash",
+                    "id_clamped", "ood_clamped"])
         for name in sorted(report.aurocs):
             w.writerow([name, report.score_kind, report.k_top,
-                        repr(report.aurocs[name]), report.config_hash])
+                        repr(report.aurocs[name]), report.config_hash,
+                        report.id_clamped, report.ood_clamped.get(name, 0)])

@@ -191,14 +191,9 @@ def check_width(config, bundle):
             f"{config.d_in} and encoder_widths[0] {config.encoder_widths[0]}")
 
 
-def _layer_features_np(encoder, projection, x, layer):
-    h = model.mlp_forward_np(encoder, x)[-1]
-    return h if layer == "embedding" else model.mlp_forward_np(projection, h)[-1]
-
-
 def _refit(config, encoder, projection, bundle, epoch):
-    feats = _layer_features_np(encoder, projection, bundle.id_train,
-                               config.clustering_layer)
+    feats = model.layer_features(encoder, projection, bundle.id_train,
+                                 config.clustering_layer)
     seed = int(np.random.SeedSequence([config.seed, 13, epoch]).generate_state(1)[0])
     return clustering.fit_state(
         feats, config.clusters, seed=seed, alpha=config.alpha,
@@ -375,8 +370,10 @@ def write_metrics(metrics, path):
 def evaluate(result, bundle, score_kind=None, k_top=None):
     """Score ID test and every OOD set against the training-feature bank.
 
-    `score_kind` and `k_top` default to the checkpoint's; an explicit
-    `k_top` must be positive, whatever the score kind.
+    The test rows of every set are stacked, go through one forward and
+    are scored by one `score_set` call. `score_kind` and `k_top` default
+    to the checkpoint's; an explicit `k_top` must be positive, whatever
+    the score kind.
     """
     config = result.config
     score_kind = score_kind or config.score_kind
@@ -385,20 +382,28 @@ def evaluate(result, bundle, score_kind=None, k_top=None):
     elif k_top < 1:
         raise ConfigError(f"k_top must be positive, got {k_top}")
     check_width(config, bundle)
-    feats = lambda x: _layer_features_np(result.encoder, result.projection,
-                                         x, config.score_layer)
+
+    def feats(x):
+        return model.layer_features(result.encoder, result.projection, x,
+                                    config.score_layer)
+
+    names = sorted(bundle.ood_sets)
     bank = scoring.ReferenceBank(feats(bundle.id_train))
-    ood = {name: feats(rows) for name, rows in bundle.ood_sets.items()}
-    return scoring.build_report(bank, feats(bundle.id_test), ood, score_kind,
-                                k_top=k_top, config_hash=config.hash())
+    queries = feats(np.concatenate(
+        [bundle.id_test] + [bundle.ood_sets[n] for n in names]))
+    return scoring.stacked_report(
+        bank, queries, len(bundle.id_test),
+        {n: len(bundle.ood_sets[n]) for n in names}, score_kind,
+        k_top=k_top, config_hash=config.hash())
 
 
 def mean_max_center_similarity(result, bundle):
     """Mean over ID test samples of max cosine similarity to any center."""
     if result.cluster_state is None:
         raise ConfigError("checkpoint has no cluster state")
-    feats = _layer_features_np(result.encoder, result.projection,
-                               bundle.id_test, result.config.clustering_layer)
+    feats = model.layer_features(result.encoder, result.projection,
+                                 bundle.id_test,
+                                 result.config.clustering_layer)
     centers = result.cluster_state.centers
     return float(np.mean(np.max(normalize_rows(feats)[0] @ centers.T, axis=1)))
 
@@ -413,7 +418,7 @@ def export_features(result, bundle, layer, path):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         for name, rows in sets:
-            feats = _layer_features_np(result.encoder, result.projection,
-                                       rows, layer)
+            feats = model.layer_features(result.encoder, result.projection,
+                                         rows, layer)
             for row in feats:
                 w.writerow([name] + [repr(float(x)) for x in row])

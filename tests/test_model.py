@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import clood.train as train_mod
 from clood import model
 from clood.autodiff import finite_difference_check
 from clood.clustering import ClusterState
-from clood.config import TrainConfig
+from clood.config import TrainConfig, benchmark_config
 from clood.errors import ShapeError
 
 
@@ -86,6 +87,92 @@ def test_encode_batch_composition_consistent():
     np.testing.assert_array_equal(
         batch.projections,
         model.mlp_forward_np(proj, model.mlp_forward_np(enc, x)[-1])[-1])
+
+
+def _blocks(n, block):
+    """The row blocks layer_features takes: `block` rows each, the last
+    one taking a lone leftover row."""
+    cuts = list(range(block, n, block))
+    if cuts and n - cuts[-1] == 1:
+        cuts.pop()
+    return np.split(np.arange(n), cuts)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_layer_features_equal_forward_of_each_block(data):
+    # blocks of 2 to 5 rows; row counts that leave a lone row after the
+    # last full block are drawn as often as any other. Each block equals
+    # mlp_forward_np on its rows bit for bit, and all of `x` to rounding:
+    # a product's last bit can depend on its row count, as with fan-ins
+    # of 16 or more and fan-outs of 8k + 1 to 8k + 3 on OpenBLAS 0.3.31
+    block = data.draw(st.integers(2, 5))
+    n = data.draw(st.one_of(st.integers(1, 6 * block),
+                            st.integers(1, 5).map(lambda m: m * block + 1)))
+    enc_widths = data.draw(st.lists(st.integers(1, 40), min_size=2,
+                                    max_size=4))
+    proj_widths = [enc_widths[-1]] + data.draw(
+        st.lists(st.integers(1, enc_widths[-1]), min_size=1, max_size=3))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    enc, proj = model.init_params(seed, enc_widths, proj_widths)
+    x = np.random.default_rng(seed).standard_normal((n, enc_widths[0])) * 3
+
+    def forward(rows, layer):
+        h = model.mlp_forward_np(enc, rows)[-1]
+        return h if layer == "embedding" else model.mlp_forward_np(proj, h)[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_FORWARD_ROWS", block)
+        for layer in ("embedding", "projection"):
+            got = model.layer_features(enc, proj, x, layer)
+            want = np.vstack([forward(x[rows], layer)
+                              for rows in _blocks(n, block)])
+            assert got.tobytes() == want.tobytes()
+            np.testing.assert_allclose(got, forward(x, layer), rtol=1e-12,
+                                       atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 13, 600, 2049])
+def test_layer_features_bit_equal_full_forward_at_benchmark_widths(
+        monkeypatch, n):
+    # the bench's digests rest on this: at benchmark_config()'s widths a
+    # blocked forward gives mlp_forward_np's bits, blocks of 3 (13 rows
+    # end in a block of 4) or of 1 024 (2 049 rows end in 1 025)
+    config = benchmark_config()
+    enc, proj = model.init_params(n, config.encoder_widths,
+                                  config.projection_widths)
+    x = np.random.default_rng(n).standard_normal((n, config.d_in)) * 3
+    h = model.mlp_forward_np(enc, x)[-1]
+    want = {"embedding": h, "projection": model.mlp_forward_np(proj, h)[-1]}
+    if n < 1000:
+        monkeypatch.setattr(model, "_FORWARD_ROWS", 3)
+    for layer, rows in want.items():
+        assert model.layer_features(enc, proj, x, layer).tobytes() == \
+            rows.tobytes()
+
+
+def test_layer_features_never_take_a_lone_row(monkeypatch):
+    # 7 rows in blocks of 3: 3 then 4, not 3, 3 and 1
+    monkeypatch.setattr(model, "_FORWARD_ROWS", 3)
+    enc, proj = model.init_params(0, (4, 5, 3), (3, 2))
+    seen = []
+    weights = enc.weights[0]
+
+    class Spy(np.ndarray):
+        def __rmatmul__(self, other):
+            seen.append(other.shape[0])
+            return other @ np.asarray(self)
+
+    enc.weights[0] = weights.view(Spy)
+    x = np.random.default_rng(0).standard_normal((7, 4))
+    model.layer_features(enc, proj, x, "projection")
+    assert seen == [3, 4]
+
+
+def test_layer_features_reject_wrong_width():
+    enc, proj = model.init_params(0, (4, 3), (3, 2))
+    with pytest.raises(ShapeError, match="input width 5"):
+        model.layer_features(enc, proj, np.ones((2, 5)), "embedding")
 
 
 def _tiny_step(layer, lambda_weight=0.5, seed=2):

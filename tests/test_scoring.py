@@ -76,6 +76,31 @@ class TestScoreVar:
         got = scoring.score_var(bank, [1.0, 0.0], k_top=3)
         assert got == pytest.approx(2.0 / 1e-8)
 
+    def test_clamped_spreads_are_counted(self, tmp_path):
+        # five equal rows along x, two along +-y and three within 1e-10 of
+        # [-2, 0]: a query along x takes three equal rows (spread 0), one
+        # along -x three rows of spread about 1e-10, both clamped; one
+        # along y takes [0, 3] and two equal rows, a spread above 1e-8
+        bank = _bank(np.vstack([np.tile([[2.0, 0.0]], (5, 1)),
+                                [[0.0, 3.0], [0.0, -3.0]],
+                                [[-2.0, 0.0], [-2.0, 1e-10], [-2.0, -1e-10]]]))
+        queries = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.1], [-1.0, 0.0]])
+        _, clamped = scoring.score_set(bank, queries, "var", 3, clamped=True)
+        assert clamped.tolist() == [True, False, True, True]
+        _, clamped = scoring.score_set(bank, queries, "cos", clamped=True)
+        assert not clamped.any()
+        ood = {"near": queries[[0, 2, 3]], "far": queries[1:2]}
+        var = scoring.build_report(bank, queries, ood, "var", k_top=3)
+        assert (var.id_clamped, var.ood_clamped) == (3, {"far": 0, "near": 3})
+        cos = scoring.build_report(bank, queries, ood, "cos")
+        assert (cos.id_clamped, cos.ood_clamped) == (0, {"far": 0, "near": 0})
+        scoring.write_report(var, tmp_path / "s.csv", tmp_path / "a.csv")
+        rows = [line.split(",") for line in
+                (tmp_path / "a.csv").read_text().splitlines()]
+        assert [[r[0], *r[-2:]] for r in rows] == [
+            ["set", "id_clamped", "ood_clamped"], ["far", "3", "0"],
+            ["near", "3", "3"]]
+
     def test_tight_neighborhood_scores_higher_than_loose(self):
         rng = np.random.default_rng(2)
         tight = _bank([1.0, 0.0] + 0.01 * rng.standard_normal((20, 2)))
@@ -200,6 +225,25 @@ class TestScoreSet:
             got = scoring.score_set(_bank(feats), queries, "var", k)
         assert np.array_equal(got, oracles.score_var_sorted(feats, queries, k))
 
+    def test_var_chunks_with_a_lone_tail_match_stable_sort(self, monkeypatch):
+        # 10 candidates and 5 top rows of 4 per query: the top-K rows cap a
+        # chunk at 60 // 20 = 3 queries, below 120 // 30 = 4, so 10 queries
+        # make chunks of 3, 3, 3 and 1; bank entries are multiples of 1/2
+        # and unit queries have entries in {0, +-1/2, +-1}, so ties are exact
+        monkeypatch.setattr(scoring, "_CHUNK_ENTRIES", 120)
+        rng = np.random.default_rng(8)
+        feats = rng.integers(-4, 5, (10, 4)) / 2.0
+        queries = np.zeros((10, 4))
+        queries[np.arange(10), rng.integers(0, 4, 10)] = \
+            rng.choice([-2.0, 1.0], 10)
+        chunks, product = [], scoring._product
+        monkeypatch.setattr(scoring, "_product", lambda q, r: (
+            chunks.append(len(q)) or product(q, r)))
+        got = scoring.score_set(_bank(feats), queries, "var", 5)
+        assert chunks == [3, 3, 3, 1]
+        want = oracles.score_var_sorted(feats, queries, 5)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k", [2, 4])
     def test_nan_bank_rows_give_nan_var_scores(self, k):
         # with k=4 the fourth candidate is a NaN row's
@@ -316,6 +360,23 @@ class TestReport:
             scoring.write_report(rep, sp, ap)
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+
+    @pytest.mark.parametrize("kind", ["cos", "var"])
+    def test_zero_norm_row_names_its_set(self, kind):
+        rng = np.random.default_rng(9)
+        bank = _bank(rng.standard_normal((6, 3)))
+        ood = {"a": rng.standard_normal((2, 3)),
+               "b": rng.standard_normal((4, 3))}
+        ood["b"][1] = 0.0
+        with pytest.raises(DomainError, match="zero-norm row 1 of set 'b'"):
+            scoring.build_report(bank, rng.standard_normal((3, 3)), ood, kind,
+                                 k_top=2)
+        id_test = rng.standard_normal((3, 3))
+        id_test[2] = 0.0
+        with pytest.raises(DomainError,
+                           match="zero-norm row 2 of set 'id_test'"):
+            scoring.build_report(bank, id_test, {"a": ood["a"]}, kind,
+                                 k_top=2)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

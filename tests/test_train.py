@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import clood
 import clood.train as train_mod
-from clood import ablate, cli, losses, model
+from clood import ablate, cli, losses, model, scoring
 from clood.config import TrainConfig, benchmark_config, config_from_dict
 from clood.data import DatasetSpec, generate_synthetic
 from clood.errors import ConfigError, NumericError
@@ -217,6 +217,29 @@ class TestEvaluate:
         assert set(report.aurocs) == {"shifted", "scaled", "interp"}
         assert report.score_kind == result.config.score_kind
         assert report.config_hash == result.config.hash()
+
+    @pytest.mark.parametrize("kind", ["cos", "var"])
+    def test_one_pass_equals_scoring_each_set(self, kind):
+        # every set goes through one forward and one score_set call; each
+        # set's scores equal scoring it alone on the same features, a
+        # one-row set included
+        result, bundle = _small_run()
+        bundle.ood_sets["single"] = bundle.ood_sets["shifted"][:1]
+        report = train_mod.evaluate(result, bundle, score_kind=kind)
+        names = sorted(bundle.ood_sets)
+        sets = [bundle.id_test] + [bundle.ood_sets[n] for n in names]
+
+        def feats(x):
+            return model.layer_features(result.encoder, result.projection, x,
+                                        result.config.score_layer)
+
+        bank = scoring.ReferenceBank(feats(bundle.id_train))
+        stacked = np.split(feats(np.concatenate(sets)),
+                           np.cumsum([len(x) for x in sets])[:-1])
+        got = [report.id_scores] + [report.ood_scores[n] for n in names]
+        for f, scores in zip(stacked, got):
+            want = scoring.score_set(bank, f, kind, result.config.k_top)
+            assert scores.tobytes() == want.tobytes()
 
     def test_dimension_mismatch_rejected(self):
         result, _ = _small_run()
@@ -630,6 +653,39 @@ class TestCli:
         train_mod.save_checkpoint(ckpt, result)
         assert self._eval(tmp_path, ckpt, data_dir) == 3
         assert "AUROC needs finite scores" in capsys.readouterr().err
+
+    def test_overflowing_row_exits_3(self, tmp_path, capsys):
+        # a training row of 1e308 cells overflows its norm: train and eval
+        # stop with exit 3 instead of reporting AUROCs of 0.5
+        data_dir, ckpt = self._trained(tmp_path)
+        path = data_dir / "id_train.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(["1e308"] * 8)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        big = tmp_path / "big.ckpt"
+        assert cli.main(["train", "--config", self._config_file(tmp_path),
+                         "--data", str(data_dir),
+                         "--checkpoint", str(big)]) == 3
+        assert "numeric failure in train: overflow" in capsys.readouterr().err
+        assert not big.exists()
+        assert self._eval(tmp_path, ckpt, data_dir) == 3
+        assert "numeric failure in eval: overflow" in capsys.readouterr().err
+
+    def test_valid_runs_raise_no_float_fault(self, tmp_path, capsys):
+        # commands run with overflow, invalid and divide-by-zero raised;
+        # the tiny pipeline and a small sweep trip none of them
+        data_dir, ckpt = self._trained(tmp_path)
+        for kind in ("cos", "var"):
+            assert self._eval(tmp_path, ckpt, data_dir,
+                              "--score-kind", kind) == 0
+        for layer in ("embedding", "projection"):
+            assert cli.main(["export", "--checkpoint", str(ckpt),
+                             "--data", str(data_dir), "--layer", layer,
+                             "--out", str(tmp_path / "f.csv")]) == 0
+        assert cli.main(["ablate", "--sweep", "loss-terms", "--seeds", "1",
+                         "--config", self._config_file(tmp_path)]) == 0
+        assert "numeric failure" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--checkpoint", "--data", "--config"])
     def test_missing_input_file_exits_2(self, tmp_path, capsys, flag):
