@@ -8,6 +8,9 @@ L = (U V^T) * scale of unit rows U and V:
 with a denominator mask D, positive weights W and anchor weights a. Its
 gradient with respect to L is a_i (softmax_D(L_i) - W_i), and one
 `normalize_backward` carries a layer's summed unit-row gradient back.
+`masked_infonce` is the dense reference; the losses build the same
+arithmetic from one `softmax_in_place` over logits whose excluded
+entries hold -inf.
 """
 
 import numpy as np
@@ -18,9 +21,10 @@ from .errors import DomainError
 def normalize_rows(x):
     """Each row of `x`, as float64, divided by its L2 norm, and the norms."""
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
+    # np.linalg.norm's own formula for real rows, without its wrapper
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    if not norms.all():
+        bad = np.flatnonzero(norms == 0.0)
         raise DomainError(f"zero-norm row {bad[0]} cannot be normalized")
     return x / norms[:, None], norms
 
@@ -32,20 +36,27 @@ def normalize_backward(unit, norms, d_unit):
     return (d_unit - dot * unit) / norms[:, None]
 
 
-def masked_infonce(logits, mask, pos_weights, anchor_weights):
-    """Value and dL/dlogits of sum_i a_i (LSE_{j: mask_ij} L_ij - sum_j W_ij L_ij).
-
-    Each row's log-sum-exp is stabilised by its largest allowed logit.
+def softmax_in_place(logits):
+    """Overwrite each row of `logits` with its softmax and return each row's
+    log-sum-exp. Entries that hold -inf are excluded; each row needs a
+    finite one. The log-sum-exp is stabilised by the row's largest logit.
     """
+    rowmax = logits.max(axis=1, keepdims=True)
+    logits -= rowmax
+    np.exp(logits, out=logits)
+    sums = logits.sum(axis=1, keepdims=True)
+    logits /= sums
+    return np.log(sums[:, 0]) + rowmax[:, 0]
+
+
+def masked_infonce(logits, mask, pos_weights, anchor_weights):
+    """Value and dL/dlogits of sum_i a_i (LSE_{j: mask_ij} L_ij - sum_j W_ij L_ij)."""
     if not mask.any(axis=1).all():
         raise DomainError("masked log-sum-exp: a row has no allowed entries")
-    allowed = np.where(mask, logits, -np.inf)
-    rowmax = allowed.max(axis=1, keepdims=True)
-    expd = np.exp(allowed - rowmax)
-    sums = expd.sum(axis=1, keepdims=True)
-    lse = np.log(sums[:, 0]) + rowmax[:, 0]
+    probs = np.where(mask, logits, -np.inf)
+    lse = softmax_in_place(probs)
     value = anchor_weights @ (lse - np.sum(pos_weights * logits, axis=1))
-    return float(value), anchor_weights[:, None] * (expd / sums - pos_weights)
+    return float(value), anchor_weights[:, None] * (probs - pos_weights)
 
 
 def finite_difference_check(f, x, step=1e-5):

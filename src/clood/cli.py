@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, export, ablate. Exit codes: 0 on
-success, 2 on configuration or file errors, 3 on numeric failures. A
-command runs with floating-point overflow, invalid operations and division
-by zero raised, so a value that overflows ends in exit 3, not in a
-silently wrong result.
+success, 2 on configuration, input or file errors, 3 on numeric failures;
+each `CloodError` class carries its own. A command runs with
+floating-point overflow, invalid operations and division by zero raised,
+so a value that overflows ends in exit 3, not in a silently wrong result.
 """
 
 import argparse
@@ -15,10 +15,14 @@ import numpy as np
 from . import ablate as ablate_mod
 from .config import benchmark_config, config_from_dict, load_config_file
 from .data import generate_synthetic, load_bundle, save_bundle
-from .errors import ConfigError, DomainError, NumericError
+from .errors import CloodError, ConfigError
 from .scoring import write_report
 from .train import (evaluate, export_features, load_checkpoint,
                     save_checkpoint, train, write_metrics)
+
+
+# the message prefix of each exit code a CloodError carries
+_KINDS = {2: "config error", 3: "numeric failure"}
 
 
 def _build_config(args):
@@ -144,12 +148,9 @@ def main(argv=None):
     except FloatingPointError as e:
         print(f"numeric failure in {args.command}: {e}", file=sys.stderr)
         return 3
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (NumericError, DomainError) as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 3
+    except CloodError as e:
+        print(f"{_KINDS[e.exit_code]}: {e}", file=sys.stderr)
+        return e.exit_code
     except OSError as e:
         print(f"file error: {e}", file=sys.stderr)
         return 2

@@ -2,27 +2,40 @@
 the cluster center loss with adaptive per-cluster concentrations, and the
 same-cluster instance loss.
 
-Each loss takes unit rows (and unit centers), builds one masked InfoNCE
-(see `autodiff`) over their cosine logits, and returns `(value, gradient
-with respect to the unit rows)`. Centers, assignments and concentrations
-are constants within a step.
+Each loss takes unit rows (and unit centers) and returns `(value, gradient
+with respect to the unit rows)` of one masked InfoNCE (see `autodiff`)
+over their cosine logits. The three training losses form the logits once,
+read their positives by index (CIL keeps its weighted row sum), write -inf
+over the excluded entries and take one in-place softmax, which becomes
+dL/dlogits once the positives are taken off and the rows weighted; the
+arithmetic is `masked_infonce`'s, operation for operation. Centers,
+assignments and concentrations are constants within a step.
 """
 
+import functools
 import warnings
 
 import numpy as np
 
-from .autodiff import masked_infonce
+from .autodiff import masked_infonce, softmax_in_place
 from .errors import ConfigError, ContractError
 
 
-def _self_infonce(unit, tau, mask, pos_weights, anchor_weights):
-    """Masked InfoNCE over cos(unit, unit) / tau; both uses carry gradient."""
-    scale = 1.0 / tau
-    value, dlogits = masked_infonce((unit @ unit.T) * scale, mask,
-                                    pos_weights, anchor_weights)
-    g = dlogits * scale
-    return value, g @ unit + g.T @ unit
+@functools.lru_cache(maxsize=64)
+def _batch_indices(n):
+    """Read-only row indices 0..n-1, each row's view partner (i ^ 1) and
+    the uniform anchor weights 1/n."""
+    rows = np.arange(n)
+    out = rows, rows ^ 1, np.full(n, 1.0 / n)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _self_logits(unit, scale):
+    logits = unit @ unit.T
+    logits *= scale
+    return logits
 
 
 def nt_xent_pair(i, j, unit, tau):
@@ -37,7 +50,12 @@ def nt_xent_pair(i, j, unit, tau):
         raise ContractError("need at least two rows")
     pos, anchor = np.zeros((n, n)), np.zeros(n)
     pos[i, j] = anchor[i] = 1.0
-    return _self_infonce(unit, tau, ~np.eye(n, dtype=bool), pos, anchor)
+    scale = 1.0 / tau
+    value, dlogits = masked_infonce(_self_logits(unit, scale),
+                                    ~np.eye(n, dtype=bool), pos, anchor)
+    # unit is both the rows and the columns: both uses carry gradient
+    g = dlogits * scale
+    return value, g @ unit + g.T @ unit
 
 
 def self_supervised_loss(unit, tau):
@@ -48,10 +66,16 @@ def self_supervised_loss(unit, tau):
     n = len(unit)
     if n < 2 or n % 2 != 0:
         raise ContractError(f"row count must be even and >= 2, got {n}")
-    pos = np.zeros((n, n))
-    pos[np.arange(n), np.arange(n) ^ 1] = 1.0
-    return _self_infonce(unit, tau, ~np.eye(n, dtype=bool), pos,
-                         np.full(n, 1.0 / n))
+    rows, partners, weights = _batch_indices(n)
+    scale = 1.0 / tau
+    logits = _self_logits(unit, scale)
+    positives = logits[rows, partners]
+    logits[rows, rows] = -np.inf
+    value = weights @ (softmax_in_place(logits) - positives)
+    logits[rows, partners] -= 1.0
+    logits *= weights[:, None]
+    logits *= scale
+    return float(value), logits @ unit + logits.T @ unit
 
 
 def cluster_center_loss(unit, centers, assignments, phis):
@@ -71,13 +95,17 @@ def cluster_center_loss(unit, centers, assignments, phis):
     if len(phis) != r:
         raise ContractError(f"expected {r} concentrations, got {len(phis)}")
 
-    n = len(unit)
+    rows, _, weights = _batch_indices(len(unit))
     scale = 1.0 / phis
-    pos = np.zeros((n, r))
-    pos[np.arange(n), assignments] = 1.0
-    value, dlogits = masked_infonce((unit @ centers.T) * scale, pos == 0.0,
-                                    pos, np.full(n, 1.0 / n))
-    return value, (dlogits * scale) @ centers
+    logits = unit @ centers.T
+    logits *= scale
+    positives = logits[rows, assignments]
+    logits[rows, assignments] = -np.inf
+    value = weights @ (softmax_in_place(logits) - positives)
+    logits[rows, assignments] -= 1.0
+    logits *= weights[:, None]
+    logits *= scale
+    return float(value), logits @ centers
 
 
 def cluster_instance_loss(unit, assignments, tau):
@@ -93,14 +121,24 @@ def cluster_instance_loss(unit, assignments, tau):
     if len(assignments) != n:
         raise ContractError("one assignment per row required")
 
-    others = ~np.eye(n, dtype=bool)
-    pos_mask = (assignments[:, None] == assignments[None, :]) & others
-    counts = pos_mask.sum(axis=1)
+    rows, _, _ = _batch_indices(n)
+    same = assignments[:, None] == assignments[None, :]
+    same[rows, rows] = False
+    counts = same.sum(axis=1)
     anchors = counts > 0
     if not anchors.any():
         warnings.warn("all clusters are singletons in this batch; loss is 0")
         return 0.0, np.zeros(np.shape(unit))
 
     # per-anchor term: lse_i - mean logit over P(i), averaged over live anchors
-    pos = pos_mask / np.maximum(counts, 1)[:, None]
-    return _self_infonce(unit, tau, others, pos, anchors / anchors.sum())
+    pos = same / np.maximum(counts, 1)[:, None]
+    weights = anchors / anchors.sum()
+    scale = 1.0 / tau
+    logits = _self_logits(unit, scale)
+    positives = np.sum(pos * logits, axis=1)
+    logits[rows, rows] = -np.inf
+    value = weights @ (softmax_in_place(logits) - positives)
+    logits -= pos
+    logits *= weights[:, None]
+    logits *= scale
+    return float(value), logits @ unit + logits.T @ unit

@@ -90,9 +90,10 @@ def mlp_forward_np(params, x):
     acts = [x]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x = x @ w + b
+        x = x @ w
+        x += b
         if i != last:
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)
         acts.append(x)
     return acts
 
@@ -129,18 +130,47 @@ def layer_features(encoder, projection, x, layer):
     return out
 
 
-def mlp_backward(params, acts, grad):
-    """Gradients of `params.arrays()`, in that order, and of the MLP's input,
-    from the gradient at its output; `acts` is what mlp_forward_np returned.
+def flat_parameters(*nets):
+    """Move every weight and bias of `nets` into one new contiguous float64
+    vector, and rebind each to its view in it, so that one update of the
+    vector updates them all. Returns the vector and a zeroed second one of
+    the same layout, with the list of its views in `arrays()` order.
     """
-    grads = []
+    arrays = [a for net in nets for a in net.arrays().values()]
+    bounds = np.cumsum([0] + [a.size for a in arrays])
+    params, grads = np.empty(bounds[-1]), np.zeros(bounds[-1])
+
+    def views(flat):
+        return [flat[lo:hi].reshape(a.shape)
+                for a, lo, hi in zip(arrays, bounds, bounds[1:])]
+
+    param_views = iter(views(params))
+    for net in nets:
+        for i in range(len(net.weights)):
+            for layer in (net.weights, net.biases):
+                view = next(param_views)
+                view[...] = layer[i]
+                layer[i] = view
+    return params, grads, views(grads)
+
+
+def mlp_backward(params, acts, grad, out=None, input_grad=True):
+    """Gradients of `params.arrays()`, in that order, and of the MLP's input
+    (None without `input_grad`), from the gradient at its output; `acts` is
+    what mlp_forward_np returned. With `out`, arrays shaped like
+    `params.arrays()`, the gradients are written into those and returned.
+    """
     last = len(params.weights) - 1
+    grads = [None] * (2 * last + 2) if out is None else out
     for i in range(last, -1, -1):
         if i != last:
-            grad = grad * (acts[i + 1] > 0.0)
-        grads[:0] = [acts[i].T @ grad, grad.sum(axis=0)]
-        grad = grad @ params.weights[i].T
-    return grads, grad
+            # `grad` is a product taken below, never the caller's array
+            np.multiply(grad, acts[i + 1] > 0.0, out=grad)
+        grads[2 * i] = np.matmul(acts[i].T, grad, out=grads[2 * i])
+        grads[2 * i + 1] = np.add.reduce(grad, axis=0, out=grads[2 * i + 1])
+        if i or input_grad:
+            grad = grad @ params.weights[i].T
+    return grads, grad if input_grad else None
 
 
 def encode_batch(encoder, projection, inputs):
@@ -150,14 +180,19 @@ def encode_batch(encoder, projection, inputs):
                         projection_acts=mlp_forward_np(projection, acts[-1]))
 
 
-def backward(encoder, projection, batch, d_projections, d_embeddings=None):
+def backward(encoder, projection, batch, d_projections, d_embeddings=None,
+             out=None):
     """Gradients of the encoder's then the projection's `arrays()` from the
     loss gradient at the batch's projections and, if given, at its
-    embeddings.
+    embeddings. With `out`, arrays in that order and of those shapes, the
+    gradients are written into those and returned.
     """
+    n_enc = 2 * len(encoder.weights)
+    enc_out, proj_out = (None, None) if out is None else (out[:n_enc], out[n_enc:])
     projection_grads, d_h = mlp_backward(projection, batch.projection_acts,
-                                         d_projections)
+                                         d_projections, proj_out)
     if d_embeddings is not None:
-        d_h = d_h + d_embeddings
-    encoder_grads, _ = mlp_backward(encoder, batch.encoder_acts, d_h)
+        d_h += d_embeddings
+    encoder_grads, _ = mlp_backward(encoder, batch.encoder_acts, d_h, enc_out,
+                                    input_grad=False)
     return encoder_grads + projection_grads

@@ -201,20 +201,27 @@ def _refit(config, encoder, projection, bundle, epoch):
         max_iters=config.kmeans_max_iters, tol=config.kmeans_tol)
 
 
-def step_gradients(config, encoder, projection, views, state):
+# the per-step loss values `step_gradients` returns, in order; each epoch's
+# metric row holds their means over its batches
+LOSS_COLUMNS = ("l_self", "l_cluster", "l_ccl", "l_cil")
+
+
+def step_gradients(config, encoder, projection, views, state, out=None):
     """Losses and parameter gradients of one SGD step on a batch of views.
 
     The instance loss is taken at the projections. With a cluster `state`
     (the joint phase) the cluster terms, at the configured layer and with
     assignments to the state's centers, join it. Each layer is normalized
-    once. Returns the total loss, the instance loss, the cluster loss (NaN
-    without a state) and the gradients of the encoder's then the
-    projection's `arrays()`.
+    once. Returns the total loss, the LOSS_COLUMNS values (the cluster
+    loss is the mean of the terms in use; a term not taken is NaN) and
+    the gradients of the encoder's then the projection's `arrays()`,
+    written into `out` if given (see `model.backward`).
     """
     batch = model.encode_batch(encoder, projection, views)
     u_proj, n_proj = normalize_rows(batch.projections)
     l_self, du_proj = losses.self_supervised_loss(u_proj, config.tau)
-    total, l_cluster, d_emb = l_self, float("nan"), None
+    total, d_emb = l_self, None
+    l_cluster = l_ccl = l_cil = float("nan")
     if state is not None:
         on_embeddings = config.clustering_layer == "embedding"
         unit, norms = normalize_rows(batch.embeddings) if on_embeddings \
@@ -224,8 +231,10 @@ def step_gradients(config, encoder, projection, views, state):
         if config.use_ccl:
             terms.append(losses.cluster_center_loss(
                 unit, state.centers, assigns, state.phis))
+            l_ccl = terms[-1][0]
         if config.use_cil:
             terms.append(losses.cluster_instance_loss(unit, assigns, config.tau))
+            l_cil = terms[-1][0]
         l_cluster, du_cluster = (sum(part) / len(terms) for part in zip(*terms))
         lam = config.lambda_weight
         total = l_self * (1.0 - lam) + l_cluster * lam
@@ -235,8 +244,8 @@ def step_gradients(config, encoder, projection, views, state):
         else:
             du_proj = du_proj + du_cluster
     d_proj = normalize_backward(u_proj, n_proj, du_proj)
-    return total, l_self, l_cluster, \
-        model.backward(encoder, projection, batch, d_proj, d_emb)
+    return total, (l_self, l_cluster, l_ccl, l_cil), \
+        model.backward(encoder, projection, batch, d_proj, d_emb, out=out)
 
 
 # the TrainConfig fields that act only from the first refit on, or only
@@ -270,7 +279,9 @@ def train(config, bundle, probe_epochs=(), warm=None):
     check_width(config, bundle)
     encoder, projection = model.init_params(
         config.seed, config.encoder_widths, config.projection_widths)
-    params = [*encoder.arrays().values(), *projection.arrays().values()]
+    # an SGD step updates every parameter through these two vectors
+    params, grads, grad_views = model.flat_parameters(encoder, projection)
+    step = np.empty_like(params)
 
     m = bundle.id_train.shape[0]
     config.check_training_rows(m)
@@ -287,15 +298,13 @@ def train(config, bundle, probe_epochs=(), warm=None):
         key = warmup_key(config, bundle)
         if key in warm:
             saved, rows = warm[key]
-            for p, s in zip(params, saved):
-                p[...] = s
+            params[...] = saved
             result.metrics = [dict(row, config_hash=cfg_hash) for row in rows]
             start = warmup
 
     for epoch in range(start, config.epochs_total):
         if epoch == warmup and key is not None and key not in warm:
-            warm[key] = ([p.copy() for p in params],
-                         [dict(row) for row in result.metrics])
+            warm[key] = (params.copy(), [dict(row) for row in result.metrics])
         if epoch in probe_epochs:
             result.snapshots[epoch] = serialize_checkpoint(
                 encoder, projection, state, config)
@@ -313,7 +322,7 @@ def train(config, bundle, probe_epochs=(), warm=None):
             np.random.SeedSequence([config.seed, 7, epoch]))
         order = epoch_rng.permutation(m)
         n_batches = max(1, m // config.batch_size)
-        epoch_self, epoch_cluster = 0.0, 0.0
+        sums = [0.0] * len(LOSS_COLUMNS)
 
         for b in range(n_batches):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
@@ -323,22 +332,21 @@ def train(config, bundle, probe_epochs=(), warm=None):
             aug_seed = np.random.SeedSequence([config.seed, 11, epoch, b])
             views = data_augment(bundle.id_train[idx], aug_seed, config)
             # state is None until the first refit, which opens the joint phase
-            total, l_self, l_cluster, grads = step_gradients(
-                config, encoder, projection, views, state)
-            if not np.isfinite(total):
+            total, values, _ = step_gradients(
+                config, encoder, projection, views, state, out=grad_views)
+            if not math.isfinite(total):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {b}")
-            for p, g in zip(params, grads):
-                p -= lr * g
-            epoch_self += l_self
-            epoch_cluster += l_cluster
+            np.multiply(grads, lr, out=step)
+            params -= step
+            sums = [s + v for s, v in zip(sums, values)]
 
+        # the cluster columns are NaN until the joint phase, whose epochs
+        # all have a state, and for a term not in use
         result.metrics.append({
             "epoch": epoch,
             "lr": lr,
-            "l_self": epoch_self / n_batches,
-            # NaN until the joint phase, whose epochs all have a state
-            "l_cluster": epoch_cluster / n_batches,
+            **{name: s / n_batches for name, s in zip(LOSS_COLUMNS, sums)},
             "refit": int(refits),
             "config_hash": cfg_hash,
         })
@@ -358,7 +366,7 @@ def data_augment(rows, seed_seq, config):
 
 def write_metrics(metrics, path):
     with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=["epoch", "lr", "l_self", "l_cluster",
+        w = csv.DictWriter(f, fieldnames=["epoch", "lr", *LOSS_COLUMNS,
                                           "refit", "config_hash"])
         w.writeheader()
         for row in metrics:

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from clood import losses
-from clood.autodiff import normalize_rows
+from clood.autodiff import masked_infonce, normalize_rows
 from clood.errors import ConfigError, ContractError, DomainError
 
 
@@ -158,3 +160,76 @@ def test_all_losses_scale_invariant():
         for gamma in (0.1, 7.0):
             assert on_raw(gamma * h)[0] == pytest.approx(on_raw(h)[0],
                                                          abs=1e-10)
+
+
+# The three training losses built as dense masked InfoNCEs: explicit
+# denominator masks, positive weights and anchor weights.
+
+def _dense_self(unit, tau, mask, pos, anchor):
+    scale = 1.0 / tau
+    value, dlogits = masked_infonce((unit @ unit.T) * scale, mask, pos, anchor)
+    g = dlogits * scale
+    return value, g @ unit + g.T @ unit
+
+
+def _dense_self_supervised(unit, tau):
+    n = len(unit)
+    pos = np.zeros((n, n))
+    pos[np.arange(n), np.arange(n) ^ 1] = 1.0
+    return _dense_self(unit, tau, ~np.eye(n, dtype=bool), pos,
+                       np.full(n, 1.0 / n))
+
+
+def _dense_center(unit, centers, assignments, phis):
+    n = len(unit)
+    scale = 1.0 / phis
+    pos = np.zeros((n, len(centers)))
+    pos[np.arange(n), assignments] = 1.0
+    value, dlogits = masked_infonce((unit @ centers.T) * scale, pos == 0.0,
+                                    pos, np.full(n, 1.0 / n))
+    return value, (dlogits * scale) @ centers
+
+
+def _dense_instance(unit, assignments, tau):
+    n = len(unit)
+    others = ~np.eye(n, dtype=bool)
+    pos_mask = (assignments[:, None] == assignments[None, :]) & others
+    counts = pos_mask.sum(axis=1)
+    anchors = counts > 0
+    if not anchors.any():
+        return 0.0, np.zeros(unit.shape)
+    pos = pos_mask / np.maximum(counts, 1)[:, None]
+    return _dense_self(unit, tau, others, pos, anchors / anchors.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.integers(1, 32), width=st.integers(1, 40),
+       r=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       tau=st.floats(0.05, 2.0),
+       phis=st.lists(st.floats(0.05, 1.0), min_size=8, max_size=8),
+       grouping=st.sampled_from(["drawn", "one cluster", "singletons"]))
+def test_losses_equal_their_dense_masked_infonce(pairs, width, r, seed, tau,
+                                                 phis, grouping):
+    # same value and gradient, bit for bit, as the dense formulation
+    n = 2 * pairs
+    rng = np.random.default_rng(seed)
+    unit = normalize_rows(rng.standard_normal((n, width)))[0]
+    centers = normalize_rows(rng.standard_normal((r, width)))[0]
+    phis = np.array(phis[:r])
+    assigns = {"drawn": rng.integers(r, size=n),
+               "one cluster": np.zeros(n, dtype=np.intp),
+               "singletons": np.arange(n)}[grouping]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        pairs_of_results = [
+            (losses.self_supervised_loss(unit, tau),
+             _dense_self_supervised(unit, tau)),
+            (losses.cluster_center_loss(unit, centers, assigns % r, phis),
+             _dense_center(unit, centers, assigns % r, phis)),
+            (losses.cluster_instance_loss(unit, assigns, tau),
+             _dense_instance(unit, assigns, tau)),
+        ]
+    for (value, grad), (want_value, want_grad) in pairs_of_results:
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)

@@ -199,7 +199,7 @@ def test_step_gradients_match_central_differences(layer):
 
         def f(x):
             p[...] = x
-            total, _, _, grads = train_mod.step_gradients(
+            total, _, grads = train_mod.step_gradients(
                 config, enc, proj, views, state)
             return total, grads[k]
 
@@ -212,7 +212,7 @@ def test_cluster_loss_on_embeddings_leaves_projection_untouched():
     # with lambda_weight 1 only the cluster terms count; computed at the
     # embedding layer, no gradient may reach the projection head
     config, enc, proj, views, state = _tiny_step("embedding", lambda_weight=1.0)
-    _, _, _, grads = train_mod.step_gradients(config, enc, proj, views, state)
+    _, _, grads = train_mod.step_gradients(config, enc, proj, views, state)
     n_enc = len(enc.arrays())
     assert not any(np.any(g) for g in grads[n_enc:])
     assert any(np.any(g) for g in grads[:n_enc])
@@ -220,8 +220,42 @@ def test_cluster_loss_on_embeddings_leaves_projection_untouched():
 
 def test_self_loss_updates_both_encoder_and_projection():
     config, enc, proj, views, _ = _tiny_step("embedding", seed=4)
-    _, _, _, grads = train_mod.step_gradients(config, enc, proj, views[:4],
-                                              None)
+    _, _, grads = train_mod.step_gradients(config, enc, proj, views[:4],
+                                           None)
     n_enc = len(enc.arrays())
     assert any(np.any(g) for g in grads[:n_enc])
     assert any(np.any(g) for g in grads[n_enc:])
+
+
+@pytest.mark.parametrize("with_embeddings", [False, True])
+@pytest.mark.parametrize("widths,rows", [(((5, 4, 3), (3, 3, 2)), 6),
+                                         (_WIDTHS, 64)])
+def test_backward_into_buffers_equals_fresh_arrays(with_embeddings, widths,
+                                                   rows):
+    # writing into one flat gradient vector's views gives the bits of the
+    # fresh-array backward, and returns those views
+    enc, proj = model.init_params(3, *widths)
+    rng = np.random.default_rng(3)
+    views = rng.standard_normal((rows, widths[0][0]))
+    batch = model.encode_batch(enc, proj, views)
+    d_proj = rng.standard_normal(batch.projections.shape)
+    d_emb = rng.standard_normal(batch.embeddings.shape) \
+        if with_embeddings else None
+    fresh = model.backward(enc, proj, batch, d_proj, d_emb)
+    _, grads, buffers = model.flat_parameters(enc, proj)
+    got = model.backward(enc, proj, batch, d_proj, d_emb, out=buffers)
+    assert all(g is b for g, b in zip(got, buffers))
+    assert len(got) == len(fresh)
+    assert grads.tobytes() == b"".join(g.tobytes() for g in fresh)
+
+
+def test_flat_parameters_keep_values_and_alias_the_vector():
+    enc, proj = model.init_params(1, *_WIDTHS)
+    before = [a.copy() for a in _arrays(enc, proj)]
+    params, grads, views = model.flat_parameters(enc, proj)
+    arrays = _arrays(enc, proj)
+    assert params.tobytes() == b"".join(a.tobytes() for a in before)
+    assert [v.shape for v in views] == [a.shape for a in before]
+    assert not grads.any()
+    params += 1.0
+    assert all(np.array_equal(a, b + 1.0) for a, b in zip(arrays, before))

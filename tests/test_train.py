@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import clood
 import clood.train as train_mod
-from clood import ablate, cli, losses, model, scoring
+from clood import ablate, cli, errors, losses, model, scoring
 from clood.config import TrainConfig, benchmark_config, config_from_dict
 from clood.data import DatasetSpec, generate_synthetic
 from clood.errors import ConfigError, NumericError
@@ -108,9 +108,39 @@ class TestTrainLoop:
         assert all(m["config_hash"] == result.config.hash()
                    for m in result.metrics)
         # warm-up epochs have no cluster term
-        assert np.isnan(result.metrics[0]["l_cluster"])
-        assert np.isfinite(result.metrics[5]["l_cluster"])
+        for name in ("l_cluster", "l_ccl", "l_cil"):
+            assert np.isnan(result.metrics[0][name])
+            assert np.isfinite(result.metrics[5][name])
         assert [m["refit"] for m in result.metrics] == [0, 0, 1, 0, 1, 0]
+        # l_cluster is the mean of the two terms, to rounding
+        for m in result.metrics[2:]:
+            assert m["l_cluster"] == pytest.approx((m["l_ccl"] + m["l_cil"]) / 2)
+
+    @pytest.mark.parametrize("on,off", [("use_ccl", "use_cil"),
+                                        ("use_cil", "use_ccl")])
+    def test_metrics_rows_of_one_cluster_term(self, on, off):
+        # a term not in use reads NaN, and l_cluster is the other term
+        term = {"use_ccl": "l_ccl", "use_cil": "l_cil"}
+        result, _ = _small_run(**{on: True, off: False})
+        for m in result.metrics:
+            assert np.isnan(m[term[off]])
+            assert repr(m["l_cluster"]) == repr(m[term[on]])
+
+    def test_metrics_rows_of_a_shared_warmup(self):
+        # a run that resumes a stored warm-up carries its rows, every
+        # column included; self_only has no cluster column at all
+        config = _small_config()
+        bundle = generate_synthetic(config, config.seed)
+        warm = {}
+        first = train_mod.train(config, bundle, warm=warm)
+        second = train_mod.train(replace(config, use_ccl=False, use_cil=False),
+                                 bundle, warm=warm)
+        assert len(warm) == 1
+        for a, b in zip(first.metrics[:2], second.metrics):
+            assert repr({**a, "config_hash": None}) == \
+                repr({**b, "config_hash": None})
+        assert all(np.isnan(m[name]) for m in second.metrics
+                   for name in ("l_cluster", "l_ccl", "l_cil"))
 
     def test_update_per_batch_refits_every_joint_epoch(self):
         result, _ = _small_run(update_per_batch=True)
@@ -143,8 +173,42 @@ class TestTrainLoop:
         path = tmp_path / "metrics.csv"
         train_mod.write_metrics(result.metrics, path)
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("epoch,")
+        assert lines[0] == \
+            "epoch,lr,l_self,l_cluster,l_ccl,l_cil,refit,config_hash"
         assert len(lines) == 1 + len(result.metrics)
+        warmup, joint = lines[1].split(","), lines[-1].split(",")
+        assert warmup[3:6] == ["nan"] * 3
+        assert [float(x) for x in joint[3:6]] == \
+            [result.metrics[-1][k] for k in ("l_cluster", "l_ccl", "l_cil")]
+
+    @pytest.mark.parametrize("warmup_epochs", [0, 1])
+    def test_one_epoch_equals_a_per_array_sgd_loop(self, warmup_epochs):
+        # the flat-vector step of `train` against step_gradients' fresh
+        # arrays and one `p -= lr * g` per array, bit for bit
+        config = _small_config(epochs_total=1, warmup_epochs=warmup_epochs)
+        bundle = generate_synthetic(config, config.seed)
+        result = train_mod.train(config, bundle)
+
+        enc, proj = model.init_params(config.seed, config.encoder_widths,
+                                      config.projection_widths)
+        params = [*enc.arrays().values(), *proj.arrays().values()]
+        state = train_mod._refit(config, enc, proj, bundle, 0) \
+            if warmup_epochs == 0 else None
+        m = len(bundle.id_train)
+        order = np.random.default_rng(
+            np.random.SeedSequence([config.seed, 7, 0])).permutation(m)
+        for b in range(m // config.batch_size):
+            idx = order[b * config.batch_size:(b + 1) * config.batch_size]
+            views = train_mod.data_augment(
+                bundle.id_train[idx],
+                np.random.SeedSequence([config.seed, 11, 0, b]), config)
+            _, _, grads = train_mod.step_gradients(config, enc, proj, views,
+                                                   state)
+            for p, g in zip(params, grads):
+                p -= config.lr * g
+        assert (state is None) == (result.cluster_state is None)
+        assert _blob(result) == train_mod.serialize_checkpoint(
+            enc, proj, state, config)
 
 
 class TestCheckpoint:
@@ -351,7 +415,7 @@ def test_shared_warmup_equals_fresh_training(monkeypatch, reverse):
         epochs = cfg.epochs_total - cfg.warmup_epochs * hit
         assert len(steps) == new * epochs * (len(bundle.id_train) // cfg.batch_size)
         for key, (params, rows) in ablate._warm.items():
-            stored.setdefault(key, ([p.copy() for p in params], repr(rows)))
+            stored.setdefault(key, (params.copy(), repr(rows)))
 
         fresh = train_mod.train(cfg, bundle)
         assert _blob(result) == _blob(fresh)
@@ -361,7 +425,7 @@ def test_shared_warmup_equals_fresh_training(monkeypatch, reverse):
     # the stored arrays would have changed them
     assert len(ablate._warm) == 2
     for key, (params, rows) in ablate._warm.items():
-        assert all(np.array_equal(a, b) for a, b in zip(params, stored[key][0]))
+        assert np.array_equal(params, stored[key][0])
         assert repr(rows) == stored[key][1]
 
 
@@ -521,6 +585,25 @@ class TestCli:
                              "--checkpoint", str(tmp_path / name)]) == 0
         assert (tmp_path / "a.ckpt").read_bytes() != \
             (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("error,code,kind", [
+        (errors.ConfigError, 2, "config error"),
+        (errors.ContractError, 2, "config error"),
+        (errors.ShapeError, 2, "config error"),
+        (errors.DomainError, 3, "numeric failure"),
+        (errors.NumericError, 3, "numeric failure")])
+    def test_each_error_class_exits_with_its_code(self, tmp_path, capsys,
+                                                  monkeypatch, error, code,
+                                                  kind):
+        def fail(*args):
+            raise error("raised in the command")
+
+        monkeypatch.setattr(cli, "generate_synthetic", fail)
+        rc = cli.main(["gen-data", "--out", str(tmp_path / "bundle"),
+                       "--config", self._config_file(tmp_path)])
+        assert rc == code == error.exit_code
+        err = capsys.readouterr().err
+        assert err == f"{kind}: raised in the command\n"
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         rc = cli.main(["gen-data", "--set", "bogus=1",
