@@ -25,7 +25,9 @@ from .train import (evaluate, export_features, load_checkpoint,
 _KINDS = {2: "config error", 3: "numeric failure"}
 
 
-def _build_config(args):
+def _build_config(args, base=None):
+    """The config of --config, then each --set, over `base` (default:
+    `TrainConfig()`)."""
     values = {}
     if args.config:
         values.update(load_config_file(args.config))
@@ -34,7 +36,7 @@ def _build_config(args):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, val = item.split("=", 1)
         values[key] = val
-    return config_from_dict(values)
+    return config_from_dict(values, base)
 
 
 def _add_config_args(p):
@@ -87,8 +89,7 @@ def _cmd_export(args):
 
 
 def _cmd_ablate(args):
-    base = _build_config(args) if (args.config or args.set) \
-        else benchmark_config()
+    base = _build_config(args, benchmark_config())
     rows = ablate_mod.run_sweep(args.sweep, base, n_seeds=args.seeds)
     if args.out:
         ablate_mod.write_sweep(rows, args.out)

@@ -87,6 +87,15 @@ def assign(unit, centers):
     return np.argmax(unit @ centers.T, axis=1)
 
 
+def moved_rows(previous, labels, r):
+    """Rows whose cluster changed between two assignments of the same rows
+    to r clusters, cluster numbering aside: the rows of each previous
+    cluster that the new cluster holding most of them did not take. With
+    no cluster empty, 0 exactly when the partition is the same."""
+    overlap = np.bincount(previous * r + labels, minlength=r * r)
+    return int(len(labels) - overlap.reshape(r, r).max(axis=1).sum())
+
+
 def compute_concentrations(unit, assignments, centers, alpha, phi_floor=0.05):
     """Per-cluster concentration of unit rows around their center: the
     mean member-to-center distance scaled by ln(T + alpha), clamped below

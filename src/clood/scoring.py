@@ -15,6 +15,8 @@ from .errors import ConfigError, ContractError, DomainError
 
 # entries a chunk of queries holds at once: 2**18 float64s, 2 MB
 _CHUNK_ENTRIES = 1 << 18
+# `_top_k` filters a wide row by a sample of every _SAMPLE-th column
+_SAMPLE = 8
 
 
 @dataclass
@@ -134,18 +136,22 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False):
     A bank row's candidate score, sim(bank_m, z) * ||bank_m||, is its dot
     product with the unit query. `cos` is the best candidate; `var`
     divides it by the spread of the top-K bank rows by candidate score
-    (ties to the lowest index; `_top_k` selects them in linear time),
-    clamped at 1e-8. With `clamped`, also returns which queries' spread
-    was clamped (none under `cos`).
+    (ties to the lowest index), clamped at 1e-8. With `clamped`, also
+    returns which queries' spread was clamped (none under `cos`).
 
-    `var` scores chunks of queries that hold about _CHUNK_ENTRIES entries
-    against the whole bank, prepared once as a negated transposed copy, so
-    the best candidate is the first of the top-K; a chunk's top-K rows,
-    at most half of _CHUNK_ENTRIES entries, are gathered into one
-    workspace kept for the call. `cos` scans the bank's norm-ordered tiles
-    (`_cos_scores`) and stops a query once no row left can beat its best;
-    a bank that fits in one tile, or has a non-finite row norm, is scanned
-    whole, a chunk at a time. No product has a single row on either side:
+    `var` scores chunks of queries against the whole bank, prepared once
+    as a negated transposed copy, so the best candidate is the first of
+    the top-K; a chunk's candidates and top-K rows fill up to twice
+    _CHUNK_ENTRIES entries (`_var_scores`), and its top-K rows, at most
+    half of _CHUNK_ENTRIES, are gathered into one workspace kept for the
+    call. `_top_k` selects the top-K exactly; on a bank of 8K rows or
+    more (its docstring gives the rule) it keeps each query's candidates
+    at or below a threshold drawn from every 8th one, about K + 64 of
+    them, and orders only those, or the full row when fewer than K pass.
+    `cos` scans the bank's norm-ordered tiles (`_cos_scores`) and stops a
+    query once no row left can beat its best; a bank that fits in one
+    tile, or has a non-finite row norm, is scanned whole, a chunk at a
+    time. No product has a single row on either side:
     BLAS computes those on another path, whose last bit differs. BLAS
     also picks its kernel by a product's shape, so the last bit of a
     score can depend on how many queries share its product.
@@ -165,11 +171,15 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False):
 
 def _var_scores(bank, queries, k_top):
     """`var` scores of unit queries, and which of them had their spread
-    clamped."""
+    clamped.
+
+    A chunk of step = min(2 _CHUNK_ENTRIES // (n + K d),
+    _CHUNK_ENTRIES // 2 // (K d)) queries, at least one, is scored at a
+    time: its n candidates and K top rows of width d a query fill up to
+    twice _CHUNK_ENTRIES, and its top rows at most half of it.
+    """
     n, d = bank.features.shape
-    # a query holds its candidates and its top-K bank rows; a chunk's top-K
-    # rows take at most half of the entries
-    step = max(1, min(_CHUNK_ENTRIES // (n + k_top * d),
+    step = max(1, min(2 * _CHUNK_ENTRIES // (n + k_top * d),
                       _CHUNK_ENTRIES // 2 // (k_top * d)))
     work = np.empty((min(step, len(queries)), k_top, d))
     scores = np.empty(len(queries))
@@ -264,11 +274,54 @@ def _cos_scores(bank, queries):
 def _top_k(values, k):
     """Columns of each row's k smallest values, ordered by (value, column).
 
-    Equal to np.argsort(values, axis=1, kind="stable")[:, :k], in linear
-    time: argpartition picks k columns, and a stable sort of the picks,
-    taken in column order, orders them. A row whose k-th value is NaN,
-    or ties with a value left out, may hold the wrong ones of its tied
-    columns; only those rows are sorted in full.
+    Equal to np.argsort(values, axis=1, kind="stable")[:, :k] on every
+    input. Wide rows, n >= _SAMPLE k columns whose 1-in-_SAMPLE column
+    sample is wider than r = ceil(k / _SAMPLE) + _SAMPLE (the shape alone
+    decides), are filtered first. Each row's threshold t is the r-th
+    smallest sampled value; the columns holding values <= t, at least r
+    and about _SAMPLE r of them, are laid out in column order and padded
+    with +inf. A row that keeps k columns or more has its k-th smallest
+    value at or below t, so it keeps every column ranked up to there,
+    ties included, in its own order, and the padding ranks after them:
+    the layout's k smallest, which `_top_k_full` picks, are the row's. A
+    row that keeps fewer than k columns (t too low, or NaN) goes through
+    `_top_k_full` whole, as does every row of narrower values.
+    """
+    n = values.shape[1]
+    rank = -(-k // _SAMPLE) + _SAMPLE
+    if n < _SAMPLE * k or rank >= -(-n // _SAMPLE):
+        return _top_k_full(values, k)
+    t = np.partition(values[:, ::_SAMPLE], rank - 1, axis=1)[:, rank - 1:rank]
+    flat = np.flatnonzero(values <= t)
+    rows = flat // n
+    counts = np.bincount(rows, minlength=len(values))
+    short = counts < k
+    if short.all():
+        return _top_k_full(values, k)
+    if short.any():
+        long = ~short[rows]
+        flat, rows = flat[long], rows[long]
+        counts[short] = 0
+    # row r keeps the columns flat[starts[r]:starts[r] + counts[r]] - r n
+    starts = np.cumsum(counts) - counts
+    width = counts.max()
+    kept = np.full((len(values), width), np.inf)
+    kept.reshape(-1)[rows * width + np.arange(len(flat)) - starts[rows]] = \
+        np.take(values, flat)
+    # "clip" keeps the places of short rows, overwritten below, in range
+    top = np.take(flat - rows * n, starts[:, None] + _top_k_full(kept, k),
+                  mode="clip")
+    if short.any():
+        top[short] = _top_k_full(values[short], k)
+    return top
+
+
+def _top_k_full(values, k):
+    """`_top_k` over every column, in linear time: argpartition picks k
+    columns, and a stable sort of the picks, taken in column order, orders
+    them. A row whose k-th value is NaN, or ties with a value left out,
+    may hold the wrong ones of its tied columns; only those rows are
+    sorted in full.
     """
     n = values.shape[1]
     # column k of the partition holds the (k+1)-th smallest value

@@ -323,11 +323,16 @@ def train(config, bundle, probe_epochs=(), warm=None):
         order = epoch_rng.permutation(m)
         n_batches = max(1, m // config.batch_size)
         sums = [0.0] * len(LOSS_COLUMNS)
+        changed = None
 
         for b in range(n_batches):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
             if refits and (b == 0 or config.update_per_batch):
-                state = _refit(config, encoder, projection, bundle, epoch)
+                fitted = _refit(config, encoder, projection, bundle, epoch)
+                if state is not None:
+                    changed = (changed or 0) + clustering.moved_rows(
+                        state.assignments, fitted.assignments, config.clusters)
+                state = fitted
 
             aug_seed = np.random.SeedSequence([config.seed, 11, epoch, b])
             views = data_augment(bundle.id_train[idx], aug_seed, config)
@@ -342,12 +347,17 @@ def train(config, bundle, probe_epochs=(), warm=None):
             sums = [s + v for s, v in zip(sums, values)]
 
         # the cluster columns are NaN until the joint phase, whose epochs
-        # all have a state, and for a term not in use
+        # all have a state, and for a term not in use; "changed" sums the
+        # epoch's refits that follow another, and each refit column is
+        # None (empty in the CSV) where it has nothing to count
         result.metrics.append({
             "epoch": epoch,
             "lr": lr,
             **{name: s / n_batches for name, s in zip(LOSS_COLUMNS, sums)},
             "refit": int(refits),
+            "changed": changed,
+            "at_floor": int(np.count_nonzero(state.phis == config.phi_floor))
+            if refits else None,
             "config_hash": cfg_hash,
         })
 
@@ -367,7 +377,8 @@ def data_augment(rows, seed_seq, config):
 def write_metrics(metrics, path):
     with open(path, "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=["epoch", "lr", *LOSS_COLUMNS,
-                                          "refit", "config_hash"])
+                                          "refit", "changed", "at_floor",
+                                          "config_hash"])
         w.writeheader()
         for row in metrics:
             w.writerow(row)

@@ -190,6 +190,31 @@ class TestSchedule:
             [0, 3, 6, 9]
 
 
+class TestMovedRows:
+    def test_counts_rows_outside_the_largest_overlap(self):
+        # cluster 0's rows went 3 to new cluster 1 and 1 to new cluster 0;
+        # cluster 1's rows went whole to new cluster 2
+        previous = np.array([0, 0, 0, 0, 1, 1, 2])
+        labels = np.array([1, 1, 0, 1, 2, 2, 0])
+        assert clustering.moved_rows(previous, labels, 3) == 1
+        assert clustering.moved_rows(labels, previous, 3) == 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(0, 3), min_size=4, max_size=30),
+           st.permutations(range(4)))
+    def test_zero_exactly_on_the_same_partition(self, labels, perm):
+        labels = np.array(labels)
+        if np.unique(labels).size < 4:
+            labels[:4] = range(4)
+        renumbered = np.array(perm)[labels]
+        assert clustering.moved_rows(labels, renumbered, 4) == 0
+        # one row moved to another cluster, none left empty
+        other = renumbered.copy()
+        other[0] = (other[0] + 1) % 4
+        if np.unique(other).size == 4:
+            assert clustering.moved_rows(labels, other, 4) == 1
+
+
 def test_fit_state_invariants():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((50, 6))

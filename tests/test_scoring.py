@@ -227,7 +227,7 @@ class TestScoreSet:
 
     def test_var_chunks_with_a_lone_tail_match_stable_sort(self, monkeypatch):
         # 10 candidates and 5 top rows of 4 per query: the top-K rows cap a
-        # chunk at 60 // 20 = 3 queries, below 120 // 30 = 4, so 10 queries
+        # chunk at 60 // 20 = 3 queries, below 240 // 30 = 8, so 10 queries
         # make chunks of 3, 3, 3 and 1; bank entries are multiples of 1/2
         # and unit queries have entries in {0, +-1/2, +-1}, so ties are exact
         monkeypatch.setattr(scoring, "_CHUNK_ENTRIES", 120)
@@ -291,6 +291,65 @@ class TestTopK:
         k = data.draw(st.integers(1, n))
         want = np.argsort(values, axis=1, kind="stable")[:, :k]
         assert np.array_equal(scoring._top_k(values, k), want)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_wide_rows_equal_stable_argsort(self, data):
+        # rows wide enough for the filter (n >= 8k, and the 1-in-8 sample
+        # wider than ceil(k/8) + 8), of a few values among signed zeros,
+        # infinities and NaN, or of many: ties at the K-th place, at the
+        # threshold and in the padding are common
+        n = data.draw(st.integers(80, 2000))
+        k = data.draw(st.integers(1, min(n // 8, 8 * (-(-n // 8) - 9))))
+        pool = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan]),
+                      st.floats(-4, 4)), min_size=1, max_size=4)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows = data.draw(st.integers(1, 6))
+        values = rng.choice(pool, (rows, n))
+        spread = rng.random(rows) < 0.5
+        values[spread] = rng.standard_normal((spread.sum(), n)).round(1)
+        want = np.argsort(values, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(scoring._top_k(values, k), want)
+
+    def test_edge_rows_of_the_filter(self, monkeypatch):
+        # k = 100 of 800 columns samples every 8th column and thresholds at
+        # the 21st smallest sampled value. Row 0 holds 0..99 in the sampled
+        # columns and larger values elsewhere: 21 columns pass, and it
+        # takes the full path. Row 1 holds 90 ones, 30 infinities in
+        # sampled columns and NaN elsewhere: its threshold is +inf, and its
+        # top-K ends with kept infinities that must rank before the
+        # padding, since row 2, all zeros, keeps all 800 columns
+        widths, full = [], scoring._top_k_full
+        monkeypatch.setattr(scoring, "_top_k_full", lambda v, k: (
+            widths.append(v.shape) or full(v, k)))
+        values = np.random.default_rng(5).uniform(100, 200, (4, 800))
+        values[0, ::8] = np.arange(100)
+        values[1] = np.nan
+        values[1, 1:8 * 90:8] = 1.0
+        values[1, 0:8 * 30:8] = np.inf
+        values[2] = 0.0
+        got = scoring._top_k(values, 100)
+        assert np.array_equal(got, np.argsort(values, axis=1,
+                                              kind="stable")[:, :100])
+        assert widths == [(4, 800), (1, 800)]
+
+    @pytest.mark.parametrize("n,filtered", [(10_000, True), (300, False)])
+    def test_wide_chunks_take_the_filter(self, monkeypatch, n, filtered):
+        # var with k = 100: a chunk of 10 000 candidates a query is
+        # filtered to a few hundred, and no query falls back to the full
+        # row; one of 300 takes the full path
+        widths, full = [], scoring._top_k_full
+        monkeypatch.setattr(scoring, "_top_k_full", lambda v, k: (
+            widths.append(v.shape) or full(v, k)))
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((n, 4))
+        queries = rng.standard_normal((5, 4))
+        got = scoring.score_set(_bank(feats), queries, "var", 100)
+        assert len(widths) == 1 and widths[0][0] == 5
+        assert (widths[0][1] < 300) if filtered else (widths[0][1] == n)
+        np.testing.assert_allclose(
+            got, oracles.score_var_sorted(feats, queries, 100), rtol=1e-12)
 
 
 class TestAuroc:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import clood
 import clood.train as train_mod
-from clood import ablate, cli, errors, losses, model, scoring
+from clood import ablate, cli, clustering, errors, losses, model, scoring
 from clood.config import TrainConfig, benchmark_config, config_from_dict
 from clood.data import DatasetSpec, generate_synthetic
 from clood.errors import ConfigError, NumericError
@@ -115,6 +115,32 @@ class TestTrainLoop:
         # l_cluster is the mean of the two terms, to rounding
         for m in result.metrics[2:]:
             assert m["l_cluster"] == pytest.approx((m["l_ccl"] + m["l_cil"]) / 2)
+        # the refit columns: rows moved since the previous refit (none
+        # before the first), concentrations at the floor after the last
+        assert [m["changed"] is None for m in result.metrics] == \
+            [True, True, True, True, False, True]
+        assert [m["at_floor"] is None for m in result.metrics] == \
+            [True, True, False, True, False, True]
+        assert 0 <= result.metrics[4]["changed"] <= 24
+        assert result.metrics[4]["at_floor"] == np.count_nonzero(
+            result.cluster_state.phis == result.config.phi_floor)
+
+    def test_refit_columns_sum_each_epochs_refits(self, monkeypatch):
+        # refits before each of the 3 batches: "changed" sums the moves of
+        # an epoch's refits that follow another, "at_floor" reads its last
+        states, refit = [], train_mod._refit
+        monkeypatch.setattr(train_mod, "_refit", lambda *a: (
+            states.append(refit(*a)) or states[-1]))
+        result, _ = _small_run(update_per_batch=True, phi_floor=0.5)
+        assert len(states) == 4 * 3
+        moved = [None] + [clustering.moved_rows(a.assignments, b.assignments, 2)
+                          for a, b in zip(states, states[1:])]
+        for i, m in enumerate(result.metrics[2:]):
+            assert m["changed"] == sum(x for x in moved[3 * i:3 * i + 3]
+                                       if x is not None)
+            assert m["at_floor"] == np.count_nonzero(states[3 * i + 2].phis
+                                                     == 0.5)
+        assert any(m["at_floor"] for m in result.metrics[2:])
 
     @pytest.mark.parametrize("on,off", [("use_ccl", "use_cil"),
                                         ("use_cil", "use_ccl")])
@@ -141,6 +167,13 @@ class TestTrainLoop:
                 repr({**b, "config_hash": None})
         assert all(np.isnan(m[name]) for m in second.metrics
                    for name in ("l_cluster", "l_ccl", "l_cil"))
+        assert all(m["changed"] is None and m["at_floor"] is None
+                   for m in second.metrics)
+        # the refit columns of a resumed run are those of a cold one
+        cold = train_mod.train(config, bundle)
+        resumed = train_mod.train(config, bundle, warm=warm)
+        assert [(m["changed"], m["at_floor"]) for m in resumed.metrics] == \
+            [(m["changed"], m["at_floor"]) for m in cold.metrics]
 
     def test_update_per_batch_refits_every_joint_epoch(self):
         result, _ = _small_run(update_per_batch=True)
@@ -173,13 +206,20 @@ class TestTrainLoop:
         path = tmp_path / "metrics.csv"
         train_mod.write_metrics(result.metrics, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == \
-            "epoch,lr,l_self,l_cluster,l_ccl,l_cil,refit,config_hash"
+        assert lines[0] == ("epoch,lr,l_self,l_cluster,l_ccl,l_cil,refit,"
+                            "changed,at_floor,config_hash")
         assert len(lines) == 1 + len(result.metrics)
         warmup, joint = lines[1].split(","), lines[-1].split(",")
         assert warmup[3:6] == ["nan"] * 3
         assert [float(x) for x in joint[3:6]] == \
             [result.metrics[-1][k] for k in ("l_cluster", "l_ccl", "l_cil")]
+        # the refit columns are empty on an epoch without a refit, and
+        # "changed" on the first refit
+        first, second = lines[3].split(","), lines[5].split(",")
+        assert warmup[7:9] == joint[7:9] == ["", ""]
+        assert first[7] == "" and first[8] == str(result.metrics[2]["at_floor"])
+        assert second[7:9] == [str(result.metrics[4][k])
+                               for k in ("changed", "at_floor")]
 
     @pytest.mark.parametrize("warmup_epochs", [0, 1])
     def test_one_epoch_equals_a_per_array_sgd_loop(self, warmup_epochs):
@@ -490,6 +530,23 @@ def test_every_other_field_changes_the_warmup_key():
     assert train_mod.warmup_key(config, other_rows) != key
 
 
+def test_ablate_options_apply_over_benchmark_config(monkeypatch, tmp_path):
+    # --config, then --set, change only the benchmark fields they name
+    bases = []
+    monkeypatch.setattr(ablate, "run_sweep", lambda name, base, n_seeds: (
+        bases.append(base) or []))
+    path = tmp_path / "sweep.cfg"
+    path.write_text("lr = 0.1\ncomponent_spread = 0.2\n")
+    assert cli.main(["ablate", "--sweep", "loss-terms",
+                     "--set", "component_spread=0.3"]) == 0
+    assert cli.main(["ablate", "--sweep", "loss-terms", "--config", str(path),
+                     "--set", "component_spread=0.3"]) == 0
+    assert cli.main(["ablate", "--sweep", "loss-terms"]) == 0
+    assert bases == [benchmark_config(component_spread=0.3),
+                     benchmark_config(component_spread=0.3, lr=0.1),
+                     benchmark_config()]
+
+
 def test_sweep_checks_every_cluster_count_before_training(monkeypatch, capsys):
     monkeypatch.setattr(ablate, "train", lambda *a, **kw: pytest.fail(
         "a variant trained before the cluster counts were checked"))
@@ -503,14 +560,15 @@ def test_sweep_checks_every_cluster_count_before_training(monkeypatch, capsys):
 
 def test_sweep_checks_k_top_against_training_rows_before_training(
         monkeypatch, capsys):
-    # var's top-K of 10 cannot fit a bank of the 8 training rows
+    # var's top-K of 100 (benchmark_config's) cannot fit a bank of the 8
+    # training rows
     monkeypatch.setattr(ablate, "train", lambda *a, **kw: pytest.fail(
         "a variant trained before k_top was checked"))
     rc = cli.main(["ablate", "--sweep", "loss-terms", "--seeds", "1",
                    "--set", "components=2", "--set", "train_per_component=4",
                    "--set", "clusters=2"])
     assert rc == 2
-    assert ("k_top must lie in [2, 8] for a bank of 8 rows, got 10"
+    assert ("k_top must lie in [2, 8] for a bank of 8 rows, got 100\n"
             in capsys.readouterr().err)
     # cos has no top-K
     TrainConfig(score_kind="cos", components=2, train_per_component=4,
