@@ -59,7 +59,6 @@ class DatasetBundle:
     id_train: np.ndarray
     id_test: np.ndarray
     ood_sets: dict
-    provenance: dict
 
 
 def _mixture_centers(rng, c, d, max_cos=0.5, tries=200):
@@ -124,18 +123,9 @@ def generate_synthetic(spec, seed):
     mid += spec.interp_noise * r_interp.standard_normal(mid.shape)
     interp = normalize_rows(mid)[0]
 
-    provenance = {
-        "id": {"components": spec.components, "spread": spec.component_spread,
-               "d_in": spec.d_in},
-        "shifted": {"angle": spec.ood_angle, "spread": spec.component_spread},
-        "scaled": {"spread": spec.component_spread * spec.ood_scale},
-        "interp": {"noise": spec.interp_noise},
-        "seed": seed,
-    }
     return DatasetBundle(id_train=id_train, id_test=id_test,
                          ood_sets={"shifted": shifted, "scaled": scaled,
-                                   "interp": interp},
-                         provenance=provenance)
+                                   "interp": interp})
 
 
 def augment(batch, seed, noise_sigma=0.15, mask_prob=0.1, gain=0.3):
@@ -222,9 +212,5 @@ def load_bundle(directory):
 
     ood = {name: read(f"ood_{name}.csv", name) for name in OOD_SET_NAMES
            if os.path.exists(os.path.join(directory, f"ood_{name}.csv"))}
-    return DatasetBundle(
-        id_train=id_train,
-        id_test=read("id_test.csv", "id_test"),
-        ood_sets=ood,
-        provenance={"loaded_from": directory},
-    )
+    return DatasetBundle(id_train=id_train,
+                         id_test=read("id_test.csv", "id_test"), ood_sets=ood)

@@ -101,15 +101,14 @@ def mlp_forward_np(params, x):
 def layer_features(encoder, projection, x, layer):
     """The rows of `x` at the "embedding" layer, or else at the projection.
 
-    The last of `mlp_forward_np`'s outputs, through the encoder and, for
-    the projection, the head, but only the output is kept: blocks of about
-    _FORWARD_ROWS rows go through every layer in turn, in place, into one
-    preallocated array. A block's products are the ones `mlp_forward_np`
-    takes on those rows alone. BLAS picks its kernel by a product's shape,
-    so the last bit of an entry can depend on the row count, and the
-    output equals `mlp_forward_np`'s on all of `x` bit for bit only where
-    it does not, as for the benchmark's widths. No block holds a lone row
-    when `x` has more: BLAS computes a one-row product on another path.
+    The last of `mlp_forward_np`'s outputs through the encoder and, for
+    the projection, the head, taken on blocks of about _FORWARD_ROWS rows
+    into one preallocated array. BLAS picks its kernel by a product's
+    shape, so the last bit of an entry can depend on the row count, and
+    the output equals `mlp_forward_np`'s on all of `x` bit for bit only
+    where it does not, as for the benchmark's widths. No block holds a
+    lone row when `x` has more: BLAS computes a one-row product on
+    another path.
     """
     x = _check_input(encoder, x)
     nets = [encoder] if layer == "embedding" else [encoder, projection]
@@ -120,12 +119,7 @@ def layer_features(encoder, projection, x, layer):
     for start, stop in zip(starts, [*starts[1:], n]):
         h = x[start:stop]
         for net in nets:
-            last = len(net.weights) - 1
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                h = h @ w
-                h += b
-                if i != last:
-                    np.maximum(h, 0.0, out=h)
+            h = mlp_forward_np(net, h)[-1]
         out[start:stop] = h
     return out
 

@@ -4,7 +4,6 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -21,11 +20,9 @@ _SAMPLE = 8
 
 @dataclass
 class ReferenceBank:
-    """Training-set features test samples are scored against.
-
-    What scoring derives from the rows is built on first use and kept, so
-    the rows must not change once the bank has scored.
-    """
+    """Training-set features test samples are scored against: a non-empty
+    float64 matrix, one row per training sample. Scoring keeps nothing
+    from one call to the next, so the rows may change between calls."""
 
     features: np.ndarray
 
@@ -36,47 +33,6 @@ class ReferenceBank:
 
     def __len__(self):
         return self.features.shape[0]
-
-    @cached_property
-    def _norms(self):
-        return np.linalg.norm(self.features, axis=1)
-
-    @cached_property
-    def _finite(self):
-        """True when every row norm is finite.
-
-        Then no candidate of a unit query can overflow: a partial sum of
-        b . q is at most ||b|| ||q|| in magnitude.
-        """
-        return bool(np.isfinite(self._norms).all())
-
-    @cached_property
-    def _negated(self):
-        """The bank, negated and transposed into a contiguous (d, n) array."""
-        rows = self.features.T.copy()
-        return np.negative(rows, out=rows)
-
-    @cached_property
-    def _tiles(self):
-        """Norm-ordered tiles for `cos`, or None to scan the bank whole.
-
-        The rows, stably sorted by norm, largest first, are cut into
-        contiguous transposed (d, width) tiles, the last one taking a lone
-        leftover row. Next to them: the norm of the first row after each
-        tile but the last, the largest norm of all rows after it. A bank
-        that fits in one tile, or has a non-finite row norm, gets None.
-        """
-        width = _tile_width()
-        if len(self) <= width or not self._finite:
-            return None
-        order = np.argsort(-self._norms, kind="stable")
-        starts = list(range(0, len(self), width))
-        if len(self) - starts[-1] == 1:
-            starts.pop()
-        ends = starts[1:] + [len(self)]
-        tiles = [np.ascontiguousarray(self.features[order[a:b]].T)
-                 for a, b in zip(starts, ends)]
-        return tiles, self._norms[order[starts[1:]]]
 
 
 @dataclass
@@ -139,8 +95,8 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False):
     (ties to the lowest index), clamped at 1e-8. With `clamped`, also
     returns which queries' spread was clamped (none under `cos`).
 
-    `var` scores chunks of queries against the whole bank, prepared once
-    as a negated transposed copy, so the best candidate is the first of
+    `var` scores chunks of queries against the whole bank, copied negated
+    and transposed once per call, so the best candidate is the first of
     the top-K; a chunk's candidates and top-K rows fill up to twice
     _CHUNK_ENTRIES entries (`_var_scores`), and its top-K rows, at most
     half of _CHUNK_ENTRIES, are gathered into one workspace kept for the
@@ -148,13 +104,13 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False):
     more (its docstring gives the rule) it keeps each query's candidates
     at or below a threshold drawn from every 8th one, about K + 64 of
     them, and orders only those, or the full row when fewer than K pass.
-    `cos` scans the bank's norm-ordered tiles (`_cos_scores`) and stops a
-    query once no row left can beat its best; a bank that fits in one
-    tile, or has a non-finite row norm, is scanned whole, a chunk at a
-    time. No product has a single row on either side:
-    BLAS computes those on another path, whose last bit differs. BLAS
-    also picks its kernel by a product's shape, so the last bit of a
-    score can depend on how many queries share its product.
+    `cos` scans norm-ordered tiles of the bank, cut once per call
+    (`_cos_tiles`), and stops a query once no row left can beat its best;
+    a bank that fits in one tile, or has a non-finite row norm, is
+    scanned whole, a chunk at a time. No product has a single row on
+    either side: BLAS computes those on another path, whose last bit
+    differs. BLAS also picks its kernel by a product's shape, so the last
+    bit of a score can depend on how many queries share its product.
     """
     if score_kind not in ("cos", "var"):
         raise ConfigError(f"unknown score kind {score_kind!r}")
@@ -179,17 +135,20 @@ def _var_scores(bank, queries, k_top):
     twice _CHUNK_ENTRIES, and its top rows at most half of it.
     """
     n, d = bank.features.shape
+    negated = np.negative(bank.features.T, order="C")
+    # finite row norms bound every partial sum of b . q by ||b|| ||q||
+    finite = bool(np.isfinite(np.linalg.norm(bank.features, axis=1)).all())
     step = max(1, min(2 * _CHUNK_ENTRIES // (n + k_top * d),
                       _CHUNK_ENTRIES // 2 // (k_top * d)))
     work = np.empty((min(step, len(queries)), k_top, d))
     scores = np.empty(len(queries))
     clamped = np.empty(len(queries), dtype=bool)
     for start in range(0, len(queries), step):
-        neg = _product(queries[start:start + step], bank._negated)
+        neg = _product(queries[start:start + step], negated)
         top = _top_k(neg, k_top)
         # a NaN candidate can only come from a row with a non-finite norm
         lowest = (np.take_along_axis(neg, top[:, :1], axis=1)[:, 0]
-                  if bank._finite else neg.min(axis=1))
+                  if finite else neg.min(axis=1))
         # "clip" writes straight into the workspace; the indices are in range
         dev = np.take(bank.features, top, axis=0, out=work[:len(top)],
                       mode="clip")
@@ -207,6 +166,31 @@ def _tile_width():
     return max(2, math.isqrt(_CHUNK_ENTRIES))
 
 
+def _cos_tiles(features):
+    """Norm-ordered `cos` tiles of the bank rows, or None to scan them whole.
+
+    The rows, stably sorted by norm, largest first, are cut into
+    contiguous transposed (d, width) tiles, the last one taking a lone
+    leftover row. Next to them: the norm of the first row after each tile
+    but the last, the largest norm of all rows after it. A bank that fits
+    in one tile, or has a non-finite row norm, gets None.
+    """
+    n, width = len(features), _tile_width()
+    if n <= width:
+        return None
+    norms = np.linalg.norm(features, axis=1)
+    if not np.isfinite(norms).all():
+        return None
+    order = np.argsort(-norms, kind="stable")
+    starts = list(range(0, n, width))
+    if n - starts[-1] == 1:
+        starts.pop()
+    ends = starts[1:] + [n]
+    tiles = [np.ascontiguousarray(features[order[a:b]].T)
+             for a, b in zip(starts, ends)]
+    return tiles, norms[order[starts[1:]]]
+
+
 def _product(queries, rows):
     """queries @ rows, with a lone query (or bank row) doubled first, so
     that BLAS takes the path a batch takes."""
@@ -220,8 +204,8 @@ def _product(queries, rows):
 def _cos_scores(bank, queries):
     """Best candidate of each unit query, exactly.
 
-    With the bank's norm-ordered tiles (`ReferenceBank._tiles`), each
-    block of queries is multiplied by one tile after another, largest
+    The bank's norm-ordered tiles (`_cos_tiles`) are cut once per call.
+    Each block of queries is multiplied by one tile after another, largest
     norms first; a query drops out once its best candidate reaches the
     limit of the tile it would take next. The limit bounds every computed
     candidate of the rows left, so the maximum, and every bit of it, is
@@ -248,10 +232,11 @@ def _cos_scores(bank, queries):
     norm can overflow, and such a bank is not pruned. A NaN query scores
     NaN however far it is scanned, so v_q skips it.
     """
-    if bank._tiles is None:
+    prepared = _cos_tiles(bank.features)
+    if prepared is None:
         tiles, limits = [bank.features.T], []
     else:
-        tiles, after = bank._tiles
+        tiles, after = prepared
         d = queries.shape[1]
         v_q = np.fmax.reduce(np.linalg.norm(queries, axis=1), initial=0.0)
         limits = after * (v_q * (1 + (d + 2) * 2.0 ** -51)) + d * 2.0 ** -536
@@ -338,17 +323,6 @@ def _top_k_full(values, k):
     if redo.any():
         top[redo] = np.argsort(values[redo], axis=1, kind="stable")[:, :k]
     return top
-
-
-def build_report(bank, id_test_features, ood_features, score_kind, k_top=10,
-                 config_hash=""):
-    """Score ID test and every OOD set, with one AUROC per OOD set."""
-    names = sorted(ood_features)
-    parts = [np.asarray(x, dtype=np.float64)
-             for x in [id_test_features] + [ood_features[n] for n in names]]
-    return stacked_report(bank, np.concatenate(parts), len(parts[0]),
-                          {n: len(x) for n, x in zip(names, parts[1:])},
-                          score_kind, k_top, config_hash)
 
 
 def stacked_report(bank, features, id_rows, ood_rows, score_kind, k_top=10,

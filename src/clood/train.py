@@ -18,7 +18,7 @@ import numpy as np
 
 from . import clustering, losses, model, scoring
 from .autodiff import normalize_backward, normalize_rows
-from .data import augment
+from .data import OOD_SET_NAMES, augment
 from .clustering import ClusterState
 from .config import TrainConfig, config_from_dict
 from .errors import ConfigError, NumericError
@@ -392,7 +392,7 @@ def evaluate(result, bundle, score_kind=None, k_top=None):
     The test rows of every set are stacked, go through one forward and
     are scored by one `score_set` call. `score_kind` and `k_top` default
     to the checkpoint's; an explicit `k_top` must be positive, whatever
-    the score kind.
+    the score kind. A bundle with no OOD set is a ConfigError.
     """
     config = result.config
     score_kind = score_kind or config.score_kind
@@ -401,6 +401,10 @@ def evaluate(result, bundle, score_kind=None, k_top=None):
     elif k_top < 1:
         raise ConfigError(f"k_top must be positive, got {k_top}")
     check_width(config, bundle)
+    if not bundle.ood_sets:
+        files = ", ".join(f"ood_{name}.csv" for name in OOD_SET_NAMES)
+        raise ConfigError(f"bundle has no OOD set to score; expected one "
+                          f"or more of {files}")
 
     def feats(x):
         return model.layer_features(result.encoder, result.projection, x,

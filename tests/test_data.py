@@ -54,11 +54,6 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             data.generate_synthetic(_spec(ood_angle=0.0), seed=0)
 
-    def test_provenance_records_settings(self):
-        b = data.generate_synthetic(_spec(ood_angle=0.3), seed=5)
-        assert b.provenance["seed"] == 5
-        assert b.provenance["shifted"]["angle"] == 0.3
-
 
 class TestAugment:
     def test_identity_settings_duplicate_batch(self):
@@ -109,8 +104,7 @@ def _bundles(draw):
                                               allow_infinity=False)))
     names = draw(st.sets(st.sampled_from(data.OOD_SET_NAMES)))
     return data.DatasetBundle(id_train=rows(), id_test=rows(),
-                              ood_sets={name: rows() for name in sorted(names)},
-                              provenance={})
+                              ood_sets={name: rows() for name in sorted(names)})
 
 
 @settings(deadline=None, max_examples=100)
@@ -118,7 +112,7 @@ def _bundles(draw):
 @example(data.DatasetBundle(
     id_train=np.array([[-0.0, 5e-324], [0.0, -1.7976931348623157e308]]),
     id_test=np.array([[-0.0, 0.1]]),
-    ood_sets={"scaled": np.array([[-5e-324, -0.0]])}, provenance={}))
+    ood_sets={"scaled": np.array([[-5e-324, -0.0]])}))
 def test_bundle_round_trips_bit_exactly(bundle):
     # signed zeros, subnormals and the largest floats survive the CSV
     with tempfile.TemporaryDirectory() as directory:

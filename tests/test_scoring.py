@@ -13,6 +13,15 @@ def _bank(rows):
     return scoring.ReferenceBank(np.asarray(rows, dtype=np.float64))
 
 
+def _report(bank, id_test, ood, kind, **kwargs):
+    """`stacked_report` on the ID test rows, then each OOD set's in name
+    order."""
+    names = sorted(ood)
+    return scoring.stacked_report(
+        bank, np.concatenate([id_test] + [ood[n] for n in names]),
+        len(id_test), {n: len(ood[n]) for n in names}, kind, **kwargs)
+
+
 @st.composite
 def _exact_query(draw, d):
     """A query whose unit vector has entries in {0, +-1/2, +-1}."""
@@ -90,9 +99,9 @@ class TestScoreVar:
         _, clamped = scoring.score_set(bank, queries, "cos", clamped=True)
         assert not clamped.any()
         ood = {"near": queries[[0, 2, 3]], "far": queries[1:2]}
-        var = scoring.build_report(bank, queries, ood, "var", k_top=3)
+        var = _report(bank, queries, ood, "var", k_top=3)
         assert (var.id_clamped, var.ood_clamped) == (3, {"far": 0, "near": 3})
-        cos = scoring.build_report(bank, queries, ood, "cos")
+        cos = _report(bank, queries, ood, "cos")
         assert (cos.id_clamped, cos.ood_clamped) == (0, {"far": 0, "near": 0})
         scoring.write_report(var, tmp_path / "s.csv", tmp_path / "a.csv")
         rows = [line.split(",") for line in
@@ -162,9 +171,11 @@ class TestScoreSet:
             queries = (rows[rng.integers(0, n, m)] * rng.uniform(0.5, 2, (m, 1))
                        + noise * rng.standard_normal((m, d)))
             bank = _bank(rows)
-            got = scoring.score_set(bank, queries, "cos")
-            alone = [scoring.score_cos(bank, z) for z in queries]
-        want = _unpruned_cos(bank, queries)
+            # a query drawn from a row holding inf or NaN normalizes to NaN
+            with np.errstate(invalid="ignore"):
+                got = scoring.score_set(bank, queries, "cos")
+                alone = [scoring.score_cos(bank, z) for z in queries]
+                want = _unpruned_cos(bank, queries)
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(got, alone, equal_nan=True)
         if bad is None:
@@ -244,6 +255,22 @@ class TestScoreSet:
         want = oracles.score_var_sorted(feats, queries, 5)
         assert got.tobytes() == want.tobytes()
 
+    def test_rows_changed_in_place_score_as_a_fresh_bank(self):
+        # 600 rows make two cos tiles, of 512 and 88 rows; nothing either
+        # kind derives from the rows outlives its call
+        rng = np.random.default_rng(10)
+        rows = rng.standard_normal((600, 4))
+        queries = rng.standard_normal((7, 4))
+        bank = scoring.ReferenceBank(rows)
+        assert bank.features is rows
+        for kind in ("cos", "var"):
+            scoring.score_set(bank, queries, kind, 5)
+        rows *= 2
+        fresh = scoring.ReferenceBank(rows.copy())
+        for kind in ("cos", "var"):
+            assert scoring.score_set(bank, queries, kind, 5).tobytes() == \
+                scoring.score_set(fresh, queries, kind, 5).tobytes()
+
     @pytest.mark.parametrize("k", [2, 4])
     def test_nan_bank_rows_give_nan_var_scores(self, k):
         # with k=4 the fourth candidate is a NaN row's
@@ -263,10 +290,11 @@ def _unpruned_cos(bank, queries):
     rows) times each tile (two or more rows), best over the tiles."""
     unit = normalize_rows(queries)[0]
     both = np.vstack([unit, unit])
-    if bank._tiles is None:
+    prepared = scoring._cos_tiles(bank.features)
+    if prepared is None:
         tiles = [bank.features.T]
     else:
-        tiles = bank._tiles[0]
+        tiles = prepared[0]
         # the tiles hold every bank row once
         counts = [np.unique(r, axis=0, return_counts=True)
                   for r in (np.hstack(tiles).T, bank.features)]
@@ -396,13 +424,13 @@ class TestAuroc:
 
 
 class TestReport:
-    def test_build_report_aurocs_per_set(self):
+    def test_stacked_report_aurocs_per_set(self):
         rng = np.random.default_rng(4)
         bank = _bank(rng.standard_normal((20, 3)))
         id_test = rng.standard_normal((10, 3))
         ood = {"shifted": rng.standard_normal((8, 3)),
                "scaled": rng.standard_normal((8, 3))}
-        rep = scoring.build_report(bank, id_test, ood, "cos")
+        rep = _report(bank, id_test, ood, "cos")
         assert set(rep.aurocs) == {"shifted", "scaled"}
         assert all(0.0 <= v <= 1.0 for v in rep.aurocs.values())
         assert rep.id_scores.shape == (10,)
@@ -410,9 +438,9 @@ class TestReport:
     def test_write_report_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(5)
         bank = _bank(rng.standard_normal((15, 3)))
-        rep = scoring.build_report(bank, rng.standard_normal((6, 3)),
-                                   {"interp": rng.standard_normal((6, 3))},
-                                   "var", k_top=5, config_hash="abc")
+        rep = _report(bank, rng.standard_normal((6, 3)),
+                      {"interp": rng.standard_normal((6, 3))}, "var",
+                      k_top=5, config_hash="abc")
         paths = [(tmp_path / f"s{i}.csv", tmp_path / f"a{i}.csv")
                  for i in (1, 2)]
         for sp, ap in paths:
@@ -428,14 +456,12 @@ class TestReport:
                "b": rng.standard_normal((4, 3))}
         ood["b"][1] = 0.0
         with pytest.raises(DomainError, match="zero-norm row 1 of set 'b'"):
-            scoring.build_report(bank, rng.standard_normal((3, 3)), ood, kind,
-                                 k_top=2)
+            _report(bank, rng.standard_normal((3, 3)), ood, kind, k_top=2)
         id_test = rng.standard_normal((3, 3))
         id_test[2] = 0.0
         with pytest.raises(DomainError,
                            match="zero-norm row 2 of set 'id_test'"):
-            scoring.build_report(bank, id_test, {"a": ood["a"]}, kind,
-                                 k_top=2)
+            _report(bank, id_test, {"a": ood["a"]}, kind, k_top=2)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

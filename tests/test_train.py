@@ -354,6 +354,13 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             train_mod.evaluate(result, other)
 
+    def test_bundle_without_ood_sets_rejected(self):
+        result, bundle = _small_run()
+        bundle.ood_sets.clear()
+        with pytest.raises(ConfigError, match="ood_shifted.csv, "
+                           "ood_scaled.csv, ood_interp.csv"):
+            train_mod.evaluate(result, bundle)
+
     def test_similarity_bounded(self):
         result, bundle = _small_run()
         sim = train_mod.mean_max_center_similarity(result, bundle)
@@ -753,6 +760,15 @@ class TestCli:
         assert rc == 2
         assert f"{path}: set 'shifted' is 7 wide, id_train is 8" in \
             capsys.readouterr().err
+
+    def test_eval_without_ood_sets_exits_2(self, tmp_path, capsys):
+        data_dir, ckpt = self._trained(tmp_path)
+        for path in data_dir.glob("ood_*.csv"):
+            path.unlink()
+        capsys.readouterr()
+        assert self._eval(tmp_path, ckpt, data_dir) == 2
+        assert "bundle has no OOD set" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
 
     @pytest.mark.parametrize("data", [False, True], ids=["generated", "bundle"])
     def test_train_width_mismatch_exits_2(self, tmp_path, capsys, data):
