@@ -9,6 +9,7 @@ and "interp" takes midpoints of random ID pairs plus small noise.
 import csv
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -17,6 +18,8 @@ from .autodiff import normalize_rows
 from .errors import ConfigError
 
 OOD_SET_NAMES = ("shifted", "scaled", "interp")
+# an OOD set's name, the <name> of its file ood_<name>.csv
+_SET_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,246}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,23 @@ def _write_set(path, name, rows):
             w.writerow([repr(float(x)) for x in row])
 
 
+def _check_set_name(name, where=""):
+    """ConfigError, its message led by `where`, unless `name` can come
+    back from its file name ood_<name>.csv: 1 to 247 characters of the
+    POSIX portable file-name set (letters, digits, '.', '_', '-'), not
+    starting with '.'."""
+    if not (isinstance(name, str) and _SET_NAME.fullmatch(name)):
+        raise ConfigError(f"{where}OOD set name {name!r} must be 1 to 247 "
+                          f"letters, digits, '.', '_' or '-', not starting "
+                          f"with '.'")
+
+
 def save_bundle(bundle, directory):
+    """Write each set to its CSV file: id_train.csv, id_test.csv and
+    ood_<name>.csv per OOD set; a name that cannot come back from its file
+    name is a ConfigError, raised before anything is written."""
+    for name in bundle.ood_sets:
+        _check_set_name(name)
     os.makedirs(directory, exist_ok=True)
     _write_set(os.path.join(directory, "id_train.csv"), "id_train",
                bundle.id_train)
@@ -198,8 +217,10 @@ def _read_set(path, expect_name):
 
 
 def load_bundle(directory):
-    """The bundle save_bundle wrote; a set whose width differs from
-    id_train's is a ConfigError naming its file."""
+    """The bundle save_bundle wrote, with every ood_<name>.csv file as an
+    OOD set, in name order; a set whose width differs from id_train's, or
+    whose name save_bundle would refuse, is a ConfigError naming its
+    file."""
     id_train = _read_set(os.path.join(directory, "id_train.csv"), "id_train")
 
     def read(file, name):
@@ -210,7 +231,13 @@ def load_bundle(directory):
                               f"id_train is {id_train.shape[1]}")
         return rows
 
-    ood = {name: read(f"ood_{name}.csv", name) for name in OOD_SET_NAMES
-           if os.path.exists(os.path.join(directory, f"ood_{name}.csv"))}
+    names = []
+    for file in os.listdir(directory):
+        path = os.path.join(directory, file)
+        if file.startswith("ood_") and file.endswith(".csv") and \
+                os.path.isfile(path):
+            names.append(file[len("ood_"):-len(".csv")])
+            _check_set_name(names[-1], f"{path}: ")
+    ood = {name: read(f"ood_{name}.csv", name) for name in sorted(names)}
     return DatasetBundle(id_train=id_train,
                          id_test=read("id_test.csv", "id_test"), ood_sets=ood)

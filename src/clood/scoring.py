@@ -95,15 +95,23 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False):
     (ties to the lowest index), clamped at 1e-8. With `clamped`, also
     returns which queries' spread was clamped (none under `cos`).
 
-    `var` scores chunks of queries against the whole bank, copied negated
-    and transposed once per call, so the best candidate is the first of
+    `var` scores chunks of queries against a negated, transposed copy of
+    the bank made once per call, so the best candidate is the first of
     the top-K; a chunk's candidates and top-K rows fill up to twice
-    _CHUNK_ENTRIES entries (`_var_scores`), and its top-K rows, at most
-    half of _CHUNK_ENTRIES, are gathered into one workspace kept for the
-    call. `_top_k` selects the top-K exactly; on a bank of 8K rows or
-    more (its docstring gives the rule) it keeps each query's candidates
-    at or below a threshold drawn from every 8th one, about K + 64 of
-    them, and orders only those, or the full row when fewer than K pass.
+    _CHUNK_ENTRIES entries, every product of the call is written into
+    one buffer, and a chunk's top-K rows, at most half of _CHUNK_ENTRIES,
+    are gathered into one workspace kept for the call. On a bank of 8K
+    rows or more (`_sample_rank` gives the rule), each query's threshold
+    comes first, from a small product with every 8th bank row; `_top_k`
+    keeps the candidates at or below it, about K + 64, and orders only
+    those, or every candidate when fewer than K pass. The queries are
+    scored in threshold order, and if every row norm is finite, a chunk
+    is multiplied only by the prefix of the bank, in norm order, that can
+    reach its loosest threshold: the limit `cos` stops at (`_limits`)
+    keeps every skipped row's negated candidate above every threshold of
+    the chunk, so no skipped row could have been kept, and the top-K,
+    ties to the lowest index included, is the whole bank's
+    (`_var_scores`).
     `cos` scans norm-ordered tiles of the bank, cut once per call
     (`_cos_tiles`), and stops a query once no row left can beat its best;
     a bank that fits in one tile, or has a non-finite row norm, is
@@ -133,31 +141,111 @@ def _var_scores(bank, queries, k_top):
     _CHUNK_ENTRIES // 2 // (K d)) queries, at least one, is scored at a
     time: its n candidates and K top rows of width d a query fill up to
     twice _CHUNK_ENTRIES, and its top rows at most half of it.
+
+    On a bank wide enough for `_top_k`'s filter (`_sample_rank`), every
+    query's threshold t is taken first (`_thresholds`), and the queries
+    are scored in order of t. If every row norm is finite, the rows are
+    copied in `_norm_order`, and a chunk is multiplied only by the first
+    rows whose limit (`_limits`) reaches minus its loosest threshold, K
+    of them at least. Every row after them has a limit below -t for each
+    t of the chunk, so its computed negated candidate, at least minus its
+    limit, lies above t: no query of the chunk keeps it, and the kept
+    candidates, hence the top-K, are those of the whole bank. The kept
+    columns map back to bank rows; a query whose top-K holds a tie, or
+    ties its K-th value with a row left out, is ordered again by (value,
+    row) (`_by_key`), so the rows and their order, hence the spread, are
+    the unpruned scan's. A query that keeps fewer than K candidates is
+    multiplied again by the whole bank and orders all of its candidates.
+    A bank with a non-finite row norm is copied in its own order and
+    multiplied whole.
     """
-    n, d = bank.features.shape
-    negated = np.negative(bank.features.T, order="C")
-    # finite row norms bound every partial sum of b . q by ||b|| ||q||
-    finite = bool(np.isfinite(np.linalg.norm(bank.features, axis=1)).all())
+    features = bank.features
+    n, d = features.shape
+    prepared = _norm_order(features)
+    rank = _sample_rank(n, k_top)
     step = max(1, min(2 * _CHUNK_ENTRIES // (n + k_top * d),
                       _CHUNK_ENTRIES // 2 // (k_top * d)))
+    # every product of the call is written here
+    buffer = np.empty(max(2, min(step, len(queries))) * n)
+    sequence, keys, ends = None, None, None
+    if rank is not None:
+        t = _thresholds(features, queries, rank, buffer)
+        sequence = np.argsort(t, kind="stable")
+    if rank is None or prepared is None:
+        negated = np.negative(features.T, order="C")
+    else:
+        norms, keys = prepared
+        # the rows in norm order, transposed and negated in place
+        negated = np.take(features.T, keys, axis=1, out=np.empty((d, n)),
+                          mode="clip")
+        np.negative(negated, out=negated)
+        ends = np.searchsorted(-_limits(norms[keys], queries), t[sequence],
+                               "right")
+
+    def least(values, top):
+        # a NaN candidate can only come from a row with a non-finite norm
+        return (np.take_along_axis(values, top[:, :1], axis=1)[:, 0]
+                if prepared is not None else values.min(axis=1))
+
     work = np.empty((min(step, len(queries)), k_top, d))
     scores = np.empty(len(queries))
     clamped = np.empty(len(queries), dtype=bool)
     for start in range(0, len(queries), step):
-        neg = _product(queries[start:start + step], negated)
-        top = _top_k(neg, k_top)
-        # a NaN candidate can only come from a row with a non-finite norm
-        lowest = (np.take_along_axis(neg, top[:, :1], axis=1)[:, 0]
-                  if finite else neg.min(axis=1))
+        chunk = (slice(start, start + step) if sequence is None
+                 else sequence[start:start + step])
+        q = queries[chunk]
+        # no fewer than K rows, so that a product has two columns or more
+        width = n if ends is None else max(k_top, ends[start + len(q) - 1])
+        neg = _product(q, negated[:, :width], buffer)
+        if rank is None:
+            top, short = _top_k_full(neg, k_top), np.zeros(len(q), bool)
+        else:
+            top, short = _top_k(neg, k_top, t[chunk, None],
+                                None if keys is None else keys[:width])
+        lowest = least(neg, top)
+        if short.any():
+            # a query short of K candidates ranks the whole bank
+            full = neg[short] if width == n else \
+                _product(q[short], negated, buffer)
+            top[short] = _top_k_full(full, k_top)
+            if keys is not None:
+                top[short] = _by_key(full, top[short], keys)
+            lowest[short] = least(full, top[short])
+        if keys is not None:
+            top = keys[top]
         # "clip" writes straight into the workspace; the indices are in range
-        dev = np.take(bank.features, top, axis=0, out=work[:len(top)],
+        dev = np.take(features, top, axis=0, out=work[:len(top)],
                       mode="clip")
         dev -= dev.mean(axis=1, keepdims=True)
         np.square(dev, out=dev)
         spread = np.sqrt(dev.sum(axis=(1, 2)) / (k_top - 1))
-        clamped[start:start + step] = spread < 1e-8
-        scores[start:start + step] = -lowest / np.maximum(spread, 1e-8)
+        clamped[chunk] = spread < 1e-8
+        scores[chunk] = -lowest / np.maximum(spread, 1e-8)
     return scores, clamped
+
+
+def _sample_rank(n, k):
+    """The rank r = ceil(k / _SAMPLE) + _SAMPLE of `_top_k`'s threshold
+    in a 1-in-_SAMPLE sample of a bank of n rows, or None if the bank is
+    too narrow for the filter: fewer than _SAMPLE k rows, or a sample no
+    wider than r. The shape alone decides."""
+    rank = -(-k // _SAMPLE) + _SAMPLE
+    return None if n < _SAMPLE * k or rank >= -(-n // _SAMPLE) else rank
+
+
+def _thresholds(features, queries, rank, buffer):
+    """Each unit query's `_top_k` threshold: the rank-th smallest negated
+    candidate of every _SAMPLE-th bank row, from products with a
+    contiguous negated copy of those rows, each a block of queries that
+    fills `buffer`."""
+    sample = np.negative(features[::_SAMPLE].T, order="C")
+    block = len(buffer) // sample.shape[1]
+    t = np.empty(len(queries))
+    for start in range(0, len(queries), block):
+        values = _product(queries[start:start + block], sample, buffer)
+        values.partition(rank - 1, axis=1)
+        t[start:start + block] = values[:, rank - 1]
+    return t
 
 
 def _tile_width():
@@ -166,22 +254,59 @@ def _tile_width():
     return max(2, math.isqrt(_CHUNK_ENTRIES))
 
 
-def _cos_tiles(features):
-    """Norm-ordered `cos` tiles of the bank rows, or None to scan them whole.
-
-    The rows, stably sorted by norm, largest first, are cut into
-    contiguous transposed (d, width) tiles, the last one taking a lone
-    leftover row. Next to them: the norm of the first row after each tile
-    but the last, the largest norm of all rows after it. A bank that fits
-    in one tile, or has a non-finite row norm, gets None.
-    """
-    n, width = len(features), _tile_width()
-    if n <= width:
-        return None
+def _norm_order(features):
+    """The bank's row norms and the rows' stable order by norm, largest
+    first, or None if a row norm is not finite."""
     norms = np.linalg.norm(features, axis=1)
     if not np.isfinite(norms).all():
         return None
-    order = np.argsort(-norms, kind="stable")
+    return norms, np.argsort(-norms, kind="stable")
+
+
+def _limits(norms, queries):
+    """For each computed row norm v_b in `norms`, a limit that no computed
+    candidate fl(b . q) of a row of norm v_b or less, nor its negation,
+    exceeds, for any unit query of `queries`.
+
+    Let u = 2**-53, d the row width and g = d u / (1 - d u). Without
+    underflow or overflow, a d-term dot product computed in any order,
+    with or without fused multiply-adds, has
+        |fl(b . q)| <= (1 + g) ||b|| ||q||,
+    and a computed norm v = fl(||x||) has ||x|| <= v / ((1 - u) sqrt(1 - g)).
+    Hence
+        |fl(b . q)| <= v_b v_q (1 + g) / ((1 - u)^2 (1 - g))
+                     = v_b v_q (1 + (2d + 3) u + O(d^2 u^2)),
+    with v_q the largest query norm. The limit is
+        v_b (v_q (1 + 4(d + 2) u)) + d 2**-536,   4u = 2**-51;
+    its four roundings take off at most 4u, so the factor keeps a margin
+    of about 2d u while d u < 2**-10. Underflow costs each product or
+    square at most 2**-1074, so the dot product gains at most d 2**-1074
+    and a row norm loses at most sqrt(d) 2**-537; the term d 2**-536
+    covers both. A unit query's largest entry is about 1 / sqrt(d) or
+    more, so its own norm does not underflow. Only a row of non-finite
+    norm can overflow, and such a bank is not pruned. A NaN query scores
+    NaN however far it is scanned, so v_q skips it. The limit does not
+    decrease with v_b, since every rounding is monotone.
+    """
+    d = queries.shape[1]
+    v_q = np.fmax.reduce(np.linalg.norm(queries, axis=1), initial=0.0)
+    return norms * (v_q * (1 + (d + 2) * 2.0 ** -51)) + d * 2.0 ** -536
+
+
+def _cos_tiles(features):
+    """Norm-ordered `cos` tiles of the bank rows, or None to scan them whole.
+
+    The rows, in `_norm_order`, are cut into contiguous transposed
+    (d, width) tiles, the last one taking a lone leftover row. Next to
+    them: the norm of the first row after each tile but the last, the
+    largest norm of all rows after it. A bank that fits in one tile, or
+    has a non-finite row norm, gets None.
+    """
+    n, width = len(features), _tile_width()
+    prepared = _norm_order(features) if n > width else None
+    if prepared is None:
+        return None
+    norms, order = prepared
     starts = list(range(0, n, width))
     if n - starts[-1] == 1:
         starts.pop()
@@ -191,14 +316,19 @@ def _cos_tiles(features):
     return tiles, norms[order[starts[1:]]]
 
 
-def _product(queries, rows):
+def _product(queries, rows, buffer=None):
     """queries @ rows, with a lone query (or bank row) doubled first, so
-    that BLAS takes the path a batch takes."""
+    that BLAS takes the path a batch takes; written to the front of
+    `buffer`, if given."""
     if rows.shape[1] == 1:
         rows = np.repeat(rows, 2, axis=1)
-    if queries.shape[0] == 1:
-        return (np.repeat(queries, 2, axis=0) @ rows)[:1]
-    return queries @ rows
+    lone = queries.shape[0] == 1
+    if lone:
+        queries = np.repeat(queries, 2, axis=0)
+    out = None if buffer is None else \
+        buffer[:len(queries) * rows.shape[1]].reshape(len(queries), -1)
+    product = np.matmul(queries, rows, out=out)
+    return product[:1] if lone else product
 
 
 def _cos_scores(bank, queries):
@@ -207,39 +337,19 @@ def _cos_scores(bank, queries):
     The bank's norm-ordered tiles (`_cos_tiles`) are cut once per call.
     Each block of queries is multiplied by one tile after another, largest
     norms first; a query drops out once its best candidate reaches the
-    limit of the tile it would take next. The limit bounds every computed
-    candidate of the rows left, so the maximum, and every bit of it, is
-    that of the unpruned scan over the same tiles. Without tiles, the
-    whole bank is one tile, and a block holds _CHUNK_ENTRIES // n queries.
-
-    The limit. Let u = 2**-53, d the row width and g = d u / (1 - d u).
-    Without underflow or overflow, a d-term dot product computed in any
-    order, with or without fused multiply-adds, has
-        fl(b . q) <= (1 + g) ||b|| ||q||,
-    and a computed norm v = fl(||x||) has ||x|| <= v / ((1 - u) sqrt(1 - g)).
-    Hence
-        fl(b . q) <= v_b v_q (1 + g) / ((1 - u)^2 (1 - g))
-                   = v_b v_q (1 + (2d + 3) u + O(d^2 u^2)),
-    with v_b the largest norm among the rows left (the first row of the
-    next tile) and v_q the largest query norm. The limit is
-        v_b (v_q (1 + 4(d + 2) u)) + d 2**-536,   4u = 2**-51;
-    its four roundings take off at most 4u, so the factor keeps a margin
-    of about 2d u while d u < 2**-10. Underflow costs each product or
-    square at most 2**-1074, so the dot product gains at most d 2**-1074
-    and a row norm loses at most sqrt(d) 2**-537; the term d 2**-536
-    covers both. A unit query's largest entry is about 1 / sqrt(d) or
-    more, so its own norm does not underflow. Only a row of non-finite
-    norm can overflow, and such a bank is not pruned. A NaN query scores
-    NaN however far it is scanned, so v_q skips it.
+    limit of the tile it would take next: the `_limits` of the tile's
+    first row, the largest norm among the rows left. The limit bounds
+    every computed candidate of the rows left, so the maximum, and every
+    bit of it, is that of the unpruned scan over the same tiles. Without
+    tiles, the whole bank is one tile, and a block holds
+    _CHUNK_ENTRIES // n queries.
     """
     prepared = _cos_tiles(bank.features)
     if prepared is None:
         tiles, limits = [bank.features.T], []
     else:
         tiles, after = prepared
-        d = queries.shape[1]
-        v_q = np.fmax.reduce(np.linalg.norm(queries, axis=1), initial=0.0)
-        limits = after * (v_q * (1 + (d + 2) * 2.0 ** -51)) + d * 2.0 ** -536
+        limits = _limits(after, queries)
     block = max(1, _CHUNK_ENTRIES // tiles[0].shape[1])
     scores = np.empty(queries.shape[0])
     for start in range(0, queries.shape[0], block):
@@ -256,33 +366,27 @@ def _cos_scores(bank, queries):
     return scores
 
 
-def _top_k(values, k):
-    """Columns of each row's k smallest values, ordered by (value, column).
+def _top_k(values, k, t, keys=None):
+    """Columns of each row's k smallest values, ordered by (value, column),
+    or, given `keys` (column -> key), by (value, keys[column]); and which
+    rows keep fewer than k values at or below their threshold t (a column
+    of thresholds), whose columns are left unset.
 
-    Equal to np.argsort(values, axis=1, kind="stable")[:, :k] on every
-    input. Wide rows, n >= _SAMPLE k columns whose 1-in-_SAMPLE column
-    sample is wider than r = ceil(k / _SAMPLE) + _SAMPLE (the shape alone
-    decides), are filtered first. Each row's threshold t is the r-th
-    smallest sampled value; the columns holding values <= t, at least r
-    and about _SAMPLE r of them, are laid out in column order and padded
-    with +inf. A row that keeps k columns or more has its k-th smallest
-    value at or below t, so it keeps every column ranked up to there,
-    ties included, in its own order, and the padding ranks after them:
-    the layout's k smallest, which `_top_k_full` picks, are the row's. A
-    row that keeps fewer than k columns (t too low, or NaN) goes through
-    `_top_k_full` whole, as does every row of narrower values.
+    The columns holding values <= t are laid out in column order and
+    padded with +inf. A row that keeps k columns or more has its k-th
+    smallest value at or below t, so it keeps every column ranked up to
+    there, ties included, in its own order, and the padding ranks after
+    them: the layout's k smallest, which `_top_k_full` picks, are the
+    row's. Any t gives the same columns; one that keeps a few times k
+    columns makes the layout small.
     """
     n = values.shape[1]
-    rank = -(-k // _SAMPLE) + _SAMPLE
-    if n < _SAMPLE * k or rank >= -(-n // _SAMPLE):
-        return _top_k_full(values, k)
-    t = np.partition(values[:, ::_SAMPLE], rank - 1, axis=1)[:, rank - 1:rank]
     flat = np.flatnonzero(values <= t)
     rows = flat // n
     counts = np.bincount(rows, minlength=len(values))
     short = counts < k
     if short.all():
-        return _top_k_full(values, k)
+        return np.zeros((len(values), k), dtype=np.intp), short
     if short.any():
         long = ~short[rows]
         flat, rows = flat[long], rows[long]
@@ -293,18 +397,41 @@ def _top_k(values, k):
     kept = np.full((len(values), width), np.inf)
     kept.reshape(-1)[rows * width + np.arange(len(flat)) - starts[rows]] = \
         np.take(values, flat)
-    # "clip" keeps the places of short rows, overwritten below, in range
-    top = np.take(flat - rows * n, starts[:, None] + _top_k_full(kept, k),
-                  mode="clip")
-    if short.any():
-        top[short] = _top_k_full(values[short], k)
+    order = _top_k_full(kept, k)
+    # "clip" keeps the places of short rows, left unset, in range
+    top = np.take(flat - rows * n, starts[:, None] + order, mode="clip")
+    if keys is not None:
+        top = _by_key(values, top, keys, _tied(kept, order) & ~short)
+    return top, short
+
+
+def _tied(values, top):
+    """Rows whose k smallest columns `top`, ordered by (value, column),
+    may order differently by (value, key): their top-K holds a tie, their
+    K-th value ties with a column left out, or is NaN."""
+    picked = np.take_along_axis(values, top, axis=1)
+    kth = picked[:, -1:]
+    return (np.isnan(kth[:, 0]) | (picked[:, 1:] == picked[:, :-1]).any(axis=1)
+            | (np.count_nonzero(values <= kth, axis=1) > top.shape[1]))
+
+
+def _by_key(values, top, keys, tied=None):
+    """`top`, each row's k smallest columns of `values` ordered by (value,
+    column), ordered by (value, keys[column]): the rows in `tied`
+    (default: those `_tied` finds) are sorted again in full, the others
+    are kept as they are."""
+    tied = _tied(values, top) if tied is None else tied
+    if tied.any():
+        ties = values[tied]
+        top[tied] = np.lexsort((np.broadcast_to(keys, ties.shape), ties),
+                               axis=1)[:, :top.shape[1]]
     return top
 
 
 def _top_k_full(values, k):
-    """`_top_k` over every column, in linear time: argpartition picks k
-    columns, and a stable sort of the picks, taken in column order, orders
-    them. A row whose k-th value is NaN, or ties with a value left out,
+    """Columns of each row's k smallest values, ordered by (value, column),
+    over every column, in linear time: argpartition picks k columns, and
+    a stable sort of the picks, taken in column order, orders them. A row whose k-th value is NaN, or ties with a value left out,
     may hold the wrong ones of its tied columns; only those rows are
     sorted in full.
     """

@@ -404,7 +404,7 @@ def evaluate(result, bundle, score_kind=None, k_top=None):
     if not bundle.ood_sets:
         files = ", ".join(f"ood_{name}.csv" for name in OOD_SET_NAMES)
         raise ConfigError(f"bundle has no OOD set to score; expected one "
-                          f"or more of {files}")
+                          f"or more ood_<name>.csv files, such as {files}")
 
     def feats(x):
         return model.layer_features(result.encoder, result.projection, x,

@@ -1,3 +1,4 @@
+import os
 import tempfile
 
 import numpy as np
@@ -102,7 +103,10 @@ def _bundles(draw):
         return draw(arrays(np.float64, (draw(st.integers(1, 4)), d),
                            elements=st.floats(allow_nan=False,
                                               allow_infinity=False)))
-    names = draw(st.sets(st.sampled_from(data.OOD_SET_NAMES)))
+    # the shipped names and any other a file name can carry back
+    names = draw(st.sets(st.one_of(
+        st.sampled_from(data.OOD_SET_NAMES),
+        st.from_regex(data._SET_NAME, fullmatch=True)), max_size=4))
     return data.DatasetBundle(id_train=rows(), id_test=rows(),
                               ood_sets={name: rows() for name in sorted(names)})
 
@@ -126,6 +130,36 @@ def test_bundle_round_trips_bit_exactly(bundle):
     for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(st.text(max_size=8), st.integers(), st.just("x" * 248))
+       .filter(lambda name: not (isinstance(name, str)
+                                 and data._SET_NAME.fullmatch(name))))
+@example("../shifted")
+@example(".")
+@example("")
+def test_save_bundle_refuses_names_a_file_cannot_carry(name):
+    bundle = data.DatasetBundle(id_train=np.eye(2), id_test=np.eye(2),
+                                ood_sets={"shifted": np.eye(2), name: np.eye(2)})
+    with tempfile.TemporaryDirectory() as directory:
+        with pytest.raises(ConfigError, match="OOD set name"):
+            data.save_bundle(bundle, os.path.join(directory, "bundle"))
+        assert not os.listdir(directory)
+
+
+def test_load_bundle_reads_every_ood_file_in_name_order(tmp_path):
+    b = data.generate_synthetic(_spec(), seed=9)
+    b.ood_sets["custom"] = b.ood_sets["shifted"][:3]
+    data.save_bundle(b, tmp_path)
+    (tmp_path / "ood_dir.csv").mkdir()
+    loaded = data.load_bundle(tmp_path)
+    assert list(loaded.ood_sets) == ["custom", "interp", "scaled", "shifted"]
+    np.testing.assert_array_equal(loaded.ood_sets["custom"],
+                                  b.ood_sets["shifted"][:3])
+    (tmp_path / "ood_my set.csv").write_text("my set,12\n")
+    with pytest.raises(ConfigError, match="ood_my set.csv: OOD set name"):
+        data.load_bundle(tmp_path)
 
 
 def test_load_bundle_name_mismatch(tmp_path):

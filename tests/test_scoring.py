@@ -248,8 +248,8 @@ class TestScoreSet:
         queries[np.arange(10), rng.integers(0, 4, 10)] = \
             rng.choice([-2.0, 1.0], 10)
         chunks, product = [], scoring._product
-        monkeypatch.setattr(scoring, "_product", lambda q, r: (
-            chunks.append(len(q)) or product(q, r)))
+        monkeypatch.setattr(scoring, "_product", lambda q, r, *buffer: (
+            chunks.append(len(q)) or product(q, r, *buffer)))
         got = scoring.score_set(_bank(feats), queries, "var", 5)
         assert chunks == [3, 3, 3, 1]
         want = oracles.score_var_sorted(feats, queries, 5)
@@ -285,6 +285,170 @@ class TestScoreSet:
             scoring.score_set(_bank(np.eye(2)), queries, kind, k_top=2)
 
 
+def _sign_queries(rng, m, d):
+    """m queries of +-1 on 4 or on all 16 coordinates (4 when d = 4): their
+    unit vectors hold +-1/2 or +-1/4 and zeros, exactly."""
+    queries = np.zeros((m, d))
+    for q in queries:
+        on = rng.permutation(d)[:rng.choice([4, d])]
+        q[on] = rng.choice([-1.0, 1.0], len(on))
+    return queries
+
+
+def _assert_same_bits(got, want):
+    """Equal bit for bit, but for the sign of a zero score: `var` takes the
+    best candidate as minus the least of a product with the negated
+    bank, and x - x is +0 both ways."""
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+def _recorded_widths(monkeypatch, n):
+    """The widths of the `var` chunk products against the negated copy of
+    an n-row bank (its rows are n entries apart), as they are made."""
+    widths, product = [], scoring._product
+    def record(q, r, *buffer):
+        if r.strides[0] == 8 * n:
+            widths.append(r.shape[1])
+        return product(q, r, *buffer)
+    monkeypatch.setattr(scoring, "_product", record)
+    return widths
+
+
+class TestVarPrefix:
+    """`var` on banks wide enough for the threshold filter, where a chunk
+    scans the norm-ordered prefix its thresholds need. Bank entries are
+    multiples of 1/8 and queries +-1 on 4 or 16 coordinates, so every
+    candidate is exact under any BLAS path, and ties are exact too."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_equals_stable_sort_with_ties_across_the_norm_order(self, data):
+        # a few distinct rows of different norms, repeated: their
+        # candidates tie often, within a norm and across norms, inside
+        # the top-K and at its K-th place
+        d = data.draw(st.sampled_from([4, 16]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pool = rng.integers(-8, 9, (data.draw(st.integers(2, 12)), d)) / 8.0
+        pool[np.linalg.norm(pool, axis=1) == 0, 0] = 1.0
+        n = data.draw(st.integers(800, 3000))
+        feats = pool[rng.integers(0, len(pool), n)]
+        k = data.draw(st.integers(2, 100))
+        queries = _sign_queries(rng, data.draw(st.integers(1, 12)), d)
+        # from one query per chunk to all of them in one
+        chunk = data.draw(st.integers(1, 4 * (n + k * d)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "_CHUNK_ENTRIES", chunk)
+            got = scoring.score_set(_bank(feats), queries, "var", k)
+        _assert_same_bits(got, oracles.score_var_sorted(feats, queries, k))
+
+    def test_prefix_is_narrower_than_the_bank(self, monkeypatch):
+        # 2 000 rows of norms 1/4 to 4 along two directions, the queries:
+        # a query's threshold lies among the longest rows along it, so its
+        # chunk stops well short of the bank
+        n = 2000
+        rng = np.random.default_rng(11)
+        directions = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]])
+        feats = (rng.integers(1, 17, (n, 1)) / 8.0
+                 * directions[rng.integers(0, 2, n)])
+        queries = directions[rng.integers(0, 2, 40)]
+        widths = _recorded_widths(monkeypatch, n)
+        got = scoring.score_set(_bank(feats), queries, "var", 50)
+        assert widths and max(widths) < n // 2
+        _assert_same_bits(got, oracles.score_var_sorted(feats, queries, 50))
+
+    def test_top_k_may_end_at_the_last_row_of_the_prefix(self):
+        # rows 1, 9, ..., 793 are [c, 0, 0, 0] with c of 1 1/128 to
+        # 1 100/128; the others [1, 7/4, 0, 0], longer. Along [1, 0, 0, 0]
+        # the sample, all long rows, sets the threshold at -1, and every
+        # row stays under it; the top-K are the short rows, last in norm
+        # order, so the prefix may leave out no row
+        feats = np.tile([1.0, 1.75, 0.0, 0.0], (800, 1))
+        feats[1::8] = 0.0
+        feats[1::8, 0] = 1.0 + np.arange(1, 101) / 128.0
+        queries = np.array([[1.0, 0, 0, 0], [4.0, 0, 0, 0]])
+        for k in (2, 50, 100):
+            got = scoring.score_set(_bank(feats), queries, "var", k)
+            _assert_same_bits(got,
+                              oracles.score_var_sorted(feats, queries, k))
+
+    def test_ties_across_the_norm_order_take_the_lowest_rows(self):
+        # rows 0-799 alternate [1, 0, 0, 0] and the longer [1, 1/2, 0, 0],
+        # which come first in norm order: along [1, 0, 0, 0] all 800 tie,
+        # along [1, 1, -1, 1] the 400 long rows tie above the others.
+        # Rows 800-1599, [0, 0, c, x] with c of 3 and x of 4 values, tie
+        # along [0, 0, 1, 0] across norms.
+        feats = np.zeros((1600, 4))
+        feats[:800, 0] = 1.0
+        feats[1:800:2, 1] = 0.5
+        i = np.arange(800)
+        feats[800:, 2] = (1 + i % 3) / 8.0
+        feats[800:, 3] = i % 4 / 8.0
+        queries = np.array([[1.0, 0, 0, 0], [1.0, 1.0, -1.0, 1.0],
+                            [1.0, -1.0, 1.0, 1.0], [0, 0, 1.0, 0]])
+        for k in (2, 3, 40, 99, 100):
+            got = scoring.score_set(_bank(feats), queries, "var", k)
+            _assert_same_bits(got,
+                              oracles.score_var_sorted(feats, queries, k))
+
+    def test_queries_keeping_too_few_candidates_scan_the_whole_bank(
+            self, monkeypatch):
+        # every 8th row is [a, 0, 0, 0] with a distinct a of 1 to 13 3/8,
+        # row 3 is [0, 0, 0, 14], the longest, and the others alternate
+        # [0, 1, 0, 0] and the longer [0, 1, 1/2, 1/2]: along either query
+        # the sample threshold, set by the 21st largest a, keeps 21 rows,
+        # fewer than K = 100, so both queries are multiplied again by the
+        # whole bank. Along [1, 1, 1, -1] row 0 ties with every other row
+        # but row 3 at the K-th place, and wins as the lowest row, though
+        # it comes after the longer ones
+        n = 800
+        feats = np.tile([0.0, 1.0, 0.0, 0.0], (n, 1))
+        feats[1::2, 2:] = 0.5
+        feats[::8] = 0.0
+        feats[::8, 0] = 1.0 + np.arange(n // 8) / 8.0
+        feats[3] = [0.0, 0.0, 0.0, 14.0]
+        queries = np.array([[1.0, 0, 0, 0], [1.0, 1.0, 1.0, -1.0]])
+        widths = _recorded_widths(monkeypatch, n)
+        got = scoring.score_set(_bank(feats), queries, "var", 100)
+        assert len(widths) == 2 and widths[0] < widths[1] == n
+        _assert_same_bits(got, oracles.score_var_sorted(feats, queries, 100))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_scans_the_whole_bank(self, monkeypatch, bad):
+        # a non-finite row norm bounds nothing: every chunk product takes
+        # the whole bank, in bank order
+        n = 1000
+        rng = np.random.default_rng(12)
+        feats = rng.integers(-8, 9, (n, 4)) / 8.0
+        feats[np.linalg.norm(feats, axis=1) == 0, 0] = 1.0
+        feats[321, 2] = bad
+        queries = _sign_queries(rng, 6, 4)
+        widths, product = [], scoring._product
+        monkeypatch.setattr(scoring, "_product", lambda q, r, *buffer: (
+            widths.append(r.shape[1]) or product(q, r, *buffer)))
+        with np.errstate(invalid="ignore"):
+            got = scoring.score_set(_bank(feats), queries, "var", 30)
+            want = oracles.score_var_sorted(feats, queries, 30)
+        assert set(widths) == {n, -(-n // scoring._SAMPLE)}
+        np.testing.assert_array_equal(got, want)
+
+
+def _top_k(values, k):
+    """`scoring._top_k` as `var` runs it on a bank of as many rows as
+    `values` has columns: too narrow for the filter, `_top_k_full`;
+    else thresholded at the `_sample_rank`-th smallest value of every
+    _SAMPLE-th column, with rows that keep fewer than k columns ordered
+    by `_top_k_full` over all of them."""
+    rank = scoring._sample_rank(values.shape[1], k)
+    if rank is None:
+        return scoring._top_k_full(values, k)
+    t = np.partition(values[:, ::scoring._SAMPLE], rank - 1,
+                     axis=1)[:, rank - 1:rank]
+    top, short = scoring._top_k(values, k, t)
+    if short.any():
+        top[short] = scoring._top_k_full(values[short], k)
+    return top
+
+
 def _unpruned_cos(bank, queries):
     """cos over every tile the scan uses: all queries at once (two or more
     rows) times each tile (two or more rows), best over the tiles."""
@@ -318,7 +482,7 @@ class TestTopK:
                                   elements=st.sampled_from(pool)))
         k = data.draw(st.integers(1, n))
         want = np.argsort(values, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(scoring._top_k(values, k), want)
+        assert np.array_equal(_top_k(values, k), want)
 
     @settings(deadline=None, max_examples=300)
     @given(st.data())
@@ -338,7 +502,30 @@ class TestTopK:
         spread = rng.random(rows) < 0.5
         values[spread] = rng.standard_normal((spread.sum(), n)).round(1)
         want = np.argsort(values, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(scoring._top_k(values, k), want)
+        assert np.array_equal(_top_k(values, k), want)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_keys_order_ties_by_key(self, data):
+        # columns stand for bank rows in another order: a row that keeps
+        # k values at or below its threshold takes its k smallest by
+        # (value, key), whatever the threshold; the others are short
+        n = data.draw(st.integers(2, 300))
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows = data.draw(st.integers(1, 6))
+        values = rng.integers(0, data.draw(st.integers(1, 20)),
+                              (rows, n)) / 2.0
+        values[rng.random((rows, n)) < 0.05] = np.nan
+        keys = rng.permutation(n)
+        t = rng.integers(0, 12, (rows, 1)) / 2.0
+        top, short = scoring._top_k(values, k, t, keys)
+        assert np.array_equal(short, (values <= t).sum(axis=1) < k)
+        # a stable sort of the columns laid out in key order
+        by_key = np.argsort(keys)
+        want = by_key[np.argsort(values[:, by_key], axis=1,
+                                 kind="stable")[:, :k]]
+        assert np.array_equal(top[~short], want[~short])
 
     def test_edge_rows_of_the_filter(self, monkeypatch):
         # k = 100 of 800 columns samples every 8th column and thresholds at
@@ -357,7 +544,7 @@ class TestTopK:
         values[1, 1:8 * 90:8] = 1.0
         values[1, 0:8 * 30:8] = np.inf
         values[2] = 0.0
-        got = scoring._top_k(values, 100)
+        got = _top_k(values, 100)
         assert np.array_equal(got, np.argsort(values, axis=1,
                                               kind="stable")[:, :100])
         assert widths == [(4, 800), (1, 800)]

@@ -1,13 +1,17 @@
+import contextlib
+import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import clood
 import clood.train as train_mod
@@ -983,6 +987,63 @@ class TestCli:
         bad = ckpt.with_name("cut.ckpt")
         bad.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
         assert self._eval(ckpt.parent, bad, data_dir) == 2
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_fuzzed_bundle_eval_exits_0_2_or_3(self, trained_once, data):
+        # a bundle directory of drawn OOD set names and sizes, with up to
+        # two faults: a set name no file can carry, a width other than the
+        # checkpoint's d_in = 8, a header that does not match, a ragged
+        # row, a row of huge cells, or a cell that is empty, not a number,
+        # non-finite, huge or subnormal
+        _, ckpt = trained_once
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        names = data.draw(st.lists(st.one_of(
+            st.just("shifted"),
+            st.from_regex(r"[a-z0-9][a-z0-9._-]{0,6}", fullmatch=True)),
+            max_size=3, unique=True))
+        sets = [("id_train", 8, rng.integers(1, 30)),
+                ("id_test", 8, rng.integers(1, 6)),
+                *((n, 8, rng.integers(1, 6)) for n in names)]
+        sets = [[name, [name, "8"], rng.standard_normal((rows, width))
+                 .astype(str).tolist()] for name, width, rows in sets]
+        for _ in range(data.draw(st.integers(0, 2))):
+            name, header, rows = sets[rng.integers(len(sets))]
+            row = rows[rng.integers(len(rows))]
+            fault = data.draw(st.sampled_from(
+                ["name", "width", "header", "ragged", "cell", "huge"]))
+            if fault == "name":
+                sets.append([data.draw(st.sampled_from(["my set", "", "-"])),
+                             ["x", "8"], [["1"] * 8]])
+            elif fault == "width":
+                width = data.draw(st.sampled_from([1, 7, 9]))
+                header[1] = str(width)
+                rows[:] = [r[:width] + ["0.5"] * (width - 8) for r in rows]
+            elif fault == "header":
+                header[data.draw(st.integers(0, 1))] = "x"
+            elif fault == "ragged":
+                del row[rng.integers(len(row) + 1):]
+                row += ["1"] * data.draw(st.integers(0, 2))
+            elif fault == "huge":
+                row[:] = [data.draw(st.sampled_from(
+                    ["1e308", "-1e308", "1e200"]))] * len(row)
+            else:
+                row[rng.integers(len(row))] = data.draw(st.sampled_from(
+                    ["", "x", "nan", "inf", "-inf", "1e308", "1e400",
+                     "5e-324"]))
+        directory = Path(tempfile.mkdtemp(dir=ckpt.parent))
+        for name, header, rows in sets:
+            file = name + ".csv" if name.startswith("id_") else \
+                f"ood_{name}.csv"
+            with open(directory / file, "w", newline="") as f:
+                csv.writer(f).writerows([header, *rows])
+        kind = data.draw(st.sampled_from(["cos", "var"]))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = self._eval(directory, ckpt, directory, "--score-kind", kind)
+        event(f"exit {rc}")
+        assert rc in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys):
         result, _ = _small_run()
