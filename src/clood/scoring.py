@@ -1,21 +1,28 @@
 """OOD score functions over a bank of training features, plus exact AUROC."""
 
 import csv
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
+from . import clustering
 from .autodiff import normalize_rows
 from .errors import ConfigError, ContractError, DomainError
 
 
 # entries a chunk of queries holds at once: 2**18 float64s, 2 MB
 _CHUNK_ENTRIES = 1 << 18
-# `_top_k` filters a wide row by a sample of every _SAMPLE-th column
+# `_top_k` filters a wide row by a sample of every _SAMPLE-th column, and
+# `cos` picks its cell directions among every _SAMPLE-th bank row
 _SAMPLE = 8
+# bank rows per `cos` tile, and direction cells of a `cos` bank of more
+# than two tiles (`_cos_cells`), both chosen by timing score-bank's banks;
+# the cells are sorted as bytes, so there are at most 256
+_TILE = 256
+_CELLS = 8
 
 
 @dataclass
@@ -107,15 +114,17 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False):
     those, or every candidate when fewer than K pass. The queries are
     scored in threshold order, and if every row norm is finite, a chunk
     is multiplied only by the prefix of the bank, in norm order, that can
-    reach its loosest threshold: the limit `cos` stops at (`_limits`)
-    keeps every skipped row's negated candidate above every threshold of
-    the chunk, so no skipped row could have been kept, and the top-K,
-    ties to the lowest index included, is the whole bank's
-    (`_var_scores`).
-    `cos` scans norm-ordered tiles of the bank, cut once per call
-    (`_cos_tiles`), and stops a query once no row left can beat its best;
-    a bank that fits in one tile, or has a non-finite row norm, is
-    scanned whole, a chunk at a time. No product has a single row on
+    reach its loosest threshold: the norm limit (`_limits`) that caps
+    `cos`'s bounds keeps every skipped row's negated candidate above
+    every threshold of the chunk, so no skipped row could have been
+    kept, and the top-K, ties to the lowest index included, is the
+    whole bank's (`_var_scores`).
+    `cos` cuts the bank, once per call, into direction cells of
+    norm-ordered tiles (`_cos_cells`), and multiplies a query by a tile
+    only while the tile's cone bound (`_cone_bounds`), which no computed
+    candidate of its rows exceeds, is above the query's best; a bank of
+    at most two tiles, with a non-finite row norm or with only zero rows
+    is scanned whole, a chunk at a time. No product has a single row on
     either side: BLAS computes those on another path, whose last bit
     differs. BLAS also picks its kernel by a product's shape, so the last
     bit of a score can depend on how many queries share its product.
@@ -248,19 +257,20 @@ def _thresholds(features, queries, rank, buffer):
     return t
 
 
-def _tile_width():
-    """Bank rows per `cos` tile, about the square root of _CHUNK_ENTRIES;
-    a block of queries times a tile holds no more than that many entries."""
-    return max(2, math.isqrt(_CHUNK_ENTRIES))
-
-
 def _norm_order(features):
     """The bank's row norms and the rows' stable order by norm, largest
-    first, or None if a row norm is not finite."""
-    norms = np.linalg.norm(features, axis=1)
+    first, or None if a row norm is not finite. A norm whose squares
+    overflow reads as infinite; it does not raise."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(features, axis=1)
     if not np.isfinite(norms).all():
         return None
     return norms, np.argsort(-norms, kind="stable")
+
+
+def _query_norm(queries):
+    """The largest computed norm of the unit queries, NaN rows skipped."""
+    return np.fmax.reduce(np.linalg.norm(queries, axis=1), initial=0.0)
 
 
 def _limits(norms, queries):
@@ -276,7 +286,7 @@ def _limits(norms, queries):
     Hence
         |fl(b . q)| <= v_b v_q (1 + g) / ((1 - u)^2 (1 - g))
                      = v_b v_q (1 + (2d + 3) u + O(d^2 u^2)),
-    with v_q the largest query norm. The limit is
+    with v_q the largest query norm (`_query_norm`). The limit is
         v_b (v_q (1 + 4(d + 2) u)) + d 2**-536,   4u = 2**-51;
     its four roundings take off at most 4u, so the factor keeps a margin
     of about 2d u while d u < 2**-10. Underflow costs each product or
@@ -289,31 +299,128 @@ def _limits(norms, queries):
     decrease with v_b, since every rounding is monotone.
     """
     d = queries.shape[1]
-    v_q = np.fmax.reduce(np.linalg.norm(queries, axis=1), initial=0.0)
+    v_q = _query_norm(queries)
     return norms * (v_q * (1 + (d + 2) * 2.0 ** -51)) + d * 2.0 ** -536
 
 
-def _cos_tiles(features):
-    """Norm-ordered `cos` tiles of the bank rows, or None to scan them whole.
+class _Cells(NamedTuple):
+    """A bank cut for `cos` by direction (`_cos_cells`): the rows of each
+    cell, in norm order, cut into tiles, and what bounds each tile."""
 
-    The rows, in `_norm_order`, are cut into contiguous transposed
-    (d, width) tiles, the last one taking a lone leftover row. Next to
-    them: the norm of the first row after each tile but the last, the
-    largest norm of all rows after it. A bank that fits in one tile, or
-    has a non-finite row norm, gets None.
+    rows: np.ndarray       # (n, d): the rows by cell, then by norm
+    starts: np.ndarray     # each tile's first row, then n
+    centers: np.ndarray    # (cells, d): the unit cell directions c
+    norm: np.ndarray       # each tile's largest row norm v_t
+    # (tiles, 3 x cells): each tile's largest alpha_b, least alpha_b and
+    # largest beta_b, in its cell's column of each third, zeros elsewhere
+    coef: np.ndarray
+
+
+def _directions(features, norms, first):
+    """_CELLS unit directions of bank rows, by farthest-point traversal:
+    row `first`, then each time the nonzero row, among every _SAMPLE-th,
+    whose largest cosine to the rows picked is least, ties to the lowest
+    row. The picks are normalized once more: a row of tiny entries has
+    an inexact norm, its unit row not."""
+    sample = np.flatnonzero(norms[::_SAMPLE]) * _SAMPLE
+    rows = features[sample] / norms[sample, None]
+    closest = np.full(len(rows), -np.inf)
+    picks = [features[first] / norms[first]]
+    while len(picks) < min(_CELLS, len(rows) + 1):
+        np.maximum(closest, rows @ picks[-1], out=closest)
+        picks.append(rows[np.argmin(closest)])
+    return normalize_rows(picks)[0]
+
+
+def _cos_cells(features):
+    """The bank's direction cells, or None to scan the bank whole.
+
+    A bank of at most two tiles, 2 _TILE rows, whose cells would not pay
+    for their set-up, gets None, as does one with a non-finite row norm
+    or only zero rows. Otherwise `_directions` picks the cells'
+    directions c, `clustering.assign` puts each row in the cell of its
+    nearest c (the argmax over the cells of b . c needs no division by a
+    norm, which may be zero), and the rows are copied once, by cell and
+    then in `_norm_order`. Each cell's rows are cut into tiles of _TILE
+    rows; a product takes a tile transposed, as a view, at the speed of
+    a transposed copy, which would cost several times the row copy. A
+    row b of norm v_b and cell direction c has alpha_b = fl(b . c) and
+        beta_b = v_b sqrt(max(1 - t^2, 0) + e),   t = alpha_b / v_b,
+    (t = 0 if v_b = 0), e = 4(d + 4) u: `_cone_bounds` shows that beta_b
+    bounds ||b - (b . c) c||.
     """
-    n, width = len(features), _tile_width()
-    prepared = _norm_order(features) if n > width else None
-    if prepared is None:
+    n, d = features.shape
+    prepared = _norm_order(features) if n > 2 * _TILE else None
+    if prepared is None or not prepared[0].any():
         return None
     norms, order = prepared
-    starts = list(range(0, n, width))
-    if n - starts[-1] == 1:
-        starts.pop()
-    ends = starts[1:] + [n]
-    tiles = [np.ascontiguousarray(features[order[a:b]].T)
-             for a, b in zip(starts, ends)]
-    return tiles, norms[order[starts[1:]]]
+    centers = _directions(features, norms, order[0])
+    labels = clustering.assign(features, centers)
+    keys = order[np.argsort(labels[order].astype(np.uint8), kind="stable")]
+    rows = features[keys]
+    labels, v = labels[keys], norms[keys]
+    alpha = np.take_along_axis(rows @ centers.T, labels[:, None], 1)[:, 0]
+    t = np.divide(alpha, v, out=np.zeros(n), where=v > 0)
+    beta = v * np.sqrt(np.maximum(1 - t * t, 0) + (d + 4) * 2.0 ** -51)
+    sizes = np.bincount(labels, minlength=len(centers))
+    ends = np.cumsum(sizes)
+    starts = np.concatenate([np.arange(e - s, e, _TILE)
+                             for s, e in zip(sizes, ends)])
+    tiles, cells = np.arange(len(starts)), labels[starts]
+    coef = np.zeros((len(starts), 3, len(centers)))
+    coef[tiles, 0, cells] = np.maximum.reduceat(alpha, starts)
+    coef[tiles, 1, cells] = np.minimum.reduceat(alpha, starts)
+    coef[tiles, 2, cells] = np.maximum.reduceat(beta, starts)
+    return _Cells(rows, np.append(starts, n), centers, v[starts],
+                  coef.reshape(len(starts), -1))
+
+
+def _cone_bounds(cells, queries, v_q, limits):
+    """(tiles, queries): for each tile and unit query q, a bound that no
+    computed candidate fl(b . q) of the tile's rows exceeds.
+
+    With s = q . c for the tile's cell direction c, every row b has
+        b . q = (b . c) s + (b - (b . c) c) . (q - s c)
+              <= alpha s + ||b - (b . c) c|| sqrt(||q||^2 - s^2)
+    for unit c, and alpha s <= max(alpha_lo s, alpha_hi s) =
+    alpha_hi max(s, 0) + alpha_lo min(s, 0). Let u = 2**-53, e =
+    4(d + 4) u and v_q the largest query norm. The bound is
+        alpha_hi max(s, 0) + alpha_lo min(s, 0) + beta rho
+            + 2 e v_t v_q + d 2**-535,
+        rho = sqrt(max(v_q^2 - s^2, 0) + e v_q^2),
+    with s, alpha and beta computed, capped by the tile's `_limits`
+    (`limits`), which bounds it too. Its first three terms, for every
+    tile and query, are one product of the tiles' `coef` and the queries'
+    max(s, 0), min(s, 0) and rho for every cell; the terms of other cells
+    are exact zeros. Its margins, where d u < 2**-10:
+    - ||c|| is 1 within (d/2 + 2) u, relatively, as c is a row of
+      `normalize_rows` whose entries do not underflow; ||q|| is at most
+      v_q, and ||b|| at most v_b, within as much.
+    - The computed alpha and s are off by at most d u ||b|| and d u ||q||
+      (`_limits`' bound on a dot product), and dividing by ||c||^2 moves
+      (b . c) s by (d + 4) u ||b|| ||q|| more: alpha s is off by at most
+      (3d + 4) u ||b|| ||q||.
+    - t is then off by at most (2d + 5) u from b . c / (||c|| ||b||), so
+      1 - t^2 by (4d + 12) u and 1 - s^2 / v_q^2 by (4d + 9) u, with
+      their roundings: e covers both, so beta_b and rho bound the two
+      norms within (d/2 + 5) u and 3u, relatively.
+    - fl(b . q) exceeds b . q by at most d u ||b|| ||q||, and the bound's
+      two products and three sums, in any order, with or without fused
+      multiply-adds, take off at most 8u v_t v_q.
+    These add up to less than (4.5d + 20) u v_t v_q < 2 e v_t v_q.
+    Underflow costs a square or product at most 2**-1074, so a row norm
+    at most sqrt(d) 2**-537 and beta rho at most twice that; d 2**-535
+    covers it. A NaN query gets a NaN bound, and the cap its limit.
+    """
+    d = queries.shape[1]
+    e = (d + 4) * 2.0 ** -51
+    s = cells.centers @ queries.T
+    vv = v_q * v_q
+    rho = np.sqrt(np.maximum(vv - s * s, 0) + e * vv)
+    bounds = cells.coef @ np.concatenate([np.maximum(s, 0), np.minimum(s, 0),
+                                          rho])
+    bounds += (cells.norm * (2 * e * v_q) + d * 2.0 ** -535)[:, None]
+    return np.fmin(bounds, limits[:, None], out=bounds)
 
 
 def _product(queries, rows, buffer=None):
@@ -334,36 +441,49 @@ def _product(queries, rows, buffer=None):
 def _cos_scores(bank, queries):
     """Best candidate of each unit query, exactly.
 
-    The bank's norm-ordered tiles (`_cos_tiles`) are cut once per call.
-    Each block of queries is multiplied by one tile after another, largest
-    norms first; a query drops out once its best candidate reaches the
-    limit of the tile it would take next: the `_limits` of the tile's
-    first row, the largest norm among the rows left. The limit bounds
-    every computed candidate of the rows left, so the maximum, and every
-    bit of it, is that of the unpruned scan over the same tiles. Without
-    tiles, the whole bank is one tile, and a block holds
-    _CHUNK_ENTRIES // n queries.
+    A bank without cells (`_cos_cells`) is one tile. Otherwise, for a
+    block of queries whose bound matrix, a column a query, fits in
+    _CHUNK_ENTRIES, every tile's `_cone_bounds` come first. Each
+    query is multiplied by the tile of its highest bound; then the other
+    tiles, in order of their largest bound, each by the queries whose
+    bound still exceeds their best. A tile a query skips holds no
+    computed candidate above its best, so the maximum, and every bit of
+    it, is that of the unpruned scan over the same tiles.
     """
-    prepared = _cos_tiles(bank.features)
-    if prepared is None:
-        tiles, limits = [bank.features.T], []
-    else:
-        tiles, after = prepared
-        limits = _limits(after, queries)
-    block = max(1, _CHUNK_ENTRIES // tiles[0].shape[1])
-    scores = np.empty(queries.shape[0])
-    for start in range(0, queries.shape[0], block):
+    cells = _cos_cells(bank.features)
+    if cells is None:
+        return _best(queries, bank.features.T)
+    tiles = [cells.rows[a:b].T
+             for a, b in zip(cells.starts[:-1], cells.starts[1:])]
+    v_q, limits = _query_norm(queries), _limits(cells.norm, queries)
+    block = max(1, _CHUNK_ENTRIES // len(tiles))
+    scores = np.empty(len(queries))
+    for start in range(0, len(queries), block):
         q = queries[start:start + block]
-        best = _product(q, tiles[0]).max(axis=1)
-        active = np.arange(q.shape[0])
-        for tile, limit in zip(tiles[1:], limits):
-            active = active[best[active] < limit]
-            if not active.size:
+        bounds = _cone_bounds(cells, q, v_q, limits)
+        first = bounds.argmax(axis=0)
+        best = np.empty(len(q))
+        for i in np.unique(first):
+            who = np.flatnonzero(first == i)
+            best[who] = _best(q[who], tiles[i])
+        bounds[first, np.arange(len(q))] = -np.inf
+        top = bounds.max(axis=1)
+        for i in np.argsort(-top, kind="stable"):
+            if top[i] <= best.min():
                 break
-            best[active] = np.maximum(
-                best[active], _product(q[active], tile).max(axis=1))
-        scores[start:start + block] = best
+            who = np.flatnonzero(bounds[i] > best)
+            if who.size:
+                best[who] = np.maximum(best[who], _best(q[who], tiles[i]))
+        scores[start:start + len(q)] = best
     return scores
+
+
+def _best(queries, tile):
+    """Each unit query's best candidate among the tile's columns, a block
+    of _CHUNK_ENTRIES // width queries at a time."""
+    step = max(1, _CHUNK_ENTRIES // tile.shape[1])
+    return np.concatenate([_product(queries[a:a + step], tile).max(axis=1)
+                           for a in range(0, len(queries), step)])
 
 
 def _top_k(values, k, t, keys=None):

@@ -127,10 +127,12 @@ class TestScoreVar:
 
 class TestScoreSet:
     def test_chunks_match_oracles_and_one_row_calls(self, monkeypatch):
-        # cos scans tiles of 8 bank rows (8, 8 and 9) in blocks of 9
-        # queries; a var chunk holds one query (25 candidates and 6 top
-        # rows of 4), so 11 queries make eleven chunks
+        # cos cuts the 25 bank rows into cells of tiles of up to 8 rows,
+        # multiplied by blocks of up to 9 queries; a var chunk holds one
+        # query (25 candidates and 6 top rows of 4), so 11 queries make
+        # eleven chunks
         monkeypatch.setattr(scoring, "_CHUNK_ENTRIES", 3 * 25)
+        monkeypatch.setattr(scoring, "_TILE", 8)
         rng = np.random.default_rng(6)
         feats = rng.standard_normal((25, 4))
         queries = rng.standard_normal((11, 4))
@@ -148,13 +150,17 @@ class TestScoreSet:
     @settings(deadline=None, max_examples=300)
     @given(st.data())
     def test_cos_scan_matches_unpruned_tiles(self, data):
-        # tiles of 2 to 6 rows; a bank of one row, of one tile or of many,
-        # with norms over eight decades, repeated rows and maybe one
-        # non-finite entry; queries near bank rows stop the scan early
-        chunk = data.draw(st.integers(4, 48))
+        # tiles of 2 to 6 rows in 1 to 4 cells, products of a few queries;
+        # a bank of one row, of two tiles, scanned whole, or of more, with
+        # norms over eight decades, zero rows, antipodal rows, repeated
+        # rows and maybe one non-finite entry; queries near bank rows stop
+        # the scan early
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scoring, "_CHUNK_ENTRIES", chunk)
-            width = scoring._tile_width()
+            mp.setattr(scoring, "_CHUNK_ENTRIES",
+                       data.draw(st.integers(4, 48)))
+            mp.setattr(scoring, "_CELLS", data.draw(st.integers(1, 4)))
+            mp.setattr(scoring, "_TILE", data.draw(st.integers(2, 6)))
+            width = 2 * scoring._TILE
             n = data.draw(st.one_of(st.just(1), st.just(width),
                                     st.integers(width + 1, 8 * width)))
             d = data.draw(st.integers(1, 6))
@@ -162,7 +168,10 @@ class TestScoreSet:
             rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
             pool = (rng.standard_normal((p, d))
                     * 10.0 ** rng.uniform(-4, 4, (p, 1)))
+            pool[rng.random(p) < data.draw(st.sampled_from([0, 0.2]))] = 0.0
             rows = pool[rng.integers(0, p, n)]
+            flip = rng.random(n) < data.draw(st.sampled_from([0, 0.5]))
+            rows[flip] *= -1
             bad = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
             if bad is not None:
                 rows[rng.integers(n), rng.integers(d)] = bad
@@ -183,20 +192,58 @@ class TestScoreSet:
             np.testing.assert_allclose(got, (unit @ rows.T).max(axis=1),
                                        rtol=1e-12)
 
+    def test_query_along_one_direction_skips_the_other(self, monkeypatch):
+        # 600 rows near [1, 0, 0, 0], of norms 1 to 2, and 600 longer ones
+        # near [0, 1, 0, 0], of norms 3 to 6, in alternate order: a query
+        # near [1, 0, 0, 0] would scan every longer row by norm alone, but
+        # the cells keep the two directions apart, and its bound for a
+        # cell of the other direction is about 0.06, under its best
+        rng = np.random.default_rng(15)
+        rows = np.zeros((1200, 4))
+        rows[::2, 0] = rng.uniform(1, 2, 600)
+        rows[1::2, 1] = rng.uniform(3, 6, 600)
+        rows[:, 2:] = 0.01 * rng.uniform(-1, 1, (1200, 2))
+        queries = np.array([1.0, 0, 0, 0]) + 0.01 * rng.standard_normal((5, 4))
+        tiles, product = [], scoring._product
+        monkeypatch.setattr(scoring, "_product", lambda q, r, *buffer: (
+            tiles.append(r) or product(q, r, *buffer)))
+        got = scoring.score_set(_bank(rows), queries, "cos")
+        assert tiles
+        assert all((np.abs(r[0]) > np.abs(r[1])).all() for r in tiles)
+        unit = normalize_rows(queries)[0]
+        np.testing.assert_allclose(got, (unit @ rows.T).max(axis=1),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("zero", [slice(None, None, 8), slice(None)],
+                             ids=["sampled-rows", "all-rows"])
+    def test_zero_rows_neither_divide_nor_direct_a_cell(self, zero):
+        # 600 rows, more than two tiles: zero every row the directions are
+        # sampled from, or every row
+        rng = np.random.default_rng(17)
+        rows = rng.standard_normal((600, 4))
+        rows[zero] = 0.0
+        queries = rng.standard_normal((7, 4))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = scoring.score_set(_bank(rows), queries, "cos")
+        unit = normalize_rows(queries)[0]
+        np.testing.assert_allclose(got, (unit @ rows.T).max(axis=1),
+                                   rtol=1e-12)
+
     def test_long_parallel_row_stops_scan_after_first_tile(self, monkeypatch):
-        # tiles of 4 rows: the 100-long row along the query beats every
-        # other row, whose norms are below 1
-        monkeypatch.setattr(scoring, "_CHUNK_ENTRIES", 16)
+        # tiles of 4 rows: the 100-long row along the query is the first
+        # cell direction and beats every other row, whose norms are
+        # below 1, so only the first tile of its cell is multiplied
+        monkeypatch.setattr(scoring, "_TILE", 4)
         rng = np.random.default_rng(7)
         rows = rng.standard_normal((20, 3))
         rows /= 2 * np.linalg.norm(rows, axis=1)[:, None]
         rows[13] = [100.0, 0.0, 0.0]
-        products, product = [], scoring._product
+        tiles, product = [], scoring._product
         monkeypatch.setattr(scoring, "_product", lambda q, r: (
-            products.append(r.shape) or product(q, r)))
+            tiles.append(r.T) or product(q, r)))
         got = scoring.score_set(_bank(rows), [[3.0, 0.0, 0.0]], "cos")
         assert got[0] == 100.0
-        assert products == [(3, 4)]
+        assert len(tiles) == 1 and (tiles[0][0] == rows[13]).all()
 
     def test_tie_at_top_k_boundary_takes_lowest_index(self, monkeypatch):
         # one query per var chunk
@@ -256,8 +303,8 @@ class TestScoreSet:
         assert got.tobytes() == want.tobytes()
 
     def test_rows_changed_in_place_score_as_a_fresh_bank(self):
-        # 600 rows make two cos tiles, of 512 and 88 rows; nothing either
-        # kind derives from the rows outlives its call
+        # 600 rows, more than two tiles, make cos cells; nothing either kind
+        # derives from the rows outlives its call
         rng = np.random.default_rng(10)
         rows = rng.standard_normal((600, 4))
         queries = rng.standard_normal((7, 4))
@@ -432,6 +479,88 @@ class TestVarPrefix:
         np.testing.assert_array_equal(got, want)
 
 
+class TestBounds:
+    """The limits and cone bounds that let `cos` and `var` skip rows hold
+    for candidates that round above their exact value."""
+
+    @pytest.mark.parametrize("d", [4, 16, 32])
+    def test_limits_hold_for_rows_rounding_above_their_norm(self, d):
+        # rows along their own unit query: dozens of computed candidates
+        # round above the product of the two computed norms
+        rng = np.random.default_rng(13)
+        rows = (rng.standard_normal((2000, d))
+                * 10.0 ** rng.uniform(-3, 3, (2000, 1)))
+        unit = normalize_rows(rows)[0]
+        got = np.concatenate([np.diag(scoring._product(unit[a:a + 2],
+                                                       rows[a:a + 2].T))
+                              for a in range(0, len(rows), 2)])
+        norms = np.linalg.norm(rows, axis=1)
+        assert (got > norms * scoring._query_norm(unit)).sum() > 10
+        assert (got <= scoring._limits(norms, unit)).all()
+
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_cone_bounds_hold_along_a_cell_direction(self, d):
+        # 1 500 rows along +-3 directions, norms over four decades, and
+        # queries along +-c for each cell direction c and +-each row
+        # direction, some moved by 1e-12: dozens of computed candidates
+        # round above alpha s + beta rho without its margins
+        rng = np.random.default_rng(14)
+        directions = normalize_rows(rng.standard_normal((3, d)))[0]
+        rows = (directions[rng.integers(0, 3, 1500)]
+                * rng.choice([-1.0, 1.0], (1500, 1))
+                * 10.0 ** rng.uniform(-2, 2, (1500, 1)))
+        cells = scoring._cos_cells(rows)
+        queries = np.repeat(np.concatenate([cells.centers, directions]), 20,
+                            axis=0)
+        queries[::2] *= -1
+        queries[::3] += 1e-12 * rng.standard_normal((len(queries[::3]), d))
+        unit = normalize_rows(queries)[0]
+        bounds = scoring._cone_bounds(
+            cells, unit, scoring._query_norm(unit),
+            scoring._limits(cells.norm, unit))
+        for a, b, bound in zip(cells.starts[:-1], cells.starts[1:], bounds):
+            got = scoring._product(unit, cells.rows[a:b].T).max(axis=1)
+            assert (got <= bound).all()
+
+
+class TestHugeRows:
+    """Bank rows whose squares overflow but whose candidates do not."""
+
+    @staticmethod
+    def _bank_and_queries(n):
+        rng = np.random.default_rng(16)
+        rows = rng.standard_normal((n, 8))
+        rows[1] = 1e200
+        queries = rng.standard_normal((6, 8))
+        queries[:3] = -np.abs(queries[:3])
+        queries[3:] = np.abs(queries[3:])
+        return rows, queries
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_cos_scores_them_at_any_bank_size(self, n):
+        rows, queries = self._bank_and_queries(n)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = scoring.score_set(_bank(rows), queries, "cos")
+        unit = normalize_rows(queries)[0]
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, (unit @ rows.T).max(axis=1),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_var_raises_only_on_a_spread_that_overflows(self, n):
+        # the first three queries point away from the huge row, so it is
+        # never among their top-K; the others take it first
+        rows, queries = self._bank_and_queries(n)
+        bank = _bank(rows)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = scoring.score_set(bank, queries[:3], "var", 10)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                scoring.score_set(bank, queries, "var", 10)
+        want = oracles.score_var_sorted(np.delete(rows, 1, axis=0),
+                                        queries[:3], 10)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
 def _top_k(values, k):
     """`scoring._top_k` as `var` runs it on a bank of as many rows as
     `values` has columns: too narrow for the filter, `_top_k_full`;
@@ -454,11 +583,12 @@ def _unpruned_cos(bank, queries):
     rows) times each tile (two or more rows), best over the tiles."""
     unit = normalize_rows(queries)[0]
     both = np.vstack([unit, unit])
-    prepared = scoring._cos_tiles(bank.features)
-    if prepared is None:
+    cells = scoring._cos_cells(bank.features)
+    if cells is None:
         tiles = [bank.features.T]
     else:
-        tiles = prepared[0]
+        tiles = [cells.rows[a:b].T
+                 for a, b in zip(cells.starts[:-1], cells.starts[1:])]
         # the tiles hold every bank row once
         counts = [np.unique(r, axis=0, return_counts=True)
                   for r in (np.hstack(tiles).T, bank.features)]

@@ -791,6 +791,29 @@ class TestCli:
         assert "bundle dimension 8 does not match config d_in" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,code", [("cos", 0), ("var", 3)])
+    def test_eval_bank_with_a_huge_row(self, tmp_path, capsys, kind, code):
+        # 600 training rows, more than a cos tile, and row 1 of eight 1e200
+        # cells: their squares overflow, the candidates do not, so cos
+        # scores the bundle; var's spread takes the huge row and overflows
+        data_dir, ckpt = self._trained(tmp_path)
+        wide = tmp_path / "wide"
+        assert cli.main(["gen-data", "--config", self._config_file(tmp_path),
+                         "--set", "train_per_component=300",
+                         "--out", str(wide)]) == 0
+        path = wide / "id_train.csv"
+        lines = path.read_text().splitlines()
+        assert len(lines) == 601
+        lines[2] = ",".join(["1e200"] * 8)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self._eval(tmp_path, ckpt, wide, "--score-kind", kind) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert "auroc=" in captured.out
+        else:
+            assert "numeric failure in eval: overflow" in captured.err
+
     @pytest.mark.parametrize("kind", ["cos", "var"])
     @pytest.mark.parametrize("k_top", ["0", "-1"])
     def test_eval_k_top_below_one_exits_2(self, tmp_path, capsys, k_top, kind):
