@@ -98,27 +98,31 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False):
 
     A bank row's candidate score, sim(bank_m, z) * ||bank_m||, is its dot
     product with the unit query. `cos` is the best candidate; `var`
-    divides it by the spread of the top-K bank rows by candidate score
-    (ties to the lowest index), clamped at 1e-8. With `clamped`, also
-    returns which queries' spread was clamped (none under `cos`).
+    divides it by the spread of the query's top-K set, clamped at 1e-8.
+    The set is the K bank rows first by (candidate score, descending;
+    bank row, ascending), so a tie at the K-th place goes to the lowest
+    row, and a NaN candidate ranks last. Its rows are summed in
+    ascending bank-row order: their mean is one product with weights
+    1/K, and the spread is sqrt(sum of squared deviations / (K - 1)),
+    the sum one dot product over the K d deviations. With `clamped`,
+    also returns which queries' spread was clamped (none under `cos`).
 
     `var` scores chunks of queries against a negated, transposed copy of
-    the bank made once per call, so the best candidate is the first of
-    the top-K; a chunk's candidates and top-K rows fill up to twice
-    _CHUNK_ENTRIES entries, every product of the call is written into
-    one buffer, and a chunk's top-K rows, at most half of _CHUNK_ENTRIES,
-    are gathered into one workspace kept for the call. On a bank of 8K
-    rows or more (`_sample_rank` gives the rule), each query's threshold
-    comes first, from a small product with every 8th bank row; `_top_k`
-    keeps the candidates at or below it, about K + 64, and orders only
-    those, or every candidate when fewer than K pass. The queries are
-    scored in threshold order, and if every row norm is finite, a chunk
-    is multiplied only by the prefix of the bank, in norm order, that can
-    reach its loosest threshold: the norm limit (`_limits`) that caps
-    `cos`'s bounds keeps every skipped row's negated candidate above
-    every threshold of the chunk, so no skipped row could have been
-    kept, and the top-K, ties to the lowest index included, is the
-    whole bank's (`_var_scores`).
+    the bank made once per call, so the best candidate is the least
+    negated one of the set; a chunk's candidates and top-K rows fill up
+    to twice _CHUNK_ENTRIES entries, every product of the call is
+    written into one buffer, and a chunk's top-K rows, at most half of
+    _CHUNK_ENTRIES, are gathered into one workspace kept for the call.
+    On a bank of 8K rows or more (`_sample_rank` gives the rule), each
+    query's threshold comes first, from a small product with every 8th
+    bank row; `_top_k` picks only among the candidates at or below it,
+    about K + 64. The queries are scored in threshold order, and if
+    every row norm is finite, a chunk is multiplied only by the prefix
+    of the bank, in norm order, that can reach its loosest threshold:
+    the norm limit (`_limits`) that caps `cos`'s bounds keeps every
+    skipped row's negated candidate above every threshold of the chunk,
+    so no skipped row could have been picked, and the set, ties to the
+    lowest row included, is the whole bank's (`_var_scores`).
     `cos` cuts the bank, once per call, into direction cells of
     norm-ordered tiles (`_cos_cells`), and multiplies a query by a tile
     only while the tile's cone bound (`_cone_bounds`), which no computed
@@ -149,7 +153,12 @@ def _var_scores(bank, queries, k_top):
     A chunk of step = min(2 _CHUNK_ENTRIES // (n + K d),
     _CHUNK_ENTRIES // 2 // (K d)) queries, at least one, is scored at a
     time: its n candidates and K top rows of width d a query fill up to
-    twice _CHUNK_ENTRIES, and its top rows at most half of it.
+    twice _CHUNK_ENTRIES, and its top rows at most half of it. A query's
+    top-K set, ties at the K-th place to the lowest bank row, is gathered
+    in ascending bank-row order; its mean is one product with weights
+    1/K, taken off in place, and its sum of squared deviations one dot
+    product over the K d entries, both of which raise on overflow under
+    errstate(over="raise").
 
     On a bank wide enough for `_top_k`'s filter (`_sample_rank`), every
     query's threshold t is taken first (`_thresholds`), and the queries
@@ -158,15 +167,23 @@ def _var_scores(bank, queries, k_top):
     rows whose limit (`_limits`) reaches minus its loosest threshold, K
     of them at least. Every row after them has a limit below -t for each
     t of the chunk, so its computed negated candidate, at least minus its
-    limit, lies above t: no query of the chunk keeps it, and the kept
-    candidates, hence the top-K, are those of the whole bank. The kept
-    columns map back to bank rows; a query whose top-K holds a tie, or
-    ties its K-th value with a row left out, is ordered again by (value,
-    row) (`_by_key`), so the rows and their order, hence the spread, are
-    the unpruned scan's. A query that keeps fewer than K candidates is
-    multiplied again by the whole bank and orders all of its candidates.
-    A bank with a non-finite row norm is copied in its own order and
-    multiplied whole.
+    limit, lies above t: no query of the chunk picks it, and the picked
+    candidates, hence the top-K set, are those of the whole bank. The
+    picked columns map back to bank rows; a query whose K-th value ties
+    a value left out has its set picked again by (value, row) over its
+    whole prefix row (`_by_key`).
+
+    A query that keeps fewer than K candidates at or below its t takes
+    t', the K-th smallest value of its own prefix row. The prefix holds
+    K rows at or below t', so the K-th smallest value over the bank is
+    at most t', and a row whose limit lies below -t' has a negated
+    candidate above t': it is not in the set, and cannot tie the K-th
+    value. So the query is multiplied further only by the norm-ordered
+    rows after the prefix whose limit reaches -t' (for the loosest t' of
+    the chunk's short queries), and picks its set from the two parts. A
+    bank with a non-finite row norm is copied in its own order and
+    multiplied whole; its best candidate is the least negated one over
+    the whole row, NaN if any is, as for `cos`.
     """
     features = bank.features
     n, d = features.shape
@@ -176,7 +193,7 @@ def _var_scores(bank, queries, k_top):
                       _CHUNK_ENTRIES // 2 // (k_top * d)))
     # every product of the call is written here
     buffer = np.empty(max(2, min(step, len(queries))) * n)
-    sequence, keys, ends = None, None, None
+    sequence, keys, reach, ends = None, None, None, None
     if rank is not None:
         t = _thresholds(features, queries, rank, buffer)
         sequence = np.argsort(t, kind="stable")
@@ -188,14 +205,11 @@ def _var_scores(bank, queries, k_top):
         negated = np.take(features.T, keys, axis=1, out=np.empty((d, n)),
                           mode="clip")
         np.negative(negated, out=negated)
-        ends = np.searchsorted(-_limits(norms[keys], queries), t[sequence],
-                               "right")
-
-    def least(values, top):
-        # a NaN candidate can only come from a row with a non-finite norm
-        return (np.take_along_axis(values, top[:, :1], axis=1)[:, 0]
-                if prepared is not None else values.min(axis=1))
-
+        # limits fall in norm order: searchsorted(reach, t, "right") counts
+        # the rows whose limit reaches -t
+        reach = -_limits(norms[keys], queries)
+        ends = np.searchsorted(reach, t[sequence], "right")
+    weights = np.full((1, k_top), 1.0 / k_top)
     work = np.empty((min(step, len(queries)), k_top, d))
     scores = np.empty(len(queries))
     clamped = np.empty(len(queries), dtype=bool)
@@ -207,27 +221,33 @@ def _var_scores(bank, queries, k_top):
         width = n if ends is None else max(k_top, ends[start + len(q) - 1])
         neg = _product(q, negated[:, :width], buffer)
         if rank is None:
-            top, short = _top_k_full(neg, k_top), np.zeros(len(q), bool)
+            top, lowest = _top_k_full(neg, k_top)
         else:
-            top, short = _top_k(neg, k_top, t[chunk, None],
-                                None if keys is None else keys[:width])
-        lowest = least(neg, top)
-        if short.any():
-            # a query short of K candidates ranks the whole bank
-            full = neg[short] if width == n else \
-                _product(q[short], negated, buffer)
-            top[short] = _top_k_full(full, k_top)
-            if keys is not None:
-                top[short] = _by_key(full, top[short], keys)
-            lowest[short] = least(full, top[short])
-        if keys is not None:
-            top = keys[top]
+            top, lowest, short = _top_k(neg, k_top, t[chunk, None],
+                                        None if keys is None else keys[:width])
+            if short.any():
+                part, end = neg[short], width
+                if keys is not None:
+                    # t', the K-th smallest value of each short prefix row
+                    kth = np.partition(part, k_top - 1, axis=1)[:, k_top - 1]
+                    end = max(end, np.searchsorted(reach, kth.max(), "right"))
+                if end > width:
+                    more = _product(q[short], negated[:, width:end], buffer)
+                    # a lone row past the prefix comes back doubled
+                    part = np.hstack([part, more[:, :end - width]])
+                top[short], lowest[short] = _top_k_full(
+                    part, k_top, None if keys is None else keys[:end])
+        if prepared is None:
+            # a NaN candidate counts, as for `cos`; with no prefix, no
+            # product past it has overwritten `neg`
+            lowest = neg.min(axis=1)
         # "clip" writes straight into the workspace; the indices are in range
         dev = np.take(features, top, axis=0, out=work[:len(top)],
                       mode="clip")
-        dev -= dev.mean(axis=1, keepdims=True)
-        np.square(dev, out=dev)
-        spread = np.sqrt(dev.sum(axis=(1, 2)) / (k_top - 1))
+        dev -= np.matmul(weights, dev)
+        flat = dev.reshape(len(top), -1)
+        # not einsum: under errstate(over="raise") it returns inf silently
+        spread = np.sqrt(np.vecdot(flat, flat) / (k_top - 1))
         clamped[chunk] = spread < 1e-8
         scores[chunk] = -lowest / np.maximum(spread, 1e-8)
     return scores, clamped
@@ -487,18 +507,20 @@ def _best(queries, tile):
 
 
 def _top_k(values, k, t, keys=None):
-    """Columns of each row's k smallest values, ordered by (value, column),
-    or, given `keys` (column -> key), by (value, keys[column]); and which
-    rows keep fewer than k values at or below their threshold t (a column
-    of thresholds), whose columns are left unset.
+    """Each row's top-K set: the keys (columns, without `keys`) of its k
+    smallest values taken by (value, key), so a tie at the k-th place
+    goes to the lowest key, in ascending order; the least value in it
+    (NaN if one is); and which rows keep fewer than k values at or below
+    their threshold t (a column of thresholds), whose set and least
+    value are left unset.
 
     The columns holding values <= t are laid out in column order and
     padded with +inf. A row that keeps k columns or more has its k-th
-    smallest value at or below t, so it keeps every column ranked up to
-    there, ties included, in its own order, and the padding ranks after
-    them: the layout's k smallest, which `_top_k_full` picks, are the
-    row's. Any t gives the same columns; one that keeps a few times k
-    columns makes the layout small.
+    smallest value at or below t, so every value left out of the layout
+    lies above it, and the layout's k smallest are the row's, but for a
+    tie at the k-th place, which `_by_key` breaks over the whole row. Any
+    t gives the same set; one that keeps a few times k columns makes the
+    layout small.
     """
     n = values.shape[1]
     flat = np.flatnonzero(values <= t)
@@ -506,7 +528,8 @@ def _top_k(values, k, t, keys=None):
     counts = np.bincount(rows, minlength=len(values))
     short = counts < k
     if short.all():
-        return np.zeros((len(values), k), dtype=np.intp), short
+        return (np.zeros((len(values), k), dtype=np.intp),
+                np.zeros(len(values)), short)
     if short.any():
         long = ~short[rows]
         flat, rows = flat[long], rows[long]
@@ -517,59 +540,55 @@ def _top_k(values, k, t, keys=None):
     kept = np.full((len(values), width), np.inf)
     kept.reshape(-1)[rows * width + np.arange(len(flat)) - starts[rows]] = \
         np.take(values, flat)
-    order = _top_k_full(kept, k)
+    picks, lowest, tied = _select(kept, k)
     # "clip" keeps the places of short rows, left unset, in range
-    top = np.take(flat - rows * n, starts[:, None] + order, mode="clip")
-    if keys is not None:
-        top = _by_key(values, top, keys, _tied(kept, order) & ~short)
-    return top, short
+    top = np.take(flat - rows * n, starts[:, None] + picks, mode="clip")
+    return _by_key(values, top, tied & ~short, keys), lowest, short
 
 
-def _tied(values, top):
-    """Rows whose k smallest columns `top`, ordered by (value, column),
-    may order differently by (value, key): their top-K holds a tie, their
-    K-th value ties with a column left out, or is NaN."""
-    picked = np.take_along_axis(values, top, axis=1)
-    kth = picked[:, -1:]
-    return (np.isnan(kth[:, 0]) | (picked[:, 1:] == picked[:, :-1]).any(axis=1)
-            | (np.count_nonzero(values <= kth, axis=1) > top.shape[1]))
+def _select(values, k):
+    """k columns of each row's k smallest values, in no order, the least
+    of those values, and which rows may hold the wrong ones of their
+    tied columns: a row whose k-th value is NaN or ties a value left out.
 
-
-def _by_key(values, top, keys, tied=None):
-    """`top`, each row's k smallest columns of `values` ordered by (value,
-    column), ordered by (value, keys[column]): the rows in `tied`
-    (default: those `_tied` finds) are sorted again in full, the others
-    are kept as they are."""
-    tied = _tied(values, top) if tied is None else tied
-    if tied.any():
-        ties = values[tied]
-        top[tied] = np.lexsort((np.broadcast_to(keys, ties.shape), ties),
-                               axis=1)[:, :top.shape[1]]
-    return top
-
-
-def _top_k_full(values, k):
-    """Columns of each row's k smallest values, ordered by (value, column),
-    over every column, in linear time: argpartition picks k columns, and
-    a stable sort of the picks, taken in column order, orders them. A row whose k-th value is NaN, or ties with a value left out,
-    may hold the wrong ones of its tied columns; only those rows are
-    sorted in full.
+    argpartition puts NaN last. Any other row's k-th value is a number
+    below every value left out, so its k columns are the only ones whose
+    values are at most that number, whatever rule breaks ties.
     """
     n = values.shape[1]
     # column k of the partition holds the (k+1)-th smallest value
     part = np.argpartition(values, min(k, n - 1), axis=1)
-    picks = np.sort(part[:, :k], axis=1)
-    picked = np.take_along_axis(values, picks, axis=1)
-    order = np.argsort(picked, axis=1, kind="stable")
-    top = np.take_along_axis(picks, order, axis=1)
-    kth = np.take_along_axis(picked, order[:, -1:], axis=1)[:, 0]
-    redo = np.isnan(kth)
+    picked = np.take_along_axis(values, part[:, :k], axis=1)
+    kth = picked.max(axis=1)
+    tied = np.isnan(kth)
     if k < n:
         after = np.take_along_axis(values, part[:, k:k + 1], axis=1)[:, 0]
-        redo |= after == kth
-    if redo.any():
-        top[redo] = np.argsort(values[redo], axis=1, kind="stable")[:, :k]
+        tied |= after == kth
+    return part[:, :k], picked.min(axis=1), tied
+
+
+def _by_key(values, top, tied, keys=None):
+    """The sets `top`, columns of `values`, as keys in ascending order:
+    keys[column], or the column itself without keys. The rows in `tied`
+    are picked again over all of `values`, by (value, key)."""
+    k = top.shape[1]
+    top = top if keys is None else keys[top]
+    if tied.any():
+        ties = values[tied]
+        key = np.arange(values.shape[1]) if keys is None else keys
+        top[tied] = key[np.lexsort((np.broadcast_to(key, ties.shape), ties),
+                                   axis=1)[:, :k]]
+    top.sort(axis=1)
     return top
+
+
+def _top_k_full(values, k, keys=None):
+    """Each row's top-K set over every column, in linear time, and the
+    least value in it (NaN if one is): the k columns of its smallest
+    values, taken by (value, column), or given `keys` (column -> key) by
+    (value, keys[column]), as ascending keys (`_select`, `_by_key`)."""
+    top, lowest, tied = _select(values, k)
+    return _by_key(values, top, tied, keys), lowest
 
 
 def stacked_report(bank, features, id_rows, ood_rows, score_kind, k_top=10,

@@ -120,15 +120,20 @@ def score_var_oracle(bank, z, k):
 
 
 def score_var_sorted(bank, queries, k):
-    """`var` scores, each query's top-K rows taken by a full stable sort."""
+    """`var` scores, each query's top-K set taken by a full stable sort and
+    gathered in ascending row order, its spread by the scorer's
+    arithmetic: the mean as one product with weights 1/K, the sum of
+    squares as one dot product."""
     bank = np.asarray(bank, dtype=np.float64)
+    weights = np.full((1, k), 1.0 / k)
     scores = []
     for z in np.asarray(queries, dtype=np.float64):
         cand = bank @ (z / np.linalg.norm(z))
-        top = np.argsort(-cand, kind="stable")[:k]
+        top = np.sort(np.argsort(-cand, kind="stable")[:k])
         dev = bank[top][None]
-        dev = np.square(dev - dev.mean(axis=1, keepdims=True))
-        spread = np.sqrt(dev.sum(axis=(1, 2))[0] / (k - 1))
+        dev -= np.matmul(weights, dev)
+        flat = dev.reshape(1, -1)
+        spread = np.sqrt(np.vecdot(flat, flat)[0] / (k - 1))
         scores.append(cand.max() / max(spread, 1e-8))
     return np.array(scores)
 

@@ -443,10 +443,14 @@ class TestVarPrefix:
         # row 3 is [0, 0, 0, 14], the longest, and the others alternate
         # [0, 1, 0, 0] and the longer [0, 1, 1/2, 1/2]: along either query
         # the sample threshold, set by the 21st largest a, keeps 21 rows,
-        # fewer than K = 100, so both queries are multiplied again by the
-        # whole bank. Along [1, 1, 1, -1] row 0 ties with every other row
-        # but row 3 at the K-th place, and wins as the lowest row, though
-        # it comes after the longer ones
+        # fewer than K = 100. The chunk's prefix is its K longest rows: row
+        # 3, 98 rows [a, 0, 0, 0] and row 1. The K-th smallest negated value
+        # of a prefix row is 0 along [1, 0, 0, 0] and 7 (row 3) along
+        # [1, 1, 1, -1]; every row's limit reaches minus both, so both
+        # queries are multiplied further by every row after the prefix.
+        # Along [1, 1, 1, -1] row 0, past the prefix, ties at the K-th
+        # place with row 1, in the prefix, and every other row but row 3,
+        # and wins as the lowest row
         n = 800
         feats = np.tile([0.0, 1.0, 0.0, 0.0], (n, 1))
         feats[1::2, 2:] = 0.5
@@ -456,8 +460,46 @@ class TestVarPrefix:
         queries = np.array([[1.0, 0, 0, 0], [1.0, 1.0, 1.0, -1.0]])
         widths = _recorded_widths(monkeypatch, n)
         got = scoring.score_set(_bank(feats), queries, "var", 100)
-        assert len(widths) == 2 and widths[0] < widths[1] == n
+        assert widths == [100, n - 100]
         _assert_same_bits(got, oracles.score_var_sorted(feats, queries, 100))
+
+    def test_short_query_scans_only_the_rows_its_kth_value_reaches(
+            self, monkeypatch):
+        # along [1, 0, 0, 0]: rows 0, 8, ..., 232 are [a, 0, 0, 0], a of
+        # 2 to 5 5/8, the other sampled rows [0, 1/2, 0, 0], so the sample
+        # threshold, the 21st largest a, keeps 21 rows, fewer than K = 100.
+        # 100 rows [1, 0, 0, 8], of candidate 1, are the longest, so the
+        # prefix is them and the 21 kept rows, and its K-th smallest
+        # negated value is -1: only rows of limit 1 or more can hold the
+        # set, the 9 other a rows and 10 rows [1, 0, 0, 0] of norm 1 past
+        # the prefix, not the 660 rows of norm 1/2. The set's K-th place
+        # is a tie at candidate 1 between the prefix's long rows and the
+        # rows [1, 0, 0, 0], which are lower in the bank and win
+        n = 800
+        feats = np.tile([0.0, 0.5, 0.0, 0.0], (n, 1))
+        feats[:240:8] = 0.0
+        feats[:240:8, 0] = 2.0 + np.arange(30) / 8.0
+        spare = np.setdiff1d(np.arange(n), np.arange(0, n, 8))
+        feats[spare[:10]] = [1.0, 0.0, 0.0, 0.0]
+        feats[spare[10:110]] = [1.0, 0.0, 0.0, 8.0]
+        queries = np.array([[1.0, 0, 0, 0]])
+        widths = _recorded_widths(monkeypatch, n)
+        got = scoring.score_set(_bank(feats), queries, "var", 100)
+        assert widths == [121, 19]
+        want = oracles.score_var_sorted(feats, queries, 100)
+        _assert_same_bits(got, want)
+        without = oracles.score_var_sorted(
+            np.delete(feats, spare[:10], axis=0), queries, 100)
+        assert got[0] != without[0]
+        # with [1, 1, 1, -1], short too, in its chunk: its threshold, the
+        # 21st largest a / 2, sets a prefix of every a row and the long
+        # rows, whose candidate -7/2 makes its K-th smallest negated value
+        # 7/2, so the chunk's short queries scan every row past the prefix
+        widths.clear()
+        both = np.array([[1.0, 0, 0, 0], [1.0, 1.0, 1.0, -1.0]])
+        got = scoring.score_set(_bank(feats), both, "var", 100)
+        assert widths == [130, n - 130]
+        _assert_same_bits(got, oracles.score_var_sorted(feats, both, 100))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_scans_the_whole_bank(self, monkeypatch, bad):
@@ -546,36 +588,60 @@ class TestHugeRows:
         np.testing.assert_allclose(got, (unit @ rows.T).max(axis=1),
                                    rtol=1e-12)
 
-    @pytest.mark.parametrize("n", [300, 600])
-    def test_var_raises_only_on_a_spread_that_overflows(self, n):
+    @classmethod
+    def _var_raises_only_on_a_spread_that_overflows(cls, n, k):
         # the first three queries point away from the huge row, so it is
-        # never among their top-K; the others take it first
-        rows, queries = self._bank_and_queries(n)
+        # never in their top-K set; the others take it first
+        rows, queries = cls._bank_and_queries(n)
         bank = _bank(rows)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            got = scoring.score_set(bank, queries[:3], "var", 10)
+            got = scoring.score_set(bank, queries[:3], "var", k)
             with pytest.raises(FloatingPointError, match="overflow"):
-                scoring.score_set(bank, queries, "var", 10)
+                scoring.score_set(bank, queries, "var", k)
         want = oracles.score_var_sorted(np.delete(rows, 1, axis=0),
-                                        queries[:3], 10)
+                                        queries[:3], k)
         np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_var_raises_only_on_a_spread_that_overflows(self, n):
+        # 8K rows or more: the thresholded path
+        assert scoring._sample_rank(n, 10) is not None
+        self._var_raises_only_on_a_spread_that_overflows(n, 10)
+
+    @pytest.mark.parametrize("n,k", [(60, 10), (300, 100)])
+    def test_var_raises_on_the_whole_bank_path(self, n, k):
+        # fewer than 8K rows: each query's set is picked over every row
+        assert scoring._sample_rank(n, k) is None
+        self._var_raises_only_on_a_spread_that_overflows(n, k)
 
 
 def _top_k(values, k):
     """`scoring._top_k` as `var` runs it on a bank of as many rows as
-    `values` has columns: too narrow for the filter, `_top_k_full`;
-    else thresholded at the `_sample_rank`-th smallest value of every
-    _SAMPLE-th column, with rows that keep fewer than k columns ordered
-    by `_top_k_full` over all of them."""
+    `values` has columns, in bank order: too narrow for the filter,
+    `_top_k_full`; else thresholded at the `_sample_rank`-th smallest
+    value of every _SAMPLE-th column, with rows that keep fewer than k
+    columns picking their set by `_top_k_full` over all of them. The
+    sets, and the least value of each."""
     rank = scoring._sample_rank(values.shape[1], k)
     if rank is None:
         return scoring._top_k_full(values, k)
     t = np.partition(values[:, ::scoring._SAMPLE], rank - 1,
                      axis=1)[:, rank - 1:rank]
-    top, short = scoring._top_k(values, k, t)
+    top, lowest, short = scoring._top_k(values, k, t)
     if short.any():
-        top[short] = scoring._top_k_full(values[short], k)
-    return top
+        top[short], lowest[short] = scoring._top_k_full(values[short], k)
+    return top, lowest
+
+
+def _assert_stable_sets(values, k, got, rows=slice(None)):
+    """`got`, the sets and least values of the rows `rows` of `values`,
+    are each row's first k columns by a stable sort, in ascending order,
+    and the least of their values (NaN if one is)."""
+    want = np.sort(np.argsort(values, axis=1, kind="stable")[:, :k], axis=1)
+    top, lowest = got
+    assert np.array_equal(top[rows], want[rows])
+    np.testing.assert_array_equal(
+        lowest[rows], np.take_along_axis(values, want, 1)[rows].min(axis=1))
 
 
 def _unpruned_cos(bank, queries):
@@ -611,8 +677,7 @@ class TestTopK:
         values = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), n),
                                   elements=st.sampled_from(pool)))
         k = data.draw(st.integers(1, n))
-        want = np.argsort(values, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(_top_k(values, k), want)
+        _assert_stable_sets(values, k, _top_k(values, k))
 
     @settings(deadline=None, max_examples=300)
     @given(st.data())
@@ -631,15 +696,15 @@ class TestTopK:
         values = rng.choice(pool, (rows, n))
         spread = rng.random(rows) < 0.5
         values[spread] = rng.standard_normal((spread.sum(), n)).round(1)
-        want = np.argsort(values, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(_top_k(values, k), want)
+        _assert_stable_sets(values, k, _top_k(values, k))
 
     @settings(deadline=None, max_examples=200)
     @given(st.data())
     def test_keys_order_ties_by_key(self, data):
         # columns stand for bank rows in another order: a row that keeps
-        # k values at or below its threshold takes its k smallest by
-        # (value, key), whatever the threshold; the others are short
+        # k values at or below its threshold takes the keys of its k
+        # smallest by (value, key), whatever the threshold, so a tie at
+        # the k-th place goes to the lower key; the others are short
         n = data.draw(st.integers(2, 300))
         k = data.draw(st.integers(1, n))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -649,13 +714,12 @@ class TestTopK:
         values[rng.random((rows, n)) < 0.05] = np.nan
         keys = rng.permutation(n)
         t = rng.integers(0, 12, (rows, 1)) / 2.0
-        top, short = scoring._top_k(values, k, t, keys)
+        top, lowest, short = scoring._top_k(values, k, t, keys)
         assert np.array_equal(short, (values <= t).sum(axis=1) < k)
-        # a stable sort of the columns laid out in key order
-        by_key = np.argsort(keys)
-        want = by_key[np.argsort(values[:, by_key], axis=1,
-                                 kind="stable")[:, :k]]
-        assert np.array_equal(top[~short], want[~short])
+        # a stable sort of the columns laid out in key order, whose
+        # places are the keys
+        _assert_stable_sets(values[:, np.argsort(keys)], k, (top, lowest),
+                            ~short)
 
     def test_edge_rows_of_the_filter(self, monkeypatch):
         # k = 100 of 800 columns samples every 8th column and thresholds at
@@ -663,30 +727,28 @@ class TestTopK:
         # columns and larger values elsewhere: 21 columns pass, and it
         # takes the full path. Row 1 holds 90 ones, 30 infinities in
         # sampled columns and NaN elsewhere: its threshold is +inf, and its
-        # top-K ends with kept infinities that must rank before the
+        # set ends with kept infinities that must be picked before the
         # padding, since row 2, all zeros, keeps all 800 columns
-        widths, full = [], scoring._top_k_full
-        monkeypatch.setattr(scoring, "_top_k_full", lambda v, k: (
-            widths.append(v.shape) or full(v, k)))
+        widths, select = [], scoring._select
+        monkeypatch.setattr(scoring, "_select", lambda v, k: (
+            widths.append(v.shape) or select(v, k)))
         values = np.random.default_rng(5).uniform(100, 200, (4, 800))
         values[0, ::8] = np.arange(100)
         values[1] = np.nan
         values[1, 1:8 * 90:8] = 1.0
         values[1, 0:8 * 30:8] = np.inf
         values[2] = 0.0
-        got = _top_k(values, 100)
-        assert np.array_equal(got, np.argsort(values, axis=1,
-                                              kind="stable")[:, :100])
+        _assert_stable_sets(values, 100, _top_k(values, 100))
         assert widths == [(4, 800), (1, 800)]
 
     @pytest.mark.parametrize("n,filtered", [(10_000, True), (300, False)])
     def test_wide_chunks_take_the_filter(self, monkeypatch, n, filtered):
         # var with k = 100: a chunk of 10 000 candidates a query is
-        # filtered to a few hundred, and no query falls back to the full
-        # row; one of 300 takes the full path
-        widths, full = [], scoring._top_k_full
-        monkeypatch.setattr(scoring, "_top_k_full", lambda v, k: (
-            widths.append(v.shape) or full(v, k)))
+        # filtered to a few hundred, and no query picks again over more
+        # columns; one of 300 takes the full path
+        widths, select = [], scoring._select
+        monkeypatch.setattr(scoring, "_select", lambda v, k: (
+            widths.append(v.shape) or select(v, k)))
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((n, 4))
         queries = rng.standard_normal((5, 4))
