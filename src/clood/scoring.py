@@ -18,8 +18,8 @@ _CHUNK_ENTRIES = 1 << 18
 # `_top_k` filters a wide row by a sample of every _SAMPLE-th column, and
 # `cos` picks its cell directions among every _SAMPLE-th bank row
 _SAMPLE = 8
-# bank rows per `cos` tile, and direction cells of a `cos` bank of more
-# than two tiles (`_cos_cells`), both chosen by timing score-bank's banks;
+# bank rows per tile, and direction cells of a bank of more than two
+# tiles (`_cos_cells`), both chosen by timing score-bank's banks;
 # the cells are sorted as bytes, so there are at most 256
 _TILE = 256
 _CELLS = 8
@@ -107,31 +107,29 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False):
     the sum one dot product over the K d deviations. With `clamped`,
     also returns which queries' spread was clamped (none under `cos`).
 
-    `var` scores chunks of queries against a negated, transposed copy of
-    the bank made once per call, so the best candidate is the least
-    negated one of the set; a chunk's candidates and top-K rows fill up
-    to twice _CHUNK_ENTRIES entries, every product of the call is
-    written into one buffer, and a chunk's top-K rows, at most half of
-    _CHUNK_ENTRIES, are gathered into one workspace kept for the call.
-    On a bank of 8K rows or more (`_sample_rank` gives the rule), each
-    query's threshold comes first, from a small product with every 8th
-    bank row; `_top_k` picks only among the candidates at or below it,
-    about K + 64. The queries are scored in threshold order, and if
-    every row norm is finite, a chunk is multiplied only by the prefix
-    of the bank, in norm order, that can reach its loosest threshold:
-    the norm limit (`_limits`) that caps `cos`'s bounds keeps every
-    skipped row's negated candidate above every threshold of the chunk,
-    so no skipped row could have been picked, and the set, ties to the
-    lowest row included, is the whole bank's (`_var_scores`).
-    `cos` cuts the bank, once per call, into direction cells of
-    norm-ordered tiles (`_cos_cells`), and multiplies a query by a tile
-    only while the tile's cone bound (`_cone_bounds`), which no computed
-    candidate of its rows exceeds, is above the query's best; a bank of
-    at most two tiles, with a non-finite row norm or with only zero rows
-    is scanned whole, a chunk at a time. No product has a single row on
-    either side: BLAS computes those on another path, whose last bit
-    differs. BLAS also picks its kernel by a product's shape, so the last
-    bit of a score can depend on how many queries share its product.
+    Both kinds cut the bank, once per call, into direction cells of
+    norm-ordered tiles (`_cos_cells`) and skip a tile by its cone bound
+    (`_cone_bounds`), which no computed candidate of its rows exceeds; a
+    bank of at most two tiles, with a non-finite row norm or with only
+    zero rows is scanned whole, a chunk at a time, and so is one too
+    narrow for `var`'s threshold (`_sample_rank`). `cos` multiplies a
+    query by a tile only while the tile's bound is above the query's
+    best. `var` scores chunks of queries against a negated, transposed
+    copy of the bank, so the best candidate is the least negated one of
+    the set; a chunk's top-K rows are gathered into one workspace kept
+    for the call. On a bank of 8K rows or more, each query's threshold
+    comes first, from a small product with every 8th row of its best
+    cell, the cell nearest its direction; `_top_k` picks only among the
+    candidates at or below it, about K + 64. The queries are scored in
+    order of (best cell, threshold), and a chunk is multiplied, cell by
+    cell, only by the tiles up to the last one whose bound reaches minus
+    some threshold of the chunk: each skipped row's negated candidate
+    lies above every threshold of the chunk, so no skipped row could have
+    been picked, and the set, ties to the lowest row included, is the
+    whole bank's (`_var_scores`). No product has a single row on either
+    side: BLAS computes those on another path, whose last bit differs.
+    BLAS also picks its kernel by a product's shape, so the last bit of a
+    score can depend on how many queries share its product.
     """
     if score_kind not in ("cos", "var"):
         raise ConfigError(f"unknown score kind {score_kind!r}")
@@ -153,93 +151,118 @@ def _var_scores(bank, queries, k_top):
     A chunk of step = min(2 _CHUNK_ENTRIES // (n + K d),
     _CHUNK_ENTRIES // 2 // (K d)) queries, at least one, is scored at a
     time: its n candidates and K top rows of width d a query fill up to
-    twice _CHUNK_ENTRIES, and its top rows at most half of it. A query's
-    top-K set, ties at the K-th place to the lowest bank row, is gathered
-    in ascending bank-row order; its mean is one product with weights
-    1/K, taken off in place, and its sum of squared deviations one dot
-    product over the K d entries, both of which raise on overflow under
-    errstate(over="raise").
+    twice _CHUNK_ENTRIES, and its top rows at most half of it. Every
+    chunk product is written into one buffer, sized by the widest of
+    them. A query's top-K set, ties at the K-th place to the lowest bank
+    row, is gathered in ascending bank-row order; its mean is one product
+    with weights 1/K, taken off in place, and its sum of squared
+    deviations one dot product over the K d entries, both of which raise
+    on overflow under errstate(over="raise").
 
-    On a bank wide enough for `_top_k`'s filter (`_sample_rank`), every
-    query's threshold t is taken first (`_thresholds`), and the queries
-    are scored in order of t. If every row norm is finite, the rows are
-    copied in `_norm_order`, and a chunk is multiplied only by the first
-    rows whose limit (`_limits`) reaches minus its loosest threshold, K
-    of them at least. Every row after them has a limit below -t for each
-    t of the chunk, so its computed negated candidate, at least minus its
-    limit, lies above t: no query of the chunk picks it, and the picked
-    candidates, hence the top-K set, are those of the whole bank. The
-    picked columns map back to bank rows; a query whose K-th value ties
-    a value left out has its set picked again by (value, row) over its
-    whole prefix row (`_by_key`).
+    A bank too narrow for `_top_k`'s filter (`_sample_rank`) is
+    multiplied whole and each set picked over every row. On a wider one,
+    each query's threshold t comes first (`_thresholds`), from its best
+    cell, the cell direction c of largest c . q, and the queries are
+    scored in order of (best cell, t). A chunk keeps only its candidates
+    at or below t, or at or below the `_sample_rank`-th smallest of every
+    _SAMPLE-th of its computed columns where that is lower, as when the
+    query's neighbours lie outside its best cell; a query that keeps K or
+    more of them has its K-th smallest value at or below t, and `_top_k`
+    picks its set among them.
 
-    A query that keeps fewer than K candidates at or below its t takes
-    t', the K-th smallest value of its own prefix row. The prefix holds
-    K rows at or below t', so the K-th smallest value over the bank is
-    at most t', and a row whose limit lies below -t' has a negated
-    candidate above t': it is not in the set, and cannot tie the K-th
-    value. So the query is multiplied further only by the norm-ordered
-    rows after the prefix whose limit reaches -t' (for the loosest t' of
-    the chunk's short queries), and picks its set from the two parts. A
-    bank with a non-finite row norm is copied in its own order and
-    multiplied whole; its best candidate is the least negated one over
-    the whole row, NaN if any is, as for `cos`.
+    If the bank has cells (`_cos_cells`), a chunk is multiplied, cell by
+    cell, only by the tiles of the cell up to the last one whose cone
+    bound (`_cone_bounds`) is not below -t for some query of the chunk,
+    K columns at least (else by every tile), each product into a column
+    slice of the buffer; `_Cells.keys` maps the columns back to bank
+    rows. A skipped tile's bound lies below -t for every query of the
+    chunk, so each of its rows has a negated candidate above t: no query
+    picks it, nor ties the K-th value, and the set, ties to the lowest
+    row included, is the whole bank's; a query whose K-th value ties a
+    value left out picks again by (value, row) over its computed row
+    (`_by_key`). A query that keeps fewer than K candidates takes t', the
+    K-th smallest value of its computed row, which bounds the K-th value
+    over the bank; it is multiplied further only by the skipped tiles up
+    to the last one whose bound reaches -t' (for some short query of the
+    chunk), and picks its set from the two parts.
+
+    A bank without cells, of at most two tiles, with a non-finite row
+    norm or only zero rows, counts as one cell and is multiplied whole.
+    On a bank multiplied whole the best candidate is the least negated
+    one over the whole row, NaN if any is, as for `cos`.
     """
     features = bank.features
     n, d = features.shape
-    prepared = _norm_order(features)
     rank = _sample_rank(n, k_top)
+    cells = None if rank is None else _cos_cells(features)
     step = max(1, min(2 * _CHUNK_ENTRIES // (n + k_top * d),
                       _CHUNK_ENTRIES // 2 // (k_top * d)))
-    # every product of the call is written here
-    buffer = np.empty(max(2, min(step, len(queries))) * n)
-    sequence, keys, reach, ends = None, None, None, None
-    if rank is not None:
-        t = _thresholds(features, queries, rank, buffer)
-        sequence = np.argsort(t, kind="stable")
-    if rank is None or prepared is None:
+    # the rows transposed and negated: the best candidate is the least
+    if cells is None:
+        edges, best = [0, n], np.zeros(len(queries), int)
         negated = np.negative(features.T, order="C")
     else:
-        norms, keys = prepared
-        # the rows in norm order, transposed and negated in place
-        negated = np.take(features.T, keys, axis=1, out=np.empty((d, n)),
-                          mode="clip")
+        edges = cells.starts[cells.cuts]
+        best = (cells.centers @ queries.T).argmax(axis=0)
+        # the products take the rows by cell from a negated copy; the
+        # cells' row copy goes first, so that the two are never both held
+        cells = cells._replace(rows=None)
+        negated = np.take(features.T, cells.keys, axis=1,
+                          out=np.empty((d, n)), mode="clip")
         np.negative(negated, out=negated)
-        # limits fall in norm order: searchsorted(reach, t, "right") counts
-        # the rows whose limit reaches -t
-        reach = -_limits(norms[keys], queries)
-        ends = np.searchsorted(reach, t[sequence], "right")
+    sequence = np.arange(len(queries))
+    if rank is not None:
+        t = _thresholds(negated, edges, best, queries, k_top)
+        sequence = np.lexsort((t, best))
+    chunks = [sequence[a:a + step] for a in range(0, len(queries), step)]
+    stops, spans = [None] * len(chunks), [[(0, n)]] * len(chunks)
+    if cells is not None:
+        v_q, limits = _query_norm(queries), _limits(cells.norm, queries)
+        first = cells.cuts[:-1]
+        for i, chunk in enumerate(chunks):
+            stop = _stops(cells, _cone_bounds(cells, queries[chunk], v_q,
+                                              limits), t[chunk], first)
+            # K columns at least, so that a short row has a K-th value
+            if (cells.starts[stop] - edges[:-1]).sum() < k_top:
+                stop = cells.cuts[1:]
+            stops[i], spans[i] = stop, _spans(cells, first, stop)
+    # every chunk product of the call is written here
+    buffer = np.empty(max((max(2, len(chunk)) * sum(b - a for a, b in span)
+                           for chunk, span in zip(chunks, spans)), default=0))
     weights = np.full((1, k_top), 1.0 / k_top)
     work = np.empty((min(step, len(queries)), k_top, d))
     scores = np.empty(len(queries))
     clamped = np.empty(len(queries), dtype=bool)
-    for start in range(0, len(queries), step):
-        chunk = (slice(start, start + step) if sequence is None
-                 else sequence[start:start + step])
+    for chunk, span, stop in zip(chunks, spans, stops):
         q = queries[chunk]
-        # no fewer than K rows, so that a product has two columns or more
-        width = n if ends is None else max(k_top, ends[start + len(q) - 1])
-        neg = _product(q, negated[:, :width], buffer)
+        neg = _multiply(q, negated, span, buffer)
+        keys = None if cells is None else np.concatenate(
+            [cells.keys[a:b] for a, b in span])
         if rank is None:
             top, lowest = _top_k_full(neg, k_top)
         else:
-            top, lowest, short = _top_k(neg, k_top, t[chunk, None],
-                                        None if keys is None else keys[:width])
+            # the chunk's own sample may cut tighter than the cell's
+            cut, row_rank = t[chunk], _sample_rank(neg.shape[1], k_top)
+            if row_rank is not None:
+                cut = np.minimum(cut, np.partition(
+                    neg[:, ::_SAMPLE], row_rank - 1, axis=1)[:, row_rank - 1])
+            top, lowest, short = _top_k(neg, k_top, cut[:, None], keys)
             if short.any():
-                part, end = neg[short], width
-                if keys is not None:
-                    # t', the K-th smallest value of each short prefix row
+                part = neg[short]
+                if cells is not None:
+                    # t', the K-th smallest value of each short row
                     kth = np.partition(part, k_top - 1, axis=1)[:, k_top - 1]
-                    end = max(end, np.searchsorted(reach, kth.max(), "right"))
-                if end > width:
-                    more = _product(q[short], negated[:, width:end], buffer)
-                    # a lone row past the prefix comes back doubled
-                    part = np.hstack([part, more[:, :end - width]])
-                top[short], lowest[short] = _top_k_full(
-                    part, k_top, None if keys is None else keys[:end])
-        if prepared is None:
-            # a NaN candidate counts, as for `cos`; with no prefix, no
-            # product past it has overwritten `neg`
+                    more = _spans(cells, stop, _stops(
+                        cells, _cone_bounds(cells, q[short], v_q, limits),
+                        kth, stop))
+                    if more:
+                        part = np.hstack([part, _multiply(q[short], negated,
+                                                          more)])
+                        keys = np.concatenate(
+                            [keys, *(cells.keys[a:b] for a, b in more)])
+                top[short], lowest[short] = _top_k_full(part, k_top, keys)
+        if cells is None:
+            # a NaN candidate counts, as for `cos`
             lowest = neg.min(axis=1)
         # "clip" writes straight into the workspace; the indices are in range
         dev = np.take(features, top, axis=0, out=work[:len(top)],
@@ -255,26 +278,68 @@ def _var_scores(bank, queries, k_top):
 
 def _sample_rank(n, k):
     """The rank r = ceil(k / _SAMPLE) + _SAMPLE of `_top_k`'s threshold
-    in a 1-in-_SAMPLE sample of a bank of n rows, or None if the bank is
-    too narrow for the filter: fewer than _SAMPLE k rows, or a sample no
-    wider than r. The shape alone decides."""
+    in a 1-in-_SAMPLE sample of n bank rows, or None if they are too few
+    for the filter: fewer than _SAMPLE k rows, or a sample no wider than
+    r. The shape alone decides."""
     rank = -(-k // _SAMPLE) + _SAMPLE
     return None if n < _SAMPLE * k or rank >= -(-n // _SAMPLE) else rank
 
 
-def _thresholds(features, queries, rank, buffer):
-    """Each unit query's `_top_k` threshold: the rank-th smallest negated
-    candidate of every _SAMPLE-th bank row, from products with a
-    contiguous negated copy of those rows, each a block of queries that
-    fills `buffer`."""
-    sample = np.negative(features[::_SAMPLE].T, order="C")
-    block = len(buffer) // sample.shape[1]
+def _thresholds(negated, edges, best, queries, k):
+    """Each unit query's `_top_k` threshold: the `_sample_rank`-th
+    smallest negated candidate of every _SAMPLE-th column of its best
+    cell, negated[:, edges[c]:edges[c + 1]] for c = best[i], or of all
+    columns where the cell is too narrow for the filter. The queries of a
+    cell share one product with a contiguous copy of the sample, in
+    blocks of _CHUNK_ENTRIES entries."""
     t = np.empty(len(queries))
-    for start in range(0, len(queries), block):
-        values = _product(queries[start:start + block], sample, buffer)
-        values.partition(rank - 1, axis=1)
-        t[start:start + block] = values[:, rank - 1]
+    for c in np.unique(best):
+        who = np.flatnonzero(best == c)
+        rank = _sample_rank(edges[c + 1] - edges[c], k)
+        sample = negated[:, ::_SAMPLE] if rank is None else \
+            negated[:, edges[c]:edges[c + 1]:_SAMPLE]
+        rank = rank or _sample_rank(negated.shape[1], k)
+        sample = np.ascontiguousarray(sample)
+        block = max(1, _CHUNK_ENTRIES // sample.shape[1])
+        for a in range(0, len(who), block):
+            values = _product(queries[who[a:a + block]], sample)
+            values.partition(rank - 1, axis=1)
+            t[who[a:a + block]] = values[:, rank - 1]
     return t
+
+
+def _stops(cells, bounds, t, begin):
+    """For each cell, one past the last of its tiles whose row of
+    `bounds` (a column per query) is not below -t for some query, or
+    begin[c] if that is later: every computed candidate of a tile after
+    it lies below -t, its negation above t, for every query."""
+    hit = np.flatnonzero(~(bounds < -t).all(axis=1))
+    stop = begin.copy()
+    np.maximum.at(stop, np.searchsorted(cells.cuts, hit, "right") - 1,
+                  hit + 1)
+    return stop
+
+
+def _spans(cells, begin, stop):
+    """The row spans of tiles begin[c] to stop[c] of each cell c, where
+    not empty."""
+    return [(a, b) for a, b in zip(cells.starts[begin], cells.starts[stop])
+            if a < b]
+
+
+def _multiply(queries, negated, spans, buffer=None):
+    """The queries times the column spans (a, b) of `negated`, side by
+    side, written to the front of `buffer`, if given, which holds
+    max(2, len(queries)) rows of them."""
+    width = sum(b - a for a, b in spans)
+    rows = max(2, len(queries))
+    out = (np.empty(rows * width) if buffer is None else buffer)[
+        :rows * width].reshape(rows, width)
+    at = 0
+    for a, b in spans:
+        _product(queries, negated[:, a:b], out[:, at:at + b - a])
+        at += b - a
+    return out[:len(queries)]
 
 
 def _norm_order(features):
@@ -324,11 +389,13 @@ def _limits(norms, queries):
 
 
 class _Cells(NamedTuple):
-    """A bank cut for `cos` by direction (`_cos_cells`): the rows of each
-    cell, in norm order, cut into tiles, and what bounds each tile."""
+    """A bank cut by direction (`_cos_cells`): the rows of each cell, in
+    norm order, cut into tiles, and what bounds each tile."""
 
     rows: np.ndarray       # (n, d): the rows by cell, then by norm
+    keys: np.ndarray       # the bank row of each of `rows`
     starts: np.ndarray     # each tile's first row, then n
+    cuts: np.ndarray       # each cell's first tile, then the tile count
     centers: np.ndarray    # (cells, d): the unit cell directions c
     norm: np.ndarray       # each tile's largest row norm v_t
     # (tiles, 3 x cells): each tile's largest alpha_b, least alpha_b and
@@ -391,7 +458,9 @@ def _cos_cells(features):
     coef[tiles, 0, cells] = np.maximum.reduceat(alpha, starts)
     coef[tiles, 1, cells] = np.minimum.reduceat(alpha, starts)
     coef[tiles, 2, cells] = np.maximum.reduceat(beta, starts)
-    return _Cells(rows, np.append(starts, n), centers, v[starts],
+    cuts = np.searchsorted(starts, ends - sizes)
+    return _Cells(rows, keys, np.append(starts, n),
+                  np.append(cuts, len(starts)), centers, v[starts],
                   coef.reshape(len(starts), -1))
 
 
@@ -443,18 +512,20 @@ def _cone_bounds(cells, queries, v_q, limits):
     return np.fmin(bounds, limits[:, None], out=bounds)
 
 
-def _product(queries, rows, buffer=None):
+def _product(queries, rows, out=None):
     """queries @ rows, with a lone query (or bank row) doubled first, so
-    that BLAS takes the path a batch takes; written to the front of
-    `buffer`, if given."""
-    if rows.shape[1] == 1:
-        rows = np.repeat(rows, 2, axis=1)
+    that BLAS takes the path a batch takes; written into `out`, if given,
+    which has max(2, len(queries)) rows. A lone bank row's product comes
+    back doubled, and only its first column is written."""
     lone = queries.shape[0] == 1
     if lone:
         queries = np.repeat(queries, 2, axis=0)
-    out = None if buffer is None else \
-        buffer[:len(queries) * rows.shape[1]].reshape(len(queries), -1)
-    product = np.matmul(queries, rows, out=out)
+    if rows.shape[1] > 1:
+        product = np.matmul(queries, rows, out=out)
+    else:
+        product = np.matmul(queries, np.repeat(rows, 2, axis=1))
+        if out is not None:
+            out[...] = product[:, :1]
     return product[:1] if lone else product
 
 

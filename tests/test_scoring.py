@@ -361,11 +361,53 @@ def _recorded_widths(monkeypatch, n):
     return widths
 
 
+def _headed_bank(filler, far=0):
+    """A bank of one cell of 200 rows along [1, 0, 0, 0] and `far` rows
+    along [-1, -1, 0, 0], in a fixed shuffled order. In norm order, tile
+    j of 8 rows starts, for j < 15, with [16 - j/2, 0, 0, 0]; its other
+    rows, and every row of the later tiles, are [f, y, 0, 0], f =
+    filler(position) or the row's norm if less, of norms 1/16 apart
+    between. Along an axis every candidate is an entry, exactly."""
+    rows = np.zeros((200, 4))
+    for p in range(200):
+        j, k = divmod(p, 8)
+        norm = 16 - j / 2 - k / 16
+        f = norm if k == 0 and j < 15 else min(filler(p), norm)
+        rows[p, :2] = f, np.sqrt(norm * norm - f * f)
+    away = -np.linspace(1, 2, far)[:, None] * [[1.0, 1.0, 0.0, 0.0]]
+    feats = np.vstack([rows, away])
+    return feats[np.random.default_rng(0).permutation(len(feats))]
+
+
+def _clustered_bank(data, most):
+    """513 to `most` rows of width 4 or 16 in 2 to 6 clusters, each row a
+    center of entries in -1..1, scaled by 1/8 to 1/2, plus -1/8, 0 or 1/8
+    on each entry; and the generator that drew them."""
+    d = data.draw(st.sampled_from([4, 16]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    centers = rng.integers(-8, 9, (data.draw(st.integers(2, 6)), d))
+    centers[~centers.any(axis=1), 0] = 8
+    n = data.draw(st.integers(513, most))
+    return (centers[rng.integers(0, len(centers), n)]
+            * rng.integers(1, 5, (n, 1))
+            + rng.integers(-1, 2, (n, d))) / 8.0, rng
+
+
+def _cell_labels(feats):
+    """The cell of each bank row, by `_cos_cells`."""
+    cells = scoring._cos_cells(feats)
+    labels = np.empty(len(feats), dtype=int)
+    labels[cells.keys] = np.repeat(np.arange(len(cells.cuts) - 1),
+                                   np.diff(cells.starts[cells.cuts]))
+    return labels
+
+
 class TestVarPrefix:
     """`var` on banks wide enough for the threshold filter, where a chunk
-    scans the norm-ordered prefix its thresholds need. Bank entries are
-    multiples of 1/8 and queries +-1 on 4 or 16 coordinates, so every
-    candidate is exact under any BLAS path, and ties are exact too."""
+    scans, cell by cell, the prefix of norm-ordered tiles its thresholds
+    need. Bank entries are multiples of 1/8 and queries +-1 on 4 or 16
+    coordinates (or candidates are otherwise exact), so every candidate
+    is exact under any BLAS path, and ties are exact too."""
 
     @settings(deadline=None, max_examples=60)
     @given(st.data())
@@ -388,10 +430,54 @@ class TestVarPrefix:
             got = scoring.score_set(_bank(feats), queries, "var", k)
         _assert_same_bits(got, oracles.score_var_sorted(feats, queries, k))
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_clustered_banks_equal_stable_sort(self, data):
+        # K up to n / 8, so the cells are scanned; chunks of a few
+        # queries, in (best cell, threshold) order, take queries of two
+        # cells where groups meet
+        feats, rng = _clustered_bank(data, 3000)
+        n, d = feats.shape
+        k = data.draw(st.integers(2, min(100, n // 8)))
+        queries = _sign_queries(rng, data.draw(st.integers(2, 24)), d)
+        chunk = data.draw(st.integers(1, 3 * (n + k * d)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "_CHUNK_ENTRIES", chunk)
+            got = scoring.score_set(_bank(feats), queries, "var", k)
+        _assert_same_bits(got, oracles.score_var_sorted(feats, queries, k))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_any_threshold_gives_the_whole_bank_set(self, data):
+        # the threshold only prunes: clustered banks in tiles of 8 or 64
+        # rows, each query thresholded at a random one of its K smallest
+        # negated candidates, or at -inf, so that chunks compute from
+        # nothing to every tile and most queries are short
+        feats, rng = _clustered_bank(data, 2000)
+        n, d = feats.shape
+        k = data.draw(st.integers(2, min(100, n // 8)))
+        queries = _sign_queries(rng, data.draw(st.integers(1, 12)), d)
+        low = data.draw(st.sampled_from([0.0, 0.3]))
+
+        def thresholds(negated, edges, best, unit, k):
+            values = np.sort(unit @ negated, axis=1)
+            t = values[np.arange(len(unit)),
+                       rng.integers(0, k, len(unit))]
+            t[rng.random(len(unit)) < low] = -np.inf
+            return t
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "_thresholds", thresholds)
+            mp.setattr(scoring, "_TILE", data.draw(st.sampled_from([8, 64])))
+            mp.setattr(scoring, "_CHUNK_ENTRIES",
+                       data.draw(st.integers(1, 3 * (n + k * d))))
+            got = scoring.score_set(_bank(feats), queries, "var", k)
+        _assert_same_bits(got, oracles.score_var_sorted(feats, queries, k))
+
     def test_prefix_is_narrower_than_the_bank(self, monkeypatch):
-        # 2 000 rows of norms 1/4 to 4 along two directions, the queries:
-        # a query's threshold lies among the longest rows along it, so its
-        # chunk stops well short of the bank
+        # 2 000 rows of norms 1/4 to 4 along two directions, the queries,
+        # make two cells: a query's threshold lies among the longest rows
+        # along it, so its chunk stops after the first tile of each cell
         n = 2000
         rng = np.random.default_rng(11)
         directions = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]])
@@ -405,10 +491,11 @@ class TestVarPrefix:
 
     def test_top_k_may_end_at_the_last_row_of_the_prefix(self):
         # rows 1, 9, ..., 793 are [c, 0, 0, 0] with c of 1 1/128 to
-        # 1 100/128; the others [1, 7/4, 0, 0], longer. Along [1, 0, 0, 0]
-        # the sample, all long rows, sets the threshold at -1, and every
-        # row stays under it; the top-K are the short rows, last in norm
-        # order, so the prefix may leave out no row
+        # 1 100/128; the others [1, 7/4, 0, 0], longer, every sampled row
+        # among them, so the bank is one cell. Along [1, 0, 0, 0] the
+        # sample, all long rows, sets the threshold at -1, and every row
+        # stays under it; the top-K are the short rows, last in norm
+        # order, so the scan may leave out no tile of the cell
         feats = np.tile([1.0, 1.75, 0.0, 0.0], (800, 1))
         feats[1::8] = 0.0
         feats[1::8, 0] = 1.0 + np.arange(1, 101) / 128.0
@@ -420,16 +507,18 @@ class TestVarPrefix:
 
     def test_ties_across_the_norm_order_take_the_lowest_rows(self):
         # rows 0-799 alternate [1, 0, 0, 0] and the longer [1, 1/2, 0, 0],
-        # which come first in norm order: along [1, 0, 0, 0] all 800 tie,
-        # along [1, 1, -1, 1] the 400 long rows tie above the others.
-        # Rows 800-1599, [0, 0, c, x] with c of 3 and x of 4 values, tie
-        # along [0, 0, 1, 0] across norms.
+        # which come first in norm order and fall in another cell: along
+        # [1, 0, 0, 0] all 800 tie across the two cells, along
+        # [1, 1, -1, 1] the 400 long rows tie above the others. Rows
+        # 800-1599, [0, 0, c, x] with c of 3 and x of 4 values, tie along
+        # [0, 0, 1, 0] across norms.
         feats = np.zeros((1600, 4))
         feats[:800, 0] = 1.0
         feats[1:800:2, 1] = 0.5
         i = np.arange(800)
         feats[800:, 2] = (1 + i % 3) / 8.0
         feats[800:, 3] = i % 4 / 8.0
+        assert _cell_labels(feats)[0] != _cell_labels(feats)[1]
         queries = np.array([[1.0, 0, 0, 0], [1.0, 1.0, -1.0, 1.0],
                             [1.0, -1.0, 1.0, 1.0], [0, 0, 1.0, 0]])
         for k in (2, 3, 40, 99, 100):
@@ -439,67 +528,73 @@ class TestVarPrefix:
 
     def test_queries_keeping_too_few_candidates_scan_the_whole_bank(
             self, monkeypatch):
-        # every 8th row is [a, 0, 0, 0] with a distinct a of 1 to 13 3/8,
-        # row 3 is [0, 0, 0, 14], the longest, and the others alternate
-        # [0, 1, 0, 0] and the longer [0, 1, 1/2, 1/2]: along either query
-        # the sample threshold, set by the 21st largest a, keeps 21 rows,
-        # fewer than K = 100. The chunk's prefix is its K longest rows: row
-        # 3, 98 rows [a, 0, 0, 0] and row 1. The K-th smallest negated value
-        # of a prefix row is 0 along [1, 0, 0, 0] and 7 (row 3) along
-        # [1, 1, 1, -1]; every row's limit reaches minus both, so both
-        # queries are multiplied further by every row after the prefix.
-        # Along [1, 1, 1, -1] row 0, past the prefix, ties at the K-th
-        # place with row 1, in the prefix, and every other row but row 3,
-        # and wins as the lowest row
-        n = 800
-        feats = np.tile([0.0, 1.0, 0.0, 0.0], (n, 1))
-        feats[1::2, 2:] = 0.5
-        feats[::8] = 0.0
-        feats[::8, 0] = 1.0 + np.arange(n // 8) / 8.0
-        feats[3] = [0.0, 0.0, 0.0, 14.0]
-        queries = np.array([[1.0, 0, 0, 0], [1.0, 1.0, 1.0, -1.0]])
-        widths = _recorded_widths(monkeypatch, n)
-        got = scoring.score_set(_bank(feats), queries, "var", 100)
-        assert widths == [100, n - 100]
-        _assert_same_bits(got, oracles.score_var_sorted(feats, queries, 100))
+        # tiles of 8 rows, two cells (`_headed_bank`). Along [1, 0, 0, 0]
+        # the threshold, the 11th largest of every 8th row, is -11, so the
+        # chunk multiplies tiles 0-10 of the first cell and keeps their
+        # 11 heads, fewer than K = 20. Every other row is [0, y, 0, 0]:
+        # the K-th smallest value of the chunk's row is 0, and every tile
+        # of the first cell may hold a 0, so the query is multiplied
+        # further by all the rest of it, 112 rows; not by the second
+        # cell, whose candidates are negative. Its set takes the 15 heads
+        # and the 5 lowest zero rows.
+        monkeypatch.setattr(scoring, "_TILE", 8)
+        monkeypatch.setattr(scoring, "_CELLS", 2)
+        feats = _headed_bank(lambda p: 0.0, far=40)
+        queries = np.array([[1.0, 0, 0, 0]])
+        widths = _recorded_widths(monkeypatch, len(feats))
+        got = scoring.score_set(_bank(feats), queries, "var", 20)
+        assert widths == [88, 112]
+        _assert_same_bits(got, oracles.score_var_sorted(feats, queries, 20))
 
     def test_short_query_scans_only_the_rows_its_kth_value_reaches(
             self, monkeypatch):
-        # along [1, 0, 0, 0]: rows 0, 8, ..., 232 are [a, 0, 0, 0], a of
-        # 2 to 5 5/8, the other sampled rows [0, 1/2, 0, 0], so the sample
-        # threshold, the 21st largest a, keeps 21 rows, fewer than K = 100.
-        # 100 rows [1, 0, 0, 8], of candidate 1, are the longest, so the
-        # prefix is them and the 21 kept rows, and its K-th smallest
-        # negated value is -1: only rows of limit 1 or more can hold the
-        # set, the 9 other a rows and 10 rows [1, 0, 0, 0] of norm 1 past
-        # the prefix, not the 660 rows of norm 1/2. The set's K-th place
-        # is a tie at candidate 1 between the prefix's long rows and the
-        # rows [1, 0, 0, 0], which are lower in the bank and win
-        n = 800
-        feats = np.tile([0.0, 0.5, 0.0, 0.0], (n, 1))
-        feats[:240:8] = 0.0
-        feats[:240:8, 0] = 2.0 + np.arange(30) / 8.0
-        spare = np.setdiff1d(np.arange(n), np.arange(0, n, 8))
-        feats[spare[:10]] = [1.0, 0.0, 0.0, 0.0]
-        feats[spare[10:110]] = [1.0, 0.0, 0.0, 8.0]
+        # as above, but 9 of the rows of tiles 0-8 are [39/4, y, 0, 0]:
+        # the K-th smallest value of the chunk's row is -39/4, which only
+        # tiles 11 and 12 reach, by their heads 21/2 and 10, so the query
+        # is multiplied further by those 16 rows alone. Its set takes the
+        # 13 heads of 16 to 10 and 7 of the 9 rows tied at 39/4, the
+        # lowest in the bank; without the two tiles it would differ.
+        monkeypatch.setattr(scoring, "_TILE", 8)
+        monkeypatch.setattr(scoring, "_CELLS", 2)
+        tied = set(range(3, 75, 8))
+        feats = _headed_bank(lambda p: 9.75 if p in tied else 0.0, far=40)
         queries = np.array([[1.0, 0, 0, 0]])
-        widths = _recorded_widths(monkeypatch, n)
-        got = scoring.score_set(_bank(feats), queries, "var", 100)
-        assert widths == [121, 19]
-        want = oracles.score_var_sorted(feats, queries, 100)
-        _assert_same_bits(got, want)
-        without = oracles.score_var_sorted(
-            np.delete(feats, spare[:10], axis=0), queries, 100)
-        assert got[0] != without[0]
-        # with [1, 1, 1, -1], short too, in its chunk: its threshold, the
-        # 21st largest a / 2, sets a prefix of every a row and the long
-        # rows, whose candidate -7/2 makes its K-th smallest negated value
-        # 7/2, so the chunk's short queries scan every row past the prefix
-        widths.clear()
-        both = np.array([[1.0, 0, 0, 0], [1.0, 1.0, 1.0, -1.0]])
-        got = scoring.score_set(_bank(feats), both, "var", 100)
-        assert widths == [130, n - 130]
-        _assert_same_bits(got, oracles.score_var_sorted(feats, both, 100))
+        widths = _recorded_widths(monkeypatch, len(feats))
+        got = scoring.score_set(_bank(feats), queries, "var", 20)
+        assert widths == [88, 16]
+        _assert_same_bits(got, oracles.score_var_sorted(feats, queries, 20))
+        heads = np.flatnonzero((feats[:, 1] == 0) & (feats[:, 0] <= 10.5)
+                               & (feats[:, 0] >= 10))
+        without = oracles.score_var_sorted(np.delete(feats, heads, axis=0),
+                                           queries, 20)
+        assert len(heads) == 2 and got[0] != without[0]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_short_queries_equal_stable_sort(self, data):
+        # `_headed_bank`s whose other rows take a few first entries, some
+        # above the threshold, some tied below it: queries along
+        # [1, 0, 0, 0] are short or not, and their K-th value reaches
+        # more or fewer of the tiles after the chunk's; queries along the
+        # other axes tie across the whole bank
+        values = data.draw(st.lists(st.sampled_from(
+            [0.0, 3.5, 9.75, 10.25, 12.0, 15.75]), min_size=1, max_size=4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        firsts = rng.choice(values, 200)
+        feats = _headed_bank(lambda p: firsts[p],
+                             far=data.draw(st.sampled_from([0, 40])))
+        axes = [[1.0, 0, 0, 0], [2.0, 0, 0, 0], [-1.0, 0, 0, 0],
+                [0, 1.0, 0, 0], [0, 0, 1.0, 0]]
+        queries = np.array(data.draw(st.lists(st.sampled_from(axes),
+                                              min_size=1, max_size=6)))
+        k = data.draw(st.integers(12, 40))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "_TILE", 8)
+            mp.setattr(scoring, "_CELLS", 2)
+            mp.setattr(scoring, "_CHUNK_ENTRIES",
+                       data.draw(st.integers(1, 3 * (len(feats) + 4 * k))))
+            got = scoring.score_set(_bank(feats), queries, "var", k)
+        _assert_same_bits(got, oracles.score_var_sorted(feats, queries, k))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_scans_the_whole_bank(self, monkeypatch, bad):
@@ -519,6 +614,23 @@ class TestVarPrefix:
             want = oracles.score_var_sorted(feats, queries, 30)
         assert set(widths) == {n, -(-n // scoring._SAMPLE)}
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [300, 512])
+    def test_bank_of_two_tiles_scans_the_whole_bank(self, monkeypatch, n):
+        # at most two tiles have no cells: wide enough for the filter at
+        # K = 30, every chunk product still takes the whole bank
+        rng = np.random.default_rng(18)
+        feats = rng.integers(-8, 9, (n, 4)) / 8.0
+        feats[np.linalg.norm(feats, axis=1) == 0, 0] = 1.0
+        queries = _sign_queries(rng, 6, 4)
+        assert scoring._sample_rank(n, 30) is not None
+        assert scoring._cos_cells(feats) is None
+        widths, product = [], scoring._product
+        monkeypatch.setattr(scoring, "_product", lambda q, r, *buffer: (
+            widths.append(r.shape[1]) or product(q, r, *buffer)))
+        got = scoring.score_set(_bank(feats), queries, "var", 30)
+        assert set(widths) == {n, -(-n // scoring._SAMPLE)}
+        _assert_same_bits(got, oracles.score_var_sorted(feats, queries, 30))
 
 
 class TestBounds:
