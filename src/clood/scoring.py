@@ -114,22 +114,14 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False):
     zero rows is scanned whole, a chunk at a time, and so is one too
     narrow for `var`'s threshold (`_sample_rank`). `cos` multiplies a
     query by a tile only while the tile's bound is above the query's
-    best. `var` scores chunks of queries against a negated, transposed
-    copy of the bank, so the best candidate is the least negated one of
-    the set; a chunk's top-K rows are gathered into one workspace kept
-    for the call. On a bank of 8K rows or more, each query's threshold
-    comes first, from a small product with every 8th row of its best
-    cell, the cell nearest its direction; `_top_k` picks only among the
-    candidates at or below it, about K + 64. The queries are scored in
-    order of (best cell, threshold), and a chunk is multiplied, cell by
-    cell, only by the tiles up to the last one whose bound reaches minus
-    some threshold of the chunk: each skipped row's negated candidate
-    lies above every threshold of the chunk, so no skipped row could have
-    been picked, and the set, ties to the lowest row included, is the
-    whole bank's (`_var_scores`). No product has a single row on either
-    side: BLAS computes those on another path, whose last bit differs.
-    BLAS also picks its kernel by a product's shape, so the last bit of a
-    score can depend on how many queries share its product.
+    best. `var` scores chunks of queries against a negated copy of the
+    bank, in order of each query's best cell and threshold, and
+    multiplies a chunk only by the tiles some threshold of it reaches;
+    a query that keeps fewer than K candidates picks over the whole bank
+    (`_var_scores`). No product has a single row on either side: BLAS
+    computes those on another path, whose last bit differs. BLAS also
+    picks its kernel by a product's shape, so the last bit of a score
+    can depend on how many queries share its product.
     """
     if score_kind not in ("cos", "var"):
         raise ConfigError(f"unknown score kind {score_kind!r}")
@@ -172,19 +164,19 @@ def _var_scores(bank, queries, k_top):
 
     If the bank has cells (`_cos_cells`), a chunk is multiplied, cell by
     cell, only by the tiles of the cell up to the last one whose cone
-    bound (`_cone_bounds`) is not below -t for some query of the chunk,
-    K columns at least (else by every tile), each product into a column
-    slice of the buffer; `_Cells.keys` maps the columns back to bank
-    rows. A skipped tile's bound lies below -t for every query of the
-    chunk, so each of its rows has a negated candidate above t: no query
-    picks it, nor ties the K-th value, and the set, ties to the lowest
-    row included, is the whole bank's; a query whose K-th value ties a
-    value left out picks again by (value, row) over its computed row
-    (`_by_key`). A query that keeps fewer than K candidates takes t', the
-    K-th smallest value of its computed row, which bounds the K-th value
-    over the bank; it is multiplied further only by the skipped tiles up
-    to the last one whose bound reaches -t' (for some short query of the
-    chunk), and picks its set from the two parts.
+    bound (`_cone_bounds`) is not below -t for some query of the chunk
+    (`_spans`), each product into a column slice of the buffer;
+    `_Cells.keys` maps the columns back to bank rows. A skipped tile's
+    bound lies below -t for every query of the chunk, so each of its
+    rows has a negated candidate above t: no query that keeps K
+    candidates picks it, nor ties its K-th value, and its set, ties to
+    the lowest row included, is the whole bank's; one whose K-th value
+    ties a value left out picks again by (value, row) over its computed
+    row (`_by_key`). A query that keeps fewer than K candidates, as all
+    do in a chunk of fewer than K computed columns, picks its set over
+    the whole bank, which is the set by definition, multiplied again
+    unless the chunk's product spans it; on clustered banks such queries
+    are rare.
 
     A bank without cells, of at most two tiles, with a non-finite row
     norm or only zero rows, counts as one cell and is multiplied whole.
@@ -215,17 +207,12 @@ def _var_scores(bank, queries, k_top):
         t = _thresholds(negated, edges, best, queries, k_top)
         sequence = np.lexsort((t, best))
     chunks = [sequence[a:a + step] for a in range(0, len(queries), step)]
-    stops, spans = [None] * len(chunks), [[(0, n)]] * len(chunks)
+    spans = [[(0, n)]] * len(chunks)
     if cells is not None:
         v_q, limits = _query_norm(queries), _limits(cells.norm, queries)
-        first = cells.cuts[:-1]
-        for i, chunk in enumerate(chunks):
-            stop = _stops(cells, _cone_bounds(cells, queries[chunk], v_q,
-                                              limits), t[chunk], first)
-            # K columns at least, so that a short row has a K-th value
-            if (cells.starts[stop] - edges[:-1]).sum() < k_top:
-                stop = cells.cuts[1:]
-            stops[i], spans[i] = stop, _spans(cells, first, stop)
+        spans = [_spans(cells, ~(_cone_bounds(cells, queries[chunk], v_q,
+                                              limits) < -t[chunk]))
+                 for chunk in chunks]
     # every chunk product of the call is written here
     buffer = np.empty(max((max(2, len(chunk)) * sum(b - a for a, b in span)
                            for chunk, span in zip(chunks, spans)), default=0))
@@ -233,11 +220,11 @@ def _var_scores(bank, queries, k_top):
     work = np.empty((min(step, len(queries)), k_top, d))
     scores = np.empty(len(queries))
     clamped = np.empty(len(queries), dtype=bool)
-    for chunk, span, stop in zip(chunks, spans, stops):
+    for chunk, span in zip(chunks, spans):
         q = queries[chunk]
         neg = _multiply(q, negated, span, buffer)
         keys = None if cells is None else np.concatenate(
-            [cells.keys[a:b] for a, b in span])
+            [cells.keys[:0], *(cells.keys[a:b] for a, b in span)])
         if rank is None:
             top, lowest = _top_k_full(neg, k_top)
         else:
@@ -248,19 +235,12 @@ def _var_scores(bank, queries, k_top):
                     neg[:, ::_SAMPLE], row_rank - 1, axis=1)[:, row_rank - 1])
             top, lowest, short = _top_k(neg, k_top, cut[:, None], keys)
             if short.any():
-                part = neg[short]
-                if cells is not None:
-                    # t', the K-th smallest value of each short row
-                    kth = np.partition(part, k_top - 1, axis=1)[:, k_top - 1]
-                    more = _spans(cells, stop, _stops(
-                        cells, _cone_bounds(cells, q[short], v_q, limits),
-                        kth, stop))
-                    if more:
-                        part = np.hstack([part, _multiply(q[short], negated,
-                                                          more)])
-                        keys = np.concatenate(
-                            [keys, *(cells.keys[a:b] for a, b in more)])
-                top[short], lowest[short] = _top_k_full(part, k_top, keys)
+                # picked again over the whole bank, multiplied unless the
+                # chunk's product spans it already
+                whole = neg[short] if neg.shape[1] == n else _multiply(
+                    q[short], negated, [(0, n)])
+                top[short], lowest[short] = _top_k_full(
+                    whole, k_top, None if cells is None else cells.keys)
         if cells is None:
             # a NaN candidate counts, as for `cos`
             lowest = neg.min(axis=1)
@@ -308,23 +288,15 @@ def _thresholds(negated, edges, best, queries, k):
     return t
 
 
-def _stops(cells, bounds, t, begin):
-    """For each cell, one past the last of its tiles whose row of
-    `bounds` (a column per query) is not below -t for some query, or
-    begin[c] if that is later: every computed candidate of a tile after
-    it lies below -t, its negation above t, for every query."""
-    hit = np.flatnonzero(~(bounds < -t).all(axis=1))
-    stop = begin.copy()
+def _spans(cells, reach):
+    """The row span of each cell, where not empty, from its first tile to
+    the last one that `reach` (tiles, queries) marks for some query."""
+    stop = cells.cuts[:-1].copy()
+    hit = np.flatnonzero(reach.any(axis=1))
     np.maximum.at(stop, np.searchsorted(cells.cuts, hit, "right") - 1,
                   hit + 1)
-    return stop
-
-
-def _spans(cells, begin, stop):
-    """The row spans of tiles begin[c] to stop[c] of each cell c, where
-    not empty."""
-    return [(a, b) for a, b in zip(cells.starts[begin], cells.starts[stop])
-            if a < b]
+    return [(a, b) for a, b in zip(cells.starts[cells.cuts[:-1]],
+                                   cells.starts[stop]) if a < b]
 
 
 def _multiply(queries, negated, spans, buffer=None):
@@ -583,7 +555,7 @@ def _top_k(values, k, t, keys=None):
     goes to the lowest key, in ascending order; the least value in it
     (NaN if one is); and which rows keep fewer than k values at or below
     their threshold t (a column of thresholds), whose set and least
-    value are left unset.
+    value are left unset for the caller to pick over the whole bank.
 
     The columns holding values <= t are laid out in column order and
     padded with +inf. A row that keeps k columns or more has its k-th

@@ -404,8 +404,9 @@ def _cell_labels(feats):
 
 class TestVarPrefix:
     """`var` on banks wide enough for the threshold filter, where a chunk
-    scans, cell by cell, the prefix of norm-ordered tiles its thresholds
-    need. Bank entries are multiples of 1/8 and queries +-1 on 4 or 16
+    scans, cell by cell, the norm-ordered tiles its thresholds reach, and
+    a query keeping fewer than K candidates picks over the whole bank.
+    Bank entries are multiples of 1/8 and queries +-1 on 4 or 16
     coordinates (or candidates are otherwise exact), so every candidate
     is exact under any BLAS path, and ties are exact too."""
 
@@ -531,29 +532,25 @@ class TestVarPrefix:
         # tiles of 8 rows, two cells (`_headed_bank`). Along [1, 0, 0, 0]
         # the threshold, the 11th largest of every 8th row, is -11, so the
         # chunk multiplies tiles 0-10 of the first cell and keeps their
-        # 11 heads, fewer than K = 20. Every other row is [0, y, 0, 0]:
-        # the K-th smallest value of the chunk's row is 0, and every tile
-        # of the first cell may hold a 0, so the query is multiplied
-        # further by all the rest of it, 112 rows; not by the second
-        # cell, whose candidates are negative. Its set takes the 15 heads
-        # and the 5 lowest zero rows.
+        # 11 heads, fewer than K = 20, so the query is multiplied again by
+        # the whole bank, 240 rows. Every other row is [0, y, 0, 0]: its
+        # set takes the 15 heads and the 5 lowest zero rows.
         monkeypatch.setattr(scoring, "_TILE", 8)
         monkeypatch.setattr(scoring, "_CELLS", 2)
         feats = _headed_bank(lambda p: 0.0, far=40)
         queries = np.array([[1.0, 0, 0, 0]])
         widths = _recorded_widths(monkeypatch, len(feats))
         got = scoring.score_set(_bank(feats), queries, "var", 20)
-        assert widths == [88, 112]
+        assert widths == [88, 240]
         _assert_same_bits(got, oracles.score_var_sorted(feats, queries, 20))
 
-    def test_short_query_scans_only_the_rows_its_kth_value_reaches(
+    def test_short_query_takes_far_rows_from_the_whole_bank(
             self, monkeypatch):
         # as above, but 9 of the rows of tiles 0-8 are [39/4, y, 0, 0]:
-        # the K-th smallest value of the chunk's row is -39/4, which only
-        # tiles 11 and 12 reach, by their heads 21/2 and 10, so the query
-        # is multiplied further by those 16 rows alone. Its set takes the
-        # 13 heads of 16 to 10 and 7 of the 9 rows tied at 39/4, the
-        # lowest in the bank; without the two tiles it would differ.
+        # the query is short and picks over the whole bank. Its set takes
+        # the 13 heads of 16 to 10, two of them in tiles 11 and 12, which
+        # the chunk did not multiply, and 7 of the 9 rows tied at 39/4,
+        # the lowest in the bank; without those two heads it would differ.
         monkeypatch.setattr(scoring, "_TILE", 8)
         monkeypatch.setattr(scoring, "_CELLS", 2)
         tied = set(range(3, 75, 8))
@@ -561,13 +558,33 @@ class TestVarPrefix:
         queries = np.array([[1.0, 0, 0, 0]])
         widths = _recorded_widths(monkeypatch, len(feats))
         got = scoring.score_set(_bank(feats), queries, "var", 20)
-        assert widths == [88, 16]
+        assert widths == [88, 240]
         _assert_same_bits(got, oracles.score_var_sorted(feats, queries, 20))
         heads = np.flatnonzero((feats[:, 1] == 0) & (feats[:, 0] <= 10.5)
                                & (feats[:, 0] >= 10))
         without = oracles.score_var_sorted(np.delete(feats, heads, axis=0),
                                            queries, 20)
         assert len(heads) == 2 and got[0] != without[0]
+
+    def test_thresholds_reaching_no_tile_pick_over_the_whole_bank(
+            self, monkeypatch):
+        # at a threshold of -inf no cone bound reaches, so every chunk
+        # multiplies no tile, and each query of it is short: one product
+        # with the whole bank per chunk, and the whole bank's sets
+        rng = np.random.default_rng(19)
+        directions = rng.integers(-8, 9, (4, 16))
+        feats = (directions[rng.integers(0, 4, 1500)]
+                 * rng.integers(1, 5, (1500, 1))
+                 + rng.integers(-1, 2, (1500, 16))) / 8.0
+        queries = _sign_queries(rng, 9, 16)
+        monkeypatch.setattr(scoring, "_thresholds", lambda negated, edges,
+                            best, unit, k: np.full(len(unit), -np.inf))
+        monkeypatch.setattr(scoring, "_CHUNK_ENTRIES", 3 * (1500 + 40 * 16))
+        assert scoring._cos_cells(feats) is not None
+        widths = _recorded_widths(monkeypatch, len(feats))
+        got = scoring.score_set(_bank(feats), queries, "var", 40)
+        assert widths == [1500] * 2
+        _assert_same_bits(got, oracles.score_var_sorted(feats, queries, 40))
 
     @settings(deadline=None, max_examples=60)
     @given(st.data())
