@@ -33,6 +33,9 @@ def _batch_indices(n):
 
 
 def _self_logits(unit, scale):
+    # exactly symmetric: numpy computes unit @ unit.T as one syrk, which
+    # fills one triangle and mirrors it; the scale and a -inf diagonal
+    # keep that
     logits = unit @ unit.T
     logits *= scale
     return logits
@@ -71,7 +74,7 @@ def self_supervised_loss(unit, tau):
     logits = _self_logits(unit, scale)
     positives = logits[rows, partners]
     logits[rows, rows] = -np.inf
-    value = weights @ (softmax_in_place(logits) - positives)
+    value = weights @ (softmax_in_place(logits, symmetric=True) - positives)
     logits[rows, partners] -= 1.0
     logits *= weights[:, None]
     logits *= scale
@@ -137,7 +140,7 @@ def cluster_instance_loss(unit, assignments, tau):
     logits = _self_logits(unit, scale)
     positives = np.sum(pos * logits, axis=1)
     logits[rows, rows] = -np.inf
-    value = weights @ (softmax_in_place(logits) - positives)
+    value = weights @ (softmax_in_place(logits, symmetric=True) - positives)
     logits -= pos
     logits *= weights[:, None]
     logits *= scale

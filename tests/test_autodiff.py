@@ -4,7 +4,8 @@ import pytest
 import oracles
 from clood import losses, model
 from clood.autodiff import (finite_difference_check, masked_infonce,
-                            normalize_backward, normalize_rows)
+                            normalize_backward, normalize_rows,
+                            softmax_in_place)
 from clood.errors import DomainError
 
 
@@ -69,6 +70,21 @@ def test_masked_logsumexp_stable_at_large_logits():
     value, grad = masked_infonce(vals, np.ones((1, 2), dtype=bool),
                                  np.zeros((1, 2)), np.ones(1))
     assert np.isfinite(value) and np.isfinite(grad).all()
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_symmetric_softmax_equals_the_row_softmax(n):
+    # self-similarity logits as the losses form them: u @ u.T, scaled, with
+    # a -inf diagonal; column maxima stand in for row maxima bit for bit
+    unit = normalize_rows(np.random.default_rng(n).standard_normal((n, 5)))[0]
+    logits = unit @ unit.T
+    logits *= 10.0
+    np.fill_diagonal(logits, -np.inf)
+    assert np.array_equal(logits, logits.T)
+    rows, cols = logits.copy(), logits.copy()
+    assert np.array_equal(softmax_in_place(rows),
+                          softmax_in_place(cols, symmetric=True))
+    assert np.array_equal(rows, cols)
 
 
 def test_masked_infonce_gradient_is_softmax_minus_positives():
