@@ -135,7 +135,9 @@ def augment(batch, seed, noise_sigma=0.15, mask_prob=0.1, gain=0.3):
     """Two stochastic views per source row, paired as rows (2k, 2k+1).
 
     Each view applies a random positive per-sample gain, additive Gaussian
-    noise, and random coordinate zeroing.
+    noise, and random coordinate zeroing, drawn in that order. `seed` is
+    anything `np.random.default_rng` takes; a Generator is drawn from as
+    it is, so its state moves on.
     """
     batch = np.asarray(batch, dtype=np.float64)
     n, d = batch.shape

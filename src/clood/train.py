@@ -275,6 +275,14 @@ def train(config, bundle, probe_epochs=(), warm=None):
     copies of those. The result is byte-identical to training from
     scratch. A probe epoch inside the warm-up is only taken by training
     it, so it turns the sharing off.
+
+    Each epoch draws from one generator keyed by (seed, epoch): first the
+    row order, then, in one `data_augment` call, the views of the first
+    n_batches * batch_size rows of that order (every row when there are
+    fewer than batch_size). Batch b trains on views 2 * b * batch_size to
+    2 * (b + 1) * batch_size. A FloatingPointError keeps its type and
+    gains the epoch, the batch and the phase (augmentation, refit or step)
+    after numpy's text.
     """
     check_width(config, bundle)
     encoder, projection = model.init_params(
@@ -322,29 +330,42 @@ def train(config, bundle, probe_epochs=(), warm=None):
             np.random.SeedSequence([config.seed, 7, epoch]))
         order = epoch_rng.permutation(m)
         n_batches = max(1, m // config.batch_size)
+        per_batch = 2 * config.batch_size
         sums = [0.0] * len(LOSS_COLUMNS)
         changed = None
 
-        for b in range(n_batches):
-            idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-            if refits and (b == 0 or config.update_per_batch):
-                fitted = _refit(config, encoder, projection, bundle, epoch)
-                if state is not None:
-                    changed = (changed or 0) + clustering.moved_rows(
-                        state.assignments, fitted.assignments, config.clusters)
-                state = fitted
+        b, phase = None, "augmentation"
+        try:
+            # the epoch's views, two per row in batch order, drawn from the
+            # generator that drew the order
+            views = data_augment(
+                bundle.id_train[order[:n_batches * config.batch_size]],
+                epoch_rng, config)
+            for b in range(n_batches):
+                if refits and (b == 0 or config.update_per_batch):
+                    phase = "refit"
+                    fitted = _refit(config, encoder, projection, bundle, epoch)
+                    if state is not None:
+                        changed = (changed or 0) + clustering.moved_rows(
+                            state.assignments, fitted.assignments,
+                            config.clusters)
+                    state = fitted
 
-            aug_seed = np.random.SeedSequence([config.seed, 11, epoch, b])
-            views = data_augment(bundle.id_train[idx], aug_seed, config)
-            # state is None until the first refit, which opens the joint phase
-            total, values, _ = step_gradients(
-                config, encoder, projection, views, state, out=grad_views)
-            if not math.isfinite(total):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {b}")
-            np.multiply(grads, lr, out=step)
-            params -= step
-            sums = [s + v for s, v in zip(sums, values)]
+                phase = "step"
+                # state is None until the first refit, which opens the
+                # joint phase
+                batch = views[b * per_batch:(b + 1) * per_batch]
+                total, values, _ = step_gradients(
+                    config, encoder, projection, batch, state, out=grad_views)
+                if not math.isfinite(total):
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch}, batch {b}")
+                np.multiply(grads, lr, out=step)
+                params -= step
+                sums = [s + v for s, v in zip(sums, values)]
+        except FloatingPointError as e:
+            where = f"epoch {epoch}" + ("" if b is None else f", batch {b}")
+            raise FloatingPointError(f"{e} ({where}, {phase})") from e
 
         # the cluster columns are NaN until the joint phase, whose epochs
         # all have a state, and for a term not in use; "changed" sums the
@@ -368,9 +389,10 @@ def train(config, bundle, probe_epochs=(), warm=None):
     return result
 
 
-def data_augment(rows, seed_seq, config):
-    seed = int(np.asarray(seed_seq.generate_state(1))[0])
-    return augment(rows, seed, noise_sigma=config.aug_noise,
+def data_augment(rows, rng, config):
+    """Two views of each row (see `data.augment`), drawn from `rng`, with
+    the config's noise, mask and gain."""
+    return augment(rows, rng, noise_sigma=config.aug_noise,
                    mask_prob=config.aug_mask_prob, gain=config.aug_gain)
 
 

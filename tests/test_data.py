@@ -76,6 +76,23 @@ class TestAugment:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_generator_is_drawn_from(self):
+        # a Generator is used as it is: gains, noise and masks come from
+        # its stream, in that order, and its state moves past them
+        batch = np.random.default_rng(3).standard_normal((6, 4))
+        rng = np.random.default_rng(11)
+        out = data.augment(batch, rng, noise_sigma=0.2, mask_prob=0.25,
+                           gain=0.4)
+        assert np.array_equal(out, data.augment(batch, 11, noise_sigma=0.2,
+                                                mask_prob=0.25, gain=0.4))
+        same = np.random.default_rng(11)
+        gains = same.uniform(0.6, 1.4, size=(12, 1))
+        noise = 0.2 * same.standard_normal((12, 4))
+        keep = same.random((12, 4)) >= 0.25
+        assert np.array_equal(out, (np.repeat(batch, 2, axis=0) * gains
+                                    + noise) * keep)
+        assert rng.bit_generator.state == same.bit_generator.state
+
     def test_mask_only_zeroes_coordinates(self):
         batch = np.ones((50, 8))
         out = data.augment(batch, seed=2, noise_sigma=0.0, mask_prob=0.3,

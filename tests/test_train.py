@@ -225,6 +225,54 @@ class TestTrainLoop:
         assert second[7:9] == [str(result.metrics[4][k])
                                for k in ("changed", "at_floor")]
 
+    @pytest.mark.parametrize("per_component,batch_size,used", [
+        (11, 8, 16),    # 22 rows: two batches, the last 6 rows of the order idle
+        (12, 32, 24)])  # 24 rows, fewer than a batch: one batch of all of them
+    def test_each_epoch_augments_its_batches_once(self, monkeypatch,
+                                                  per_component, batch_size,
+                                                  used):
+        config = _small_config(train_per_component=per_component,
+                               batch_size=batch_size)
+        bundle = generate_synthetic(config, config.seed)
+        calls, real_augment = [], train_mod.data_augment
+
+        def spy(rows, rng, cfg):
+            state = rng.bit_generator.state
+            views = real_augment(rows, rng, cfg)
+            calls.append((rows, state, views))
+            return views
+
+        monkeypatch.setattr(train_mod, "data_augment", spy)
+        train_mod.train(config, bundle)
+        assert len(calls) == config.epochs_total
+        for epoch, (rows, state, views) in enumerate(calls):
+            # drawn from the epoch's generator, right after its order
+            rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, 7, epoch]))
+            order = rng.permutation(len(bundle.id_train))
+            assert state == rng.bit_generator.state
+            assert np.array_equal(rows, bundle.id_train[order[:used]])
+            assert views.shape == (2 * used, config.d_in)
+
+    def test_float_faults_name_epoch_batch_and_phase(self, monkeypatch):
+        # a FloatingPointError keeps its type and gains where it arose
+        config = _small_config()
+        bundle = generate_synthetic(config, config.seed)
+        bundle.id_train[1] = 1.7e308
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as e:
+            train_mod.train(config, bundle)
+        assert str(e.value) == \
+            "overflow encountered in multiply (epoch 0, augmentation)"
+
+        def refit(*args):
+            raise FloatingPointError("invalid value encountered in divide")
+
+        monkeypatch.setattr(train_mod, "_refit", refit)
+        with pytest.raises(FloatingPointError) as e:
+            _small_run()
+        assert str(e.value) == \
+            "invalid value encountered in divide (epoch 2, batch 0, refit)"
+
     @pytest.mark.parametrize("warmup_epochs", [0, 1])
     def test_one_epoch_equals_a_per_array_sgd_loop(self, warmup_epochs):
         # the flat-vector step of `train` against step_gradients' fresh
@@ -238,16 +286,16 @@ class TestTrainLoop:
         params = [*enc.arrays().values(), *proj.arrays().values()]
         state = train_mod._refit(config, enc, proj, bundle, 0) \
             if warmup_epochs == 0 else None
-        m = len(bundle.id_train)
-        order = np.random.default_rng(
-            np.random.SeedSequence([config.seed, 7, 0])).permutation(m)
-        for b in range(m // config.batch_size):
-            idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-            views = train_mod.data_augment(
-                bundle.id_train[idx],
-                np.random.SeedSequence([config.seed, 11, 0, b]), config)
-            _, _, grads = train_mod.step_gradients(config, enc, proj, views,
-                                                   state)
+        m, rows = len(bundle.id_train), 2 * config.batch_size
+        # one stream per epoch: the order, then every view of the epoch
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 7, 0]))
+        order = rng.permutation(m)
+        n_batches = m // config.batch_size
+        views = train_mod.data_augment(
+            bundle.id_train[order[:n_batches * config.batch_size]], rng, config)
+        for b in range(n_batches):
+            _, _, grads = train_mod.step_gradients(
+                config, enc, proj, views[b * rows:(b + 1) * rows], state)
             for p, g in zip(params, grads):
                 p -= config.lr * g
         assert (state is None) == (result.cluster_state is None)
@@ -446,9 +494,9 @@ def _blob(result):
 def test_shared_warmup_equals_fresh_training(monkeypatch, reverse):
     monkeypatch.setattr(ablate, "_runs", {})
     monkeypatch.setattr(ablate, "_warm", {})
-    steps, real_augment = [], train_mod.data_augment
+    calls, real_augment = [], train_mod.data_augment
     monkeypatch.setattr(train_mod, "data_augment", lambda *a: (
-        steps.append(a) or real_augment(*a)))
+        calls.append(a) or real_augment(*a)))
     labelled = [(label, replace(cfg, seed=seed)) for sweep in ablate.SWEEPS
                 for label, cfg in ablate.variants(sweep, _small_config())
                 for seed in (0, 1)]
@@ -460,11 +508,12 @@ def test_shared_warmup_equals_fresh_training(monkeypatch, reverse):
         new = cfg.hash() not in ablate._runs
         bundle = generate_synthetic(cfg, cfg.seed)
         hit = train_mod.warmup_key(cfg, bundle) in ablate._warm
-        del steps[:]
+        del calls[:]
         result, bundle = ablate.run_one(cfg)
-        # a run that finds its warm-up takes only the steps after it
+        # a run that finds its warm-up trains only the epochs after it, and
+        # augments once per epoch
         epochs = cfg.epochs_total - cfg.warmup_epochs * hit
-        assert len(steps) == new * epochs * (len(bundle.id_train) // cfg.batch_size)
+        assert len(calls) == new * epochs
         for key, (params, rows) in ablate._warm.items():
             stored.setdefault(key, (params.copy(), repr(rows)))
 
@@ -837,6 +886,18 @@ class TestCli:
         train_mod.save_checkpoint(ckpt, result)
         assert self._eval(tmp_path, ckpt, data_dir) == 3
         assert "AUROC needs finite scores" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting,message", [
+        ("tau=1e-320", "invalid value encountered in subtract"),
+        ("aug_noise=1e200", "overflow encountered in multiply")])
+    def test_numeric_failure_in_train_names_its_phase(self, tmp_path, capsys,
+                                                      setting, message):
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main(["train", "--config", self._config_file(tmp_path),
+                         "--set", setting, "--checkpoint", str(ckpt)]) == 3
+        assert f"numeric failure in train: {message} (epoch 0, batch 0, " \
+            f"step)" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_overflowing_row_exits_3(self, tmp_path, capsys):
         # a training row of 1e308 cells overflows its norm: train and eval
