@@ -15,7 +15,7 @@ entries hold -inf.
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import NumericError
 
 
 def normalize_rows(x):
@@ -25,7 +25,7 @@ def normalize_rows(x):
     norms = np.sqrt(np.add.reduce(x * x, axis=1))
     if not norms.all():
         bad = np.flatnonzero(norms == 0.0)
-        raise DomainError(f"zero-norm row {bad[0]} cannot be normalized")
+        raise NumericError(f"zero-norm row {bad[0]} cannot be normalized")
     return x / norms[:, None], norms
 
 
@@ -54,7 +54,7 @@ def softmax_in_place(logits, symmetric=False):
 def masked_infonce(logits, mask, pos_weights, anchor_weights):
     """Value and dL/dlogits of sum_i a_i (LSE_{j: mask_ij} L_ij - sum_j W_ij L_ij)."""
     if not mask.any(axis=1).all():
-        raise DomainError("masked log-sum-exp: a row has no allowed entries")
+        raise NumericError("masked log-sum-exp: a row has no allowed entries")
     probs = np.where(mask, logits, -np.inf)
     lse = softmax_in_place(probs)
     value = anchor_weights @ (lse - np.sum(pos_weights * logits, axis=1))

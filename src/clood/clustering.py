@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import normalize_rows
-from .errors import ConfigError, ContractError, DomainError, NumericError
+from .errors import ConfigError, NumericError
 
 
 @dataclass
@@ -59,7 +59,7 @@ def kmeans_fit(unit, r, seed=0, max_iters=100, tol=1e-6):
     if m < r:
         raise ConfigError(f"{m} points cannot support {r} clusters")
     if not np.all(np.isfinite(unit)):
-        raise DomainError("points must be finite")
+        raise NumericError("points must be finite")
 
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(unit, r, rng)
@@ -106,7 +106,7 @@ def compute_concentrations(unit, assignments, centers, alpha, phi_floor=0.05):
         members = dists[assignments == k]
         t = members.shape[0]
         if t == 0:
-            raise ContractError(f"cluster {k} is empty; refit must repair first")
+            raise ConfigError(f"cluster {k} is empty; refit must repair first")
         phis[k] = max(members.sum() / (t * np.log(t + alpha)), phi_floor)
     return phis
 
@@ -114,7 +114,7 @@ def compute_concentrations(unit, assignments, centers, alpha, phi_floor=0.05):
 def should_update(epoch, warmup_epochs, update_interval):
     """True on the first post-warm-up epoch and every interval after it."""
     if epoch < 0:
-        raise ContractError("epoch must be >= 0")
+        raise ConfigError("epoch must be >= 0")
     return epoch >= warmup_epochs and (epoch - warmup_epochs) % update_interval == 0
 
 

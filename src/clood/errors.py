@@ -12,30 +12,14 @@ class CloodError(Exception):
 
 
 class ConfigError(CloodError):
-    """Invalid configuration value or combination."""
+    """Invalid configuration value or combination, or a call that breaks a
+    documented precondition, such as operand shapes that do not conform."""
 
     exit_code = 2
-
-
-class ContractError(CloodError):
-    """A caller violated a documented precondition."""
-
-    exit_code = 2
-
-
-class ShapeError(CloodError):
-    """Operand shapes do not conform."""
-
-    exit_code = 2
-
-
-class DomainError(CloodError):
-    """Numerically invalid input (log of non-positive, zero-norm vector, ...)."""
-
-    exit_code = 3
 
 
 class NumericError(CloodError):
-    """Non-finite value produced during training."""
+    """Numerically invalid input or result, such as a zero-norm row,
+    non-finite scores or a non-finite value produced during training."""
 
     exit_code = 3

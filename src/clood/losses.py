@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .autodiff import masked_infonce, softmax_in_place
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 
 
 @functools.lru_cache(maxsize=64)
@@ -48,9 +48,9 @@ def nt_xent_pair(i, j, unit, tau):
     """
     n = len(unit)
     if i == j:
-        raise ContractError("nt_xent_pair requires i != j")
+        raise ConfigError("nt_xent_pair requires i != j")
     if n < 2:
-        raise ContractError("need at least two rows")
+        raise ConfigError("need at least two rows")
     pos, anchor = np.zeros((n, n)), np.zeros(n)
     pos[i, j] = anchor[i] = 1.0
     scale = 1.0 / tau
@@ -68,7 +68,7 @@ def self_supervised_loss(unit, tau):
     """
     n = len(unit)
     if n < 2 or n % 2 != 0:
-        raise ContractError(f"row count must be even and >= 2, got {n}")
+        raise ConfigError(f"row count must be even and >= 2, got {n}")
     rows, partners, weights = _batch_indices(n)
     scale = 1.0 / tau
     logits = _self_logits(unit, scale)
@@ -94,9 +94,9 @@ def cluster_center_loss(unit, centers, assignments, phis):
     if r < 2:
         raise ConfigError(f"need at least 2 centers, got {r}")
     if assignments.min() < 0 or assignments.max() >= r:
-        raise ContractError("assignment index out of range")
+        raise ConfigError("assignment index out of range")
     if len(phis) != r:
-        raise ContractError(f"expected {r} concentrations, got {len(phis)}")
+        raise ConfigError(f"expected {r} concentrations, got {len(phis)}")
 
     rows, _, weights = _batch_indices(len(unit))
     scale = 1.0 / phis
@@ -120,9 +120,9 @@ def cluster_instance_loss(unit, assignments, tau):
     assignments = np.asarray(assignments, dtype=np.intp)
     n = len(unit)
     if n < 2:
-        raise ContractError(f"need at least two rows, got {n}")
+        raise ConfigError(f"need at least two rows, got {n}")
     if len(assignments) != n:
-        raise ContractError("one assignment per row required")
+        raise ConfigError("one assignment per row required")
 
     rows, _, _ = _batch_indices(n)
     same = assignments[:, None] == assignments[None, :]

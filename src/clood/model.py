@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError
 
 # rows per block of `layer_features`
 _FORWARD_ROWS = 1024
@@ -74,7 +74,7 @@ def init_params(seed, encoder_widths, projection_widths):
 def _check_input(params, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != params.weights[0].shape[0]:
-        raise ShapeError(
+        raise ConfigError(
             f"input width {x.shape[1]} does not match "
             f"first layer fan-in {params.weights[0].shape[0]}"
         )

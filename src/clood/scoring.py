@@ -10,7 +10,7 @@ import numpy as np
 
 from . import clustering
 from .autodiff import normalize_rows
-from .errors import ConfigError, ContractError, DomainError
+from .errors import ConfigError, NumericError
 
 
 # entries a chunk of queries holds at once: 2**18 float64s, 2 MB
@@ -36,7 +36,7 @@ class ReferenceBank:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] == 0:
-            raise ContractError("bank must be a non-empty 2-D matrix")
+            raise ConfigError("bank must be a non-empty 2-D matrix")
 
     def __len__(self):
         return self.features.shape[0]
@@ -76,9 +76,9 @@ def auroc(id_scores, ood_scores):
     id_scores = np.asarray(id_scores, dtype=np.float64)
     ood_scores = np.asarray(ood_scores, dtype=np.float64)
     if id_scores.size == 0 or ood_scores.size == 0:
-        raise ContractError("both score lists must be non-empty")
+        raise ConfigError("both score lists must be non-empty")
     if not (np.isfinite(id_scores).all() and np.isfinite(ood_scores).all()):
-        raise DomainError("AUROC needs finite scores")
+        raise NumericError("AUROC needs finite scores")
     ood = np.sort(ood_scores)
     u = (np.searchsorted(ood, id_scores, "left").sum()
          + np.searchsorted(ood, id_scores, "right").sum()) / 2
@@ -196,9 +196,6 @@ def _var_scores(bank, queries, k_top):
     else:
         edges = cells.starts[cells.cuts]
         best = (cells.centers @ queries.T).argmax(axis=0)
-        # the products take the rows by cell from a negated copy; the
-        # cells' row copy goes first, so that the two are never both held
-        cells = cells._replace(rows=None)
         negated = np.take(features.T, cells.keys, axis=1,
                           out=np.empty((d, n)), mode="clip")
         np.negative(negated, out=negated)
@@ -209,9 +206,9 @@ def _var_scores(bank, queries, k_top):
     chunks = [sequence[a:a + step] for a in range(0, len(queries), step)]
     spans = [[(0, n)]] * len(chunks)
     if cells is not None:
-        v_q, limits = _query_norm(queries), _limits(cells.norm, queries)
-        spans = [_spans(cells, ~(_cone_bounds(cells, queries[chunk], v_q,
-                                              limits) < -t[chunk]))
+        v_q = _query_norm(queries)
+        spans = [_spans(cells, ~(_cone_bounds(cells, queries[chunk], v_q)
+                                 < -t[chunk]))
                  for chunk in chunks]
     # every chunk product of the call is written here
     buffer = np.empty(max((max(2, len(chunk)) * sum(b - a for a, b in span)
@@ -330,42 +327,11 @@ def _query_norm(queries):
     return np.fmax.reduce(np.linalg.norm(queries, axis=1), initial=0.0)
 
 
-def _limits(norms, queries):
-    """For each computed row norm v_b in `norms`, a limit that no computed
-    candidate fl(b . q) of a row of norm v_b or less, nor its negation,
-    exceeds, for any unit query of `queries`.
-
-    Let u = 2**-53, d the row width and g = d u / (1 - d u). Without
-    underflow or overflow, a d-term dot product computed in any order,
-    with or without fused multiply-adds, has
-        |fl(b . q)| <= (1 + g) ||b|| ||q||,
-    and a computed norm v = fl(||x||) has ||x|| <= v / ((1 - u) sqrt(1 - g)).
-    Hence
-        |fl(b . q)| <= v_b v_q (1 + g) / ((1 - u)^2 (1 - g))
-                     = v_b v_q (1 + (2d + 3) u + O(d^2 u^2)),
-    with v_q the largest query norm (`_query_norm`). The limit is
-        v_b (v_q (1 + 4(d + 2) u)) + d 2**-536,   4u = 2**-51;
-    its four roundings take off at most 4u, so the factor keeps a margin
-    of about 2d u while d u < 2**-10. Underflow costs each product or
-    square at most 2**-1074, so the dot product gains at most d 2**-1074
-    and a row norm loses at most sqrt(d) 2**-537; the term d 2**-536
-    covers both. A unit query's largest entry is about 1 / sqrt(d) or
-    more, so its own norm does not underflow. Only a row of non-finite
-    norm can overflow, and such a bank is not pruned. A NaN query scores
-    NaN however far it is scanned, so v_q skips it. The limit does not
-    decrease with v_b, since every rounding is monotone.
-    """
-    d = queries.shape[1]
-    v_q = _query_norm(queries)
-    return norms * (v_q * (1 + (d + 2) * 2.0 ** -51)) + d * 2.0 ** -536
-
-
 class _Cells(NamedTuple):
     """A bank cut by direction (`_cos_cells`): the rows of each cell, in
     norm order, cut into tiles, and what bounds each tile."""
 
-    rows: np.ndarray       # (n, d): the rows by cell, then by norm
-    keys: np.ndarray       # the bank row of each of `rows`
+    keys: np.ndarray       # the bank rows by cell, then by norm
     starts: np.ndarray     # each tile's first row, then n
     cuts: np.ndarray       # each cell's first tile, then the tile count
     centers: np.ndarray    # (cells, d): the unit cell directions c
@@ -399,10 +365,10 @@ def _cos_cells(features):
     or only zero rows. Otherwise `_directions` picks the cells'
     directions c, `clustering.assign` puts each row in the cell of its
     nearest c (the argmax over the cells of b . c needs no division by a
-    norm, which may be zero), and the rows are copied once, by cell and
-    then in `_norm_order`. Each cell's rows are cut into tiles of _TILE
-    rows; a product takes a tile transposed, as a view, at the speed of
-    a transposed copy, which would cost several times the row copy. A
+    norm, which may be zero), and `keys` orders the rows by cell and then
+    in `_norm_order`. Each cell's rows are cut into tiles of _TILE rows,
+    which `cos` gathers and takes transposed, as a view, at the speed of
+    a transposed copy, which would cost several times the gather. A
     row b of norm v_b and cell direction c has alpha_b = fl(b . c) and
         beta_b = v_b sqrt(max(1 - t^2, 0) + e),   t = alpha_b / v_b,
     (t = 0 if v_b = 0), e = 4(d + 4) u: `_cone_bounds` shows that beta_b
@@ -416,9 +382,9 @@ def _cos_cells(features):
     centers = _directions(features, norms, order[0])
     labels = clustering.assign(features, centers)
     keys = order[np.argsort(labels[order].astype(np.uint8), kind="stable")]
-    rows = features[keys]
     labels, v = labels[keys], norms[keys]
-    alpha = np.take_along_axis(rows @ centers.T, labels[:, None], 1)[:, 0]
+    alpha = np.take_along_axis(features[keys] @ centers.T, labels[:, None],
+                               1)[:, 0]
     t = np.divide(alpha, v, out=np.zeros(n), where=v > 0)
     beta = v * np.sqrt(np.maximum(1 - t * t, 0) + (d + 4) * 2.0 ** -51)
     sizes = np.bincount(labels, minlength=len(centers))
@@ -431,12 +397,12 @@ def _cos_cells(features):
     coef[tiles, 1, cells] = np.minimum.reduceat(alpha, starts)
     coef[tiles, 2, cells] = np.maximum.reduceat(beta, starts)
     cuts = np.searchsorted(starts, ends - sizes)
-    return _Cells(rows, keys, np.append(starts, n),
+    return _Cells(keys, np.append(starts, n),
                   np.append(cuts, len(starts)), centers, v[starts],
                   coef.reshape(len(starts), -1))
 
 
-def _cone_bounds(cells, queries, v_q, limits):
+def _cone_bounds(cells, queries, v_q):
     """(tiles, queries): for each tile and unit query q, a bound that no
     computed candidate fl(b . q) of the tile's rows exceeds.
 
@@ -449,17 +415,19 @@ def _cone_bounds(cells, queries, v_q, limits):
         alpha_hi max(s, 0) + alpha_lo min(s, 0) + beta rho
             + 2 e v_t v_q + d 2**-535,
         rho = sqrt(max(v_q^2 - s^2, 0) + e v_q^2),
-    with s, alpha and beta computed, capped by the tile's `_limits`
-    (`limits`), which bounds it too. Its first three terms, for every
+    with s, alpha and beta computed. Its first three terms, for every
     tile and query, are one product of the tiles' `coef` and the queries'
     max(s, 0), min(s, 0) and rho for every cell; the terms of other cells
-    are exact zeros. Its margins, where d u < 2**-10:
+    are exact zeros. Without underflow, a d-term dot product x . y
+    computed in any order, with or without fused multiply-adds, is off by
+    at most d u ||x|| ||y|| / (1 - d u). Its margins, where d u < 2**-10,
+    to first order in u (the slack below covers the rest):
     - ||c|| is 1 within (d/2 + 2) u, relatively, as c is a row of
       `normalize_rows` whose entries do not underflow; ||q|| is at most
       v_q, and ||b|| at most v_b, within as much.
     - The computed alpha and s are off by at most d u ||b|| and d u ||q||
-      (`_limits`' bound on a dot product), and dividing by ||c||^2 moves
-      (b . c) s by (d + 4) u ||b|| ||q|| more: alpha s is off by at most
+      (that bound), and dividing by ||c||^2 moves (b . c) s by
+      (d + 4) u ||b|| ||q|| more: alpha s is off by at most
       (3d + 4) u ||b|| ||q||.
     - t is then off by at most (2d + 5) u from b . c / (||c|| ||b||), so
       1 - t^2 by (4d + 12) u and 1 - s^2 / v_q^2 by (4d + 9) u, with
@@ -471,7 +439,8 @@ def _cone_bounds(cells, queries, v_q, limits):
     These add up to less than (4.5d + 20) u v_t v_q < 2 e v_t v_q.
     Underflow costs a square or product at most 2**-1074, so a row norm
     at most sqrt(d) 2**-537 and beta rho at most twice that; d 2**-535
-    covers it. A NaN query gets a NaN bound, and the cap its limit.
+    covers it. A NaN query, which scores NaN however far it is scanned,
+    gets a NaN bound.
     """
     d = queries.shape[1]
     e = (d + 4) * 2.0 ** -51
@@ -481,7 +450,7 @@ def _cone_bounds(cells, queries, v_q, limits):
     bounds = cells.coef @ np.concatenate([np.maximum(s, 0), np.minimum(s, 0),
                                           rho])
     bounds += (cells.norm * (2 * e * v_q) + d * 2.0 ** -535)[:, None]
-    return np.fmin(bounds, limits[:, None], out=bounds)
+    return bounds
 
 
 def _product(queries, rows, out=None):
@@ -516,14 +485,14 @@ def _cos_scores(bank, queries):
     cells = _cos_cells(bank.features)
     if cells is None:
         return _best(queries, bank.features.T)
-    tiles = [cells.rows[a:b].T
+    tiles = [bank.features[cells.keys[a:b]].T
              for a, b in zip(cells.starts[:-1], cells.starts[1:])]
-    v_q, limits = _query_norm(queries), _limits(cells.norm, queries)
+    v_q = _query_norm(queries)
     block = max(1, _CHUNK_ENTRIES // len(tiles))
     scores = np.empty(len(queries))
     for start in range(0, len(queries), block):
         q = queries[start:start + block]
-        bounds = _cone_bounds(cells, q, v_q, limits)
+        bounds = _cone_bounds(cells, q, v_q)
         first = bounds.argmax(axis=0)
         best = np.empty(len(q))
         for i in np.unique(first):
@@ -640,21 +609,21 @@ def stacked_report(bank, features, id_rows, ood_rows, score_kind, k_top=10,
     each OOD set's, in the order of `ood_rows` (set name -> row count),
     scored by one `score_set` call.
 
-    A zero-norm row raises DomainError naming its set and its index there.
+    A zero-norm row raises NumericError naming its set and its index there.
     """
     ends = list(accumulate([id_rows, *ood_rows.values()]))
     spans = [slice(a, b) for a, b in zip([0, *ends], ends)]
     try:
         scores, clamped = score_set(bank, features, score_kind, k_top,
                                     clamped=True)
-    except DomainError:
+    except NumericError:
         zero = np.flatnonzero(np.linalg.norm(features, axis=1) == 0.0)
         if not zero.size:
             raise
         i = bisect_right(ends, zero[0])
-        raise DomainError(f"zero-norm row {zero[0] - spans[i].start} of set "
-                          f"{['id_test', *ood_rows][i]!r} cannot be "
-                          f"normalized") from None
+        raise NumericError(
+            f"zero-norm row {zero[0] - spans[i].start} of set "
+            f"{['id_test', *ood_rows][i]!r} cannot be normalized") from None
     scores = [scores[span] for span in spans]
     counts = [int(np.count_nonzero(clamped[span])) for span in spans]
     return ScoreReport(

@@ -6,7 +6,7 @@ from clood import losses, model
 from clood.autodiff import (finite_difference_check, masked_infonce,
                             normalize_backward, normalize_rows,
                             softmax_in_place)
-from clood.errors import DomainError
+from clood.errors import NumericError
 
 
 def test_normalize_rows_345():
@@ -18,7 +18,7 @@ def test_normalize_rows_345():
 def test_log_domain_error():
     # the log-sum-exp of a row with no allowed entries is the log of zero
     mask = np.array([[True, False], [False, False]])
-    with pytest.raises(DomainError):
+    with pytest.raises(NumericError):
         masked_infonce(np.zeros((2, 2)), mask, np.zeros((2, 2)), np.ones(2))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from clood import clustering
-from clood.errors import ConfigError, ContractError, DomainError, NumericError
+from clood.errors import ConfigError, NumericError
 
 
 def _unit(rows):
@@ -168,7 +168,7 @@ class TestConcentrations:
         assert (got > 0.01).all()
 
     def test_empty_cluster_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             clustering.compute_concentrations(
                 np.ones((3, 2)), np.zeros(3, dtype=int), np.eye(2), 10.0)
 
@@ -236,7 +236,7 @@ def test_fit_state_reports_collapse_as_numeric_failure():
 
 def test_fit_state_rejects_zero_norm_row():
     pts = np.array([[1.0, 0], [0, 1.0], [0, 0], [1.0, 1.0]])
-    with pytest.raises(DomainError, match="zero-norm row 2"):
+    with pytest.raises(NumericError, match="zero-norm row 2"):
         clustering.fit_state(pts, 2, seed=0, alpha=10.0, phi_floor=0.05,
                              epoch=0)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from clood import losses
 from clood.autodiff import masked_infonce, normalize_rows
-from clood.errors import ConfigError, ContractError, DomainError
+from clood.errors import ConfigError, NumericError
 
 
 class TestNtXentPair:
@@ -29,12 +29,12 @@ class TestNtXentPair:
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_rejects_equal_indices(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             losses.nt_xent_pair(1, 1, np.eye(4), 0.5)
 
     def test_zero_norm_row_rejected(self):
         z = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(DomainError, match="row 1"):
+        with pytest.raises(NumericError, match="row 1"):
             oracles.on_raw_rows(lambda u: losses.nt_xent_pair(0, 1, u, 0.5))(z)
 
 
@@ -66,7 +66,7 @@ class TestSelfSupervisedLoss:
             losses.self_supervised_loss(swapped, 0.5)[0], abs=1e-12)
 
     def test_odd_row_count_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             losses.self_supervised_loss(np.ones((3, 2)), 0.5)
 
 
@@ -110,7 +110,7 @@ class TestClusterCenterLoss:
                                        np.zeros(2, dtype=int), np.ones(1))
 
     def test_out_of_range_assignment_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             losses.cluster_center_loss(np.eye(2), np.eye(2),
                                        np.array([0, 2]), np.ones(2))
 

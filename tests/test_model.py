@@ -7,7 +7,7 @@ from clood import model
 from clood.autodiff import finite_difference_check
 from clood.clustering import ClusterState
 from clood.config import TrainConfig, benchmark_config
-from clood.errors import ShapeError
+from clood.errors import ConfigError
 
 
 def _arrays(*nets):
@@ -71,7 +71,7 @@ def test_encode_matches_straight_line_evaluation():
 def test_encode_shape_mismatch():
     enc, _ = model.init_params(0, encoder_widths=(4, 2),
                                projection_widths=(2, 2))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         model.mlp_forward_np(enc, np.ones((3, 5)))
 
 
@@ -171,7 +171,7 @@ def test_layer_features_never_take_a_lone_row(monkeypatch):
 
 def test_layer_features_reject_wrong_width():
     enc, proj = model.init_params(0, (4, 3), (3, 2))
-    with pytest.raises(ShapeError, match="input width 5"):
+    with pytest.raises(ConfigError, match="input width 5"):
         model.layer_features(enc, proj, np.ones((2, 5)), "embedding")
 
 

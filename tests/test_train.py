@@ -706,9 +706,6 @@ class TestCli:
 
     @pytest.mark.parametrize("error,code,kind", [
         (errors.ConfigError, 2, "config error"),
-        (errors.ContractError, 2, "config error"),
-        (errors.ShapeError, 2, "config error"),
-        (errors.DomainError, 3, "numeric failure"),
         (errors.NumericError, 3, "numeric failure")])
     def test_each_error_class_exits_with_its_code(self, tmp_path, capsys,
                                                   monkeypatch, error, code,
