@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import benchmark_config
 from .data import generate_synthetic
-from .errors import ConfigError
+from .errors import CloodError, ConfigError
 from .train import evaluate, mean_max_center_similarity, train
 
 # (label, overrides) variants of each sweep around a base config
@@ -82,7 +82,9 @@ def run_sweep(name, base=None, n_seeds=5):
     """Run every variant of a named sweep over n_seeds seeds.
 
     Returns one row per variant with mean AUROC per OOD set (and, for the
-    cluster-count sweep, the mean max embedding-to-center similarity).
+    cluster-count sweep, the mean max embedding-to-center similarity). A
+    CloodError or FloatingPointError of a run keeps its type and gains
+    the sweep, the variant and the seed after its text.
     """
     if n_seeds < 1:
         raise ConfigError(f"a sweep needs at least one seed, got {n_seeds}")
@@ -91,14 +93,18 @@ def run_sweep(name, base=None, n_seeds=5):
     rows = []
     for label, cfg in variants(name, base):
         aurocs, sims = {}, []
-        for s in range(n_seeds):
-            result, bundle = run_one(replace(cfg, seed=base.seed + s))
-            for set_name, v in evaluate(result, bundle).aurocs.items():
-                aurocs.setdefault(set_name, []).append(v)
-            if want_sim:
-                sims.append(mean_max_center_similarity(result, bundle)
-                            if result.cluster_state is not None
-                            else float("nan"))
+        for seed in range(base.seed, base.seed + n_seeds):
+            try:
+                result, bundle = run_one(replace(cfg, seed=seed))
+                for set_name, v in evaluate(result, bundle).aurocs.items():
+                    aurocs.setdefault(set_name, []).append(v)
+                if want_sim:
+                    sims.append(mean_max_center_similarity(result, bundle)
+                                if result.cluster_state is not None
+                                else float("nan"))
+            except (CloodError, FloatingPointError) as e:
+                raise type(e)(f"{e} (sweep {name}, variant {label}, "
+                              f"seed {seed})") from e
         row = {"sweep": name, "variant": label, "config_hash": cfg.hash()}
         for set_name in sorted(aurocs):
             row[f"auroc_{set_name}"] = float(np.mean(aurocs[set_name]))

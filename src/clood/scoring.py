@@ -1,6 +1,7 @@
 """OOD score functions over a bank of training features, plus exact AUROC."""
 
 import csv
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -29,7 +30,8 @@ _CELLS = 8
 class ReferenceBank:
     """Training-set features test samples are scored against: a non-empty
     float64 matrix, one row per training sample. Scoring keeps nothing
-    from one call to the next, so the rows may change between calls."""
+    from one call to the next, except through a `bank_cells` function, so
+    the rows may change between calls that are given none."""
 
     features: np.ndarray
 
@@ -93,7 +95,25 @@ def check_k_top(k_top, rows):
                           f"{rows} rows, got {k_top}")
 
 
-def score_set(bank, features, score_kind, k_top=10, clamped=False):
+def check_score_args(score_kind, k_top, rows):
+    """ConfigError unless `score_set` knows `score_kind` and, for `var`,
+    `k_top` fits a bank of `rows` rows (`check_k_top`)."""
+    if score_kind not in ("cos", "var"):
+        raise ConfigError(f"unknown score kind {score_kind!r}")
+    if score_kind == "var":
+        check_k_top(k_top, rows)
+
+
+def bank_cells(bank):
+    """A function that returns the bank's direction cells (`_cos_cells`),
+    built on its first call and returned again on later ones. It keeps
+    what the rows were at that call: hand it to `score_set` only while
+    they are unchanged."""
+    return functools.cache(lambda: _cos_cells(bank.features))
+
+
+def score_set(bank, features, score_kind, k_top=10, clamped=False,
+              cells=None):
     """Score every row of `features` against the bank.
 
     A bank row's candidate score, sim(bank_m, z) * ||bank_m||, is its dot
@@ -107,12 +127,14 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False):
     the sum one dot product over the K d deviations. With `clamped`,
     also returns which queries' spread was clamped (none under `cos`).
 
-    Both kinds cut the bank, once per call, into direction cells of
-    norm-ordered tiles (`_cos_cells`) and skip a tile by its cone bound
-    (`_cone_bounds`), which no computed candidate of its rows exceeds; a
-    bank of at most two tiles, with a non-finite row norm or with only
-    zero rows is scanned whole, a chunk at a time, and so is one too
-    narrow for `var`'s threshold (`_sample_rank`). `cos` multiplies a
+    Both kinds cut the bank into direction cells of norm-ordered tiles
+    (`_cos_cells`) and skip a tile by its cone bound (`_cone_bounds`),
+    which no computed candidate of its rows exceeds. The cells are built
+    once per call, or, for calls given the same `cells` function from
+    `bank_cells(bank)`, once over all of them. A bank of at most two
+    tiles, with a non-finite row norm or with only zero rows is scanned
+    whole, a chunk at a time, and so is one too narrow for `var`'s
+    threshold (`_sample_rank`), which builds no cells. `cos` multiplies a
     query by a tile only while the tile's bound is above the query's
     best. `var` scores chunks of queries against a negated copy of the
     bank, in order of each query's best cell and threshold, and
@@ -123,22 +145,20 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False):
     picks its kernel by a product's shape, so the last bit of a score
     can depend on how many queries share its product.
     """
-    if score_kind not in ("cos", "var"):
-        raise ConfigError(f"unknown score kind {score_kind!r}")
-    if score_kind == "var":
-        check_k_top(k_top, len(bank))
+    check_score_args(score_kind, k_top, len(bank))
+    cells = cells or bank_cells(bank)
     queries = normalize_rows(features)[0]
     if score_kind == "cos":
-        scores = _cos_scores(bank, queries)
+        scores = _cos_scores(bank, queries, cells)
         spread_clamped = np.zeros(len(queries), dtype=bool)
     else:
-        scores, spread_clamped = _var_scores(bank, queries, k_top)
+        scores, spread_clamped = _var_scores(bank, queries, k_top, cells)
     return (scores, spread_clamped) if clamped else scores
 
 
-def _var_scores(bank, queries, k_top):
+def _var_scores(bank, queries, k_top, cells):
     """`var` scores of unit queries, and which of them had their spread
-    clamped.
+    clamped; `cells()` gives the bank's cells (`bank_cells`).
 
     A chunk of step = min(2 _CHUNK_ENTRIES // (n + K d),
     _CHUNK_ENTRIES // 2 // (K d)) queries, at least one, is scored at a
@@ -186,7 +206,7 @@ def _var_scores(bank, queries, k_top):
     features = bank.features
     n, d = features.shape
     rank = _sample_rank(n, k_top)
-    cells = None if rank is None else _cos_cells(features)
+    cells = None if rank is None else cells()
     step = max(1, min(2 * _CHUNK_ENTRIES // (n + k_top * d),
                       _CHUNK_ENTRIES // 2 // (k_top * d)))
     # the rows transposed and negated: the best candidate is the least
@@ -470,8 +490,9 @@ def _product(queries, rows, out=None):
     return product[:1] if lone else product
 
 
-def _cos_scores(bank, queries):
-    """Best candidate of each unit query, exactly.
+def _cos_scores(bank, queries, cells):
+    """Best candidate of each unit query, exactly; `cells()` gives the
+    bank's cells (`bank_cells`).
 
     A bank without cells (`_cos_cells`) is one tile. Otherwise, for a
     block of queries whose bound matrix, a column a query, fits in
@@ -482,7 +503,7 @@ def _cos_scores(bank, queries):
     computed candidate above its best, so the maximum, and every bit of
     it, is that of the unpruned scan over the same tiles.
     """
-    cells = _cos_cells(bank.features)
+    cells = cells()
     if cells is None:
         return _best(queries, bank.features.T)
     tiles = [bank.features[cells.keys[a:b]].T
@@ -604,10 +625,10 @@ def _top_k_full(values, k, keys=None):
 
 
 def stacked_report(bank, features, id_rows, ood_rows, score_kind, k_top=10,
-                   config_hash=""):
+                   config_hash="", cells=None):
     """The report on `features`: the ID test set's `id_rows` rows, then
     each OOD set's, in the order of `ood_rows` (set name -> row count),
-    scored by one `score_set` call.
+    scored by one `score_set` call, which is given `cells`.
 
     A zero-norm row raises NumericError naming its set and its index there.
     """
@@ -615,7 +636,7 @@ def stacked_report(bank, features, id_rows, ood_rows, score_kind, k_top=10,
     spans = [slice(a, b) for a, b in zip([0, *ends], ends)]
     try:
         scores, clamped = score_set(bank, features, score_kind, k_top,
-                                    clamped=True)
+                                    clamped=True, cells=cells)
     except NumericError:
         zero = np.flatnonzero(np.linalg.norm(features, axis=1) == 0.0)
         if not zero.size:

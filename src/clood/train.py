@@ -13,6 +13,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -408,13 +409,86 @@ def write_metrics(metrics, path):
 
 # ---- evaluation ----
 
+class _Prepared(NamedTuple):
+    """What `evaluate` prepared for one (model, bundle)."""
+
+    inputs: tuple             # `_inputs`, copied
+    bank: scoring.ReferenceBank
+    queries: np.ndarray       # the test rows' features, stacked
+    cells: object             # `scoring.bank_cells(bank)`
+
+
+# the entry `evaluate` last prepared, at most one
+_prepared = []
+
+
+def _inputs(result, bundle, names):
+    """Everything the forward of `evaluate` reads: numpy's error state,
+    the score layer, the encoder's depth and the OOD set names, then
+    every encoder, projection and bundle array, as the float64 array the
+    forward takes."""
+    arrays = [*result.encoder.arrays().values(),
+              *result.projection.arrays().values(), bundle.id_train,
+              bundle.id_test, *(bundle.ood_sets[n] for n in names)]
+    return ((np.geterr(), result.config.score_layer,
+             len(result.encoder.weights), names),
+            [np.asarray(a, dtype=np.float64) for a in arrays])
+
+
+def _same(a, b):
+    """Whether two `_inputs` are equal, every array bit for bit: -0.0 is
+    not 0.0, and a NaN equals a NaN of the same bits."""
+    return a[0] == b[0] and len(a[1]) == len(b[1]) and all(
+        np.array_equal(x.view(np.int64), y.view(np.int64))
+        for x, y in zip(a[1], b[1]))
+
+
+def _prepare(result, bundle, names):
+    """The bank, stacked queries and cells of (result, bundle): the entry
+    held if its inputs equal these, else a new one, held in its place
+    once both forwards have run."""
+    inputs = _inputs(result, bundle, names)
+    for entry in _prepared:
+        if _same(entry.inputs, inputs):
+            return entry
+    _prepared.clear()
+
+    def feats(x):
+        return model.layer_features(result.encoder, result.projection, x,
+                                    result.config.score_layer)
+
+    try:
+        bank = scoring.ReferenceBank(feats(bundle.id_train))
+        queries = feats(np.concatenate(
+            [bundle.id_test] + [bundle.ood_sets[n] for n in names]))
+    except FloatingPointError as e:
+        raise FloatingPointError(f"{e} (forward)") from e
+    entry = _Prepared((inputs[0], [a.copy() for a in inputs[1]]), bank,
+                      queries, scoring.bank_cells(bank))
+    _prepared.append(entry)
+    return entry
+
+
 def evaluate(result, bundle, score_kind=None, k_top=None):
     """Score ID test and every OOD set against the training-feature bank.
 
     The test rows of every set are stacked, go through one forward and
     are scored by one `score_set` call. `score_kind` and `k_top` default
     to the checkpoint's; an explicit `k_top` must be positive, whatever
-    the score kind. A bundle with no OOD set is a ConfigError.
+    the score kind. A bundle with no OOD set, an unknown score kind or a
+    `var` K the bank cannot hold is a ConfigError, raised before the
+    forward.
+
+    The bank, the stacked features and the bank's direction cells
+    (`scoring.bank_cells`, built when a kind first needs them) are held
+    for the last (model, bundle), one entry, and shared by both score
+    kinds: a call whose score layer, encoder and projection arrays (and
+    encoder depth), ID and OOD rows, OOD set names and numpy error state
+    all equal the entry's, bit for bit, takes them without a forward.
+    Any other call drops the entry first and holds its own once its
+    forward has run. A FloatingPointError keeps
+    its type and gains its phase, (forward) or (scoring <kind>), after
+    numpy's text.
     """
     config = result.config
     score_kind = score_kind or config.score_kind
@@ -427,19 +501,17 @@ def evaluate(result, bundle, score_kind=None, k_top=None):
         files = ", ".join(f"ood_{name}.csv" for name in OOD_SET_NAMES)
         raise ConfigError(f"bundle has no OOD set to score; expected one "
                           f"or more ood_<name>.csv files, such as {files}")
-
-    def feats(x):
-        return model.layer_features(result.encoder, result.projection, x,
-                                    config.score_layer)
+    scoring.check_score_args(score_kind, k_top, len(bundle.id_train))
 
     names = sorted(bundle.ood_sets)
-    bank = scoring.ReferenceBank(feats(bundle.id_train))
-    queries = feats(np.concatenate(
-        [bundle.id_test] + [bundle.ood_sets[n] for n in names]))
-    return scoring.stacked_report(
-        bank, queries, len(bundle.id_test),
-        {n: len(bundle.ood_sets[n]) for n in names}, score_kind,
-        k_top=k_top, config_hash=config.hash())
+    prepared = _prepare(result, bundle, names)
+    try:
+        return scoring.stacked_report(
+            prepared.bank, prepared.queries, len(bundle.id_test),
+            {n: len(bundle.ood_sets[n]) for n in names}, score_kind,
+            k_top=k_top, config_hash=config.hash(), cells=prepared.cells)
+    except FloatingPointError as e:
+        raise FloatingPointError(f"{e} (scoring {score_kind})") from e
 
 
 def mean_max_center_similarity(result, bundle):

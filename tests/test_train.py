@@ -1,11 +1,13 @@
 import contextlib
 import csv
+import gc
 import io
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -434,6 +436,185 @@ class TestEvaluate:
         assert lines[0].startswith("id_train,")
 
 
+def _forwards(monkeypatch):
+    """The score layer of each `model.layer_features` call from now on."""
+    calls, real = [], model.layer_features
+    monkeypatch.setattr(model, "layer_features", lambda enc, proj, x, layer: (
+        calls.append(layer) or real(enc, proj, x, layer)))
+    return calls
+
+
+def _cleared(result, bundle, **kw):
+    """`evaluate` with no entry held before or after."""
+    train_mod._prepared.clear()
+    report = train_mod.evaluate(result, bundle, **kw)
+    train_mod._prepared.clear()
+    return report
+
+
+def _report_bytes(report):
+    return (report.score_kind, report.k_top, report.config_hash,
+            report.id_scores.tobytes(), report.id_clamped,
+            [(n, s.tobytes(), report.aurocs[n], report.ood_clamped[n])
+             for n, s in report.ood_scores.items()])
+
+
+# each edits (result, bundle) in place, or replaces its config, and
+# returns the pair
+def _scale_train_cell(result, bundle):
+    bundle.id_train[0, 0] *= 2
+    return result, bundle
+
+
+def _edit_ood_cell(result, bundle):
+    bundle.ood_sets["scaled"][1, 2] = 0.5
+    return result, bundle
+
+
+def _edit_weight(result, bundle):
+    result.encoder.weights[0][0, 0] += 0.25
+    return result, bundle
+
+
+def _move_a_layer(result, bundle):
+    # the same arrays in the same order, but the projection's first layer
+    # now ends the encoder, behind a ReLU
+    enc, proj = result.encoder, result.projection
+    return replace(result, encoder=model.MLPParams(
+        enc.weights + proj.weights[:1], enc.biases + proj.biases[:1]),
+        projection=model.MLPParams(proj.weights[1:], proj.biases[1:])), bundle
+
+
+def _add_set(result, bundle):
+    bundle.ood_sets["extra"] = bundle.ood_sets["shifted"][:3].copy()
+    return result, bundle
+
+
+def _rename_set(result, bundle):
+    bundle.ood_sets["renamed"] = bundle.ood_sets.pop("shifted")
+    return result, bundle
+
+
+def _other_layer(result, bundle):
+    layer = {"embedding": "projection", "projection": "embedding"}
+    return replace(result, config=replace(
+        result.config, score_layer=layer[result.config.score_layer])), bundle
+
+
+def _negate_zero(result, bundle):
+    assert bundle.id_test[0, 0].tobytes() == np.float64(0.0).tobytes()
+    bundle.id_test[0, 0] = -0.0
+    return result, bundle
+
+
+class TestEvaluateCache:
+    """`evaluate` holds one (model, bundle) entry: the bank, the stacked
+    query features and the bank's cells, keyed by its inputs' bits."""
+
+    @pytest.fixture(autouse=True)
+    def _no_entry(self, monkeypatch):
+        monkeypatch.setattr(train_mod, "_prepared", [])
+
+    @pytest.fixture(scope="class")
+    def wide_run(self):
+        # 600 training rows: a bank with direction cells, wide enough for
+        # var's threshold filter at K = 5
+        return _small_run(train_per_component=300)
+
+    def test_both_kinds_share_one_forward_and_one_set_of_cells(
+            self, monkeypatch, wide_run):
+        result, bundle = wide_run
+        want = [_cleared(result, bundle, score_kind=kind)
+                for kind in ("var", "cos")]
+        forwards, cells, real = _forwards(monkeypatch), [], scoring._cos_cells
+        monkeypatch.setattr(scoring, "_cos_cells", lambda features: (
+            cells.append(len(features)) or real(features)))
+        var = train_mod.evaluate(result, bundle, score_kind="var")
+        assert len(forwards) == 2 and cells == [600]
+        cos = train_mod.evaluate(result, bundle, score_kind="cos")
+        assert len(forwards) == 2 and cells == [600]
+        assert [_report_bytes(r) for r in (var, cos)] == \
+            [_report_bytes(r) for r in want]
+
+    def test_var_too_narrow_for_its_filter_builds_no_cells(self, monkeypatch):
+        result, bundle = _small_run()
+        cells, real = [], scoring._cos_cells
+        monkeypatch.setattr(scoring, "_cos_cells", lambda features: (
+            cells.append(len(features)) or real(features)))
+        train_mod.evaluate(result, bundle, score_kind="var")
+        assert cells == []
+        for _ in range(2):
+            train_mod.evaluate(result, bundle, score_kind="cos")
+        assert cells == [24]
+
+    @pytest.mark.parametrize("edit", [
+        _scale_train_cell, _edit_ood_cell, _edit_weight, _move_a_layer,
+        _add_set, _rename_set, _other_layer, _negate_zero])
+    @pytest.mark.parametrize("kind", ["cos", "var"])
+    def test_a_changed_input_gives_a_fresh_report(self, monkeypatch, edit,
+                                                  kind):
+        result, bundle = _small_run()
+        bundle.id_test[0, 0] = 0.0
+        train_mod.evaluate(result, bundle, score_kind=kind)
+        forwards = _forwards(monkeypatch)
+        result, bundle = edit(result, bundle)
+        got = train_mod.evaluate(result, bundle, score_kind=kind)
+        assert len(forwards) == 2
+        assert _report_bytes(got) == \
+            _report_bytes(_cleared(result, bundle, score_kind=kind))
+
+    def test_a_nan_row_evaluates_as_without_the_entry(self, monkeypatch):
+        result, bundle = _small_run()
+        bundle.id_test[2] = np.nan
+        forwards = _forwards(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NumericError, match="AUROC needs finite"):
+                train_mod.evaluate(result, bundle)
+        # the NaN row's bits match: one forward of bank and queries
+        assert len(forwards) == 2
+
+    def test_one_entry_is_held(self, monkeypatch):
+        first, second = _small_run(), _small_run(seed=1)
+        train_mod.evaluate(*first)
+        bank = weakref.ref(train_mod._prepared[0].bank)
+        train_mod.evaluate(*second)
+        gc.collect()
+        assert bank() is None and len(train_mod._prepared) == 1
+        forwards = _forwards(monkeypatch)
+        train_mod.evaluate(*first)
+        assert len(forwards) == 2 and len(train_mod._prepared) == 1
+
+    def test_a_failed_forward_holds_no_entry(self):
+        # a test row of 1.7e308 cells overflows the forward: ignored, the
+        # forward runs on; raised, the same inputs stop it
+        result, bundle = _small_run()
+        bundle.id_test[0] = 1.7e308
+        with np.errstate(all="ignore"):
+            train_mod.evaluate(result, bundle)
+        assert len(train_mod._prepared) == 1
+        with np.errstate(over="raise"), pytest.raises(
+                FloatingPointError, match=r"in matmul \(forward\)$"):
+            train_mod.evaluate(result, bundle)
+        assert train_mod._prepared == []
+
+    @pytest.mark.parametrize("kind,k_top,message", [
+        ("energy", None, "unknown score kind 'energy'"),
+        ("var", 25, r"k_top must lie in \[2, 24\]"),
+        ("var", 1, r"k_top must lie in \[2, 24\]"),
+        ("cos", 0, "k_top must be positive")])
+    def test_bad_arguments_cost_no_forward(self, monkeypatch, kind, k_top,
+                                           message):
+        (result, bundle), other = _small_run(), _small_run(seed=1)[1]
+        train_mod.evaluate(result, bundle)
+        entry = train_mod._prepared[0]
+        forwards = _forwards(monkeypatch)
+        for data in (bundle, other):
+            with pytest.raises(ConfigError, match=message):
+                train_mod.evaluate(result, data, score_kind=kind, k_top=k_top)
+        assert forwards == []
+        assert len(train_mod._prepared) == 1 and train_mod._prepared[0] is entry
+
+
 def test_training_beats_untrained_encoder():
     config = benchmark_config()
     blank = replace(config, epochs_total=0, warmup_epochs=0)
@@ -858,7 +1039,8 @@ class TestCli:
         if code == 0:
             assert "auroc=" in captured.out
         else:
-            assert "numeric failure in eval: overflow" in captured.err
+            assert captured.err.startswith("numeric failure in eval: overflow")
+            assert captured.err.endswith(" (scoring var)\n")
 
     @pytest.mark.parametrize("kind", ["cos", "var"])
     @pytest.mark.parametrize("k_top", ["0", "-1"])
@@ -895,6 +1077,40 @@ class TestCli:
         assert f"numeric failure in train: {message} (epoch 0, batch 0, " \
             f"step)" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    def test_overflowing_forward_names_its_phase(self, tmp_path, capsys):
+        # a test row of 1.7e308 cells overflows the forward
+        data_dir, ckpt = self._trained(tmp_path)
+        path = data_dir / "id_test.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(["1.7e308"] * 8)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self._eval(tmp_path, ckpt, data_dir) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure in eval: overflow")
+        assert err.endswith(" (forward)\n")
+
+    @pytest.mark.parametrize("error,code", [
+        (NumericError, 3), (FloatingPointError, 3), (ConfigError, 2)])
+    def test_failed_sweep_run_names_sweep_variant_and_seed(
+            self, tmp_path, capsys, monkeypatch, error, code):
+        real = ablate.evaluate
+
+        def evaluate(result, bundle):
+            if result.config.seed == 1 and result.config.use_ccl \
+                    and not result.config.use_cil:
+                raise error("no score")
+            return real(result, bundle)
+
+        monkeypatch.setattr(ablate, "evaluate", evaluate)
+        assert cli.main(["ablate", "--sweep", "loss-terms", "--seeds", "2",
+                         "--config", self._config_file(tmp_path)]) == code
+        assert capsys.readouterr().err.endswith(
+            "no score (sweep loss-terms, variant self+ccl, seed 1)\n")
+        with pytest.raises(error) as raised:
+            ablate.run_sweep("loss-terms", _small_config(), n_seeds=2)
+        assert type(raised.value) is error
 
     def test_overflowing_row_exits_3(self, tmp_path, capsys):
         # a training row of 1e308 cells overflows its norm: train and eval
