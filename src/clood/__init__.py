@@ -2,13 +2,11 @@
 with closed-form loss gradients, spherical k-means pseudo-labeling, and
 AUROC-based evaluation on synthetic vector data."""
 
-from .autodiff import finite_difference_check
 from .config import TrainConfig, benchmark_config
 from .data import DatasetBundle, DatasetSpec, augment, generate_synthetic
 from .train import evaluate, load_checkpoint, save_checkpoint
 
 __all__ = [
-    "finite_difference_check",
     "TrainConfig",
     "benchmark_config",
     "DatasetBundle",

@@ -1,5 +1,5 @@
-"""Contrastive losses on unit rows: pairwise NT-Xent, its batch average,
-the cluster center loss with adaptive per-cluster concentrations, and the
+"""Contrastive losses on unit rows: the batch-averaged NT-Xent, the
+cluster center loss with adaptive per-cluster concentrations, and the
 same-cluster instance loss.
 
 Each loss takes unit rows (and unit centers) and returns `(value, gradient
@@ -8,7 +8,7 @@ over their cosine logits. The three training losses form the logits once,
 read their positives by index (CIL keeps its weighted row sum), write -inf
 over the excluded entries and take one in-place softmax, which becomes
 dL/dlogits once the positives are taken off and the rows weighted; the
-arithmetic is `masked_infonce`'s, operation for operation. Centers,
+arithmetic is the dense masked InfoNCE's, operation for operation. Centers,
 assignments and concentrations are constants within a step.
 """
 
@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .autodiff import masked_infonce, softmax_in_place
+from .autodiff import softmax_in_place
 from .errors import ConfigError
 
 
@@ -39,26 +39,6 @@ def _self_logits(unit, scale):
     logits = unit @ unit.T
     logits *= scale
     return logits
-
-
-def nt_xent_pair(i, j, unit, tau):
-    """Temperature-scaled contrastive loss for the ordered pair (i, j).
-
-    Denominator runs over every row except i itself (j included).
-    """
-    n = len(unit)
-    if i == j:
-        raise ConfigError("nt_xent_pair requires i != j")
-    if n < 2:
-        raise ConfigError("need at least two rows")
-    pos, anchor = np.zeros((n, n)), np.zeros(n)
-    pos[i, j] = anchor[i] = 1.0
-    scale = 1.0 / tau
-    value, dlogits = masked_infonce(_self_logits(unit, scale),
-                                    ~np.eye(n, dtype=bool), pos, anchor)
-    # unit is both the rows and the columns: both uses carry gradient
-    g = dlogits * scale
-    return value, g @ unit + g.T @ unit
 
 
 def self_supervised_loss(unit, tau):

@@ -127,17 +127,18 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False,
     the sum one dot product over the K d deviations. With `clamped`,
     also returns which queries' spread was clamped (none under `cos`).
 
-    Both kinds cut the bank into direction cells of norm-ordered tiles
-    (`_cos_cells`) and skip a tile by its cone bound (`_cone_bounds`),
-    which no computed candidate of its rows exceeds. The cells are built
-    once per call, or, for calls given the same `cells` function from
-    `bank_cells(bank)`, once over all of them. A bank of at most two
-    tiles, with a non-finite row norm or with only zero rows is scanned
-    whole, a chunk at a time, and so is one too narrow for `var`'s
-    threshold (`_sample_rank`), which builds no cells. `cos` multiplies a
-    query by a tile only while the tile's bound is above the query's
-    best. `var` scores chunks of queries against a negated copy of the
-    bank, in order of each query's best cell and threshold, and
+    Both kinds take one pruning decision: a bank with direction cells of
+    norm-ordered tiles (`_cos_cells`) is pruned, a tile skipped by its
+    cone bound (`_cone_bounds`), which no computed candidate of its rows
+    exceeds; any other bank is scanned whole, a chunk at a time. A bank
+    of at most two tiles, with a non-finite row norm or with only zero
+    rows has no cells, and `var` asks for none on a bank too narrow for
+    its threshold (`_sample_rank`). The cells are built once per call,
+    or, for calls given the same `cells` function from
+    `bank_cells(bank)`, once over all of them. `cos` multiplies a query
+    by a tile only while the tile's bound is above the query's best.
+    On cells, `var` scores chunks of queries against a negated copy of
+    the bank, in order of each query's best cell and threshold, and
     multiplies a chunk only by the tiles some threshold of it reaches;
     a query that keeps fewer than K candidates picks over the whole bank
     (`_var_scores`). No product has a single row on either side: BLAS
@@ -171,61 +172,54 @@ def _var_scores(bank, queries, k_top, cells):
     deviations one dot product over the K d entries, both of which raise
     on overflow under errstate(over="raise").
 
-    A bank too narrow for `_top_k`'s filter (`_sample_rank`) is
-    multiplied whole and each set picked over every row. On a wider one,
-    each query's threshold t comes first (`_thresholds`), from its best
-    cell, the cell direction c of largest c . q, and the queries are
-    scored in order of (best cell, t). A chunk keeps only its candidates
-    at or below t, or at or below the `_sample_rank`-th smallest of every
-    _SAMPLE-th of its computed columns where that is lower, as when the
-    query's neighbours lie outside its best cell; a query that keeps K or
-    more of them has its K-th smallest value at or below t, and `_top_k`
-    picks its set among them.
+    As for `cos`, only a bank with cells (`_cos_cells`) is pruned, and
+    only one wide enough for `_top_k`'s filter (`_sample_rank`) asks for
+    them. Any other is multiplied whole, in query order, each set picked
+    over every row, and its best candidate is the least negated one, NaN
+    if any is, as for `cos`.
 
-    If the bank has cells (`_cos_cells`), a chunk is multiplied, cell by
-    cell, only by the tiles of the cell up to the last one whose cone
-    bound (`_cone_bounds`) is not below -t for some query of the chunk
-    (`_spans`), each product into a column slice of the buffer;
-    `_Cells.keys` maps the columns back to bank rows. A skipped tile's
-    bound lies below -t for every query of the chunk, so each of its
-    rows has a negated candidate above t: no query that keeps K
-    candidates picks it, nor ties its K-th value, and its set, ties to
-    the lowest row included, is the whole bank's; one whose K-th value
-    ties a value left out picks again by (value, row) over its computed
-    row (`_by_key`). A query that keeps fewer than K candidates, as all
-    do in a chunk of fewer than K computed columns, picks its set over
-    the whole bank, which is the set by definition, multiplied again
-    unless the chunk's product spans it; on clustered banks such queries
-    are rare.
-
-    A bank without cells, of at most two tiles, with a non-finite row
-    norm or only zero rows, counts as one cell and is multiplied whole.
-    On a bank multiplied whole the best candidate is the least negated
-    one over the whole row, NaN if any is, as for `cos`.
+    On a bank with cells, each query's threshold t comes first
+    (`_thresholds`), from its best cell, the cell direction c of largest
+    c . q, and the queries are scored in order of (best cell, t). A chunk
+    is multiplied, cell by cell, only by the tiles of the cell up to the
+    last one whose cone bound (`_cone_bounds`) is not below -t for some
+    query of the chunk (`_spans`), each product into a column slice of
+    the buffer; `_Cells.keys` maps the columns back to bank rows. It
+    keeps only its candidates at or below t, or at or below the
+    `_sample_rank`-th smallest of every _SAMPLE-th of its computed
+    columns where that is lower, as when the query's neighbours lie
+    outside its best cell; a query that keeps K or more of them has its
+    K-th smallest value at or below t, and `_top_k` picks its set among
+    them. A skipped tile's bound lies below -t for every query of the
+    chunk, so each of its rows has a negated candidate above t: no query
+    that keeps K candidates picks it, nor ties its K-th value, and its
+    set, ties to the lowest row included, is the whole bank's; one whose
+    K-th value ties a value left out picks again by (value, row) over
+    its computed row (`_by_key`). A query that keeps fewer than K
+    candidates, as all do in a chunk of fewer than K computed columns,
+    picks its set over the whole bank, which is the set by definition,
+    multiplied again unless the chunk's product spans it; on clustered
+    banks such queries are rare.
     """
     features = bank.features
     n, d = features.shape
-    rank = _sample_rank(n, k_top)
-    cells = None if rank is None else cells()
+    cells = cells() if _sample_rank(n, k_top) else None
     step = max(1, min(2 * _CHUNK_ENTRIES // (n + k_top * d),
                       _CHUNK_ENTRIES // 2 // (k_top * d)))
+    starts = range(0, len(queries), step)
     # the rows transposed and negated: the best candidate is the least
     if cells is None:
-        edges, best = [0, n], np.zeros(len(queries), int)
         negated = np.negative(features.T, order="C")
+        chunks = [np.arange(a, min(a + step, len(queries))) for a in starts]
+        spans = [[(0, n)]] * len(chunks)
     else:
-        edges = cells.starts[cells.cuts]
-        best = (cells.centers @ queries.T).argmax(axis=0)
         negated = np.take(features.T, cells.keys, axis=1,
                           out=np.empty((d, n)), mode="clip")
         np.negative(negated, out=negated)
-    sequence = np.arange(len(queries))
-    if rank is not None:
-        t = _thresholds(negated, edges, best, queries, k_top)
+        best = (cells.centers @ queries.T).argmax(axis=0)
+        t = _thresholds(negated, cells, best, queries, k_top)
         sequence = np.lexsort((t, best))
-    chunks = [sequence[a:a + step] for a in range(0, len(queries), step)]
-    spans = [[(0, n)]] * len(chunks)
-    if cells is not None:
+        chunks = [sequence[a:a + step] for a in starts]
         v_q = _query_norm(queries)
         spans = [_spans(cells, ~(_cone_bounds(cells, queries[chunk], v_q)
                                  < -t[chunk]))
@@ -240,11 +234,13 @@ def _var_scores(bank, queries, k_top, cells):
     for chunk, span in zip(chunks, spans):
         q = queries[chunk]
         neg = _multiply(q, negated, span, buffer)
-        keys = None if cells is None else np.concatenate(
-            [cells.keys[:0], *(cells.keys[a:b] for a, b in span)])
-        if rank is None:
-            top, lowest = _top_k_full(neg, k_top)
+        if cells is None:
+            top = _top_k_full(neg, k_top)[0]
+            # a NaN candidate counts, as for `cos`
+            lowest = neg.min(axis=1)
         else:
+            keys = np.concatenate(
+                [cells.keys[:0], *(cells.keys[a:b] for a, b in span)])
             # the chunk's own sample may cut tighter than the cell's
             cut, row_rank = t[chunk], _sample_rank(neg.shape[1], k_top)
             if row_rank is not None:
@@ -256,11 +252,8 @@ def _var_scores(bank, queries, k_top, cells):
                 # chunk's product spans it already
                 whole = neg[short] if neg.shape[1] == n else _multiply(
                     q[short], negated, [(0, n)])
-                top[short], lowest[short] = _top_k_full(
-                    whole, k_top, None if cells is None else cells.keys)
-        if cells is None:
-            # a NaN candidate counts, as for `cos`
-            lowest = neg.min(axis=1)
+                top[short], lowest[short] = _top_k_full(whole, k_top,
+                                                        cells.keys)
         # "clip" writes straight into the workspace; the indices are in range
         dev = np.take(features, top, axis=0, out=work[:len(top)],
                       mode="clip")
@@ -282,13 +275,15 @@ def _sample_rank(n, k):
     return None if n < _SAMPLE * k or rank >= -(-n // _SAMPLE) else rank
 
 
-def _thresholds(negated, edges, best, queries, k):
+def _thresholds(negated, cells, best, queries, k):
     """Each unit query's `_top_k` threshold: the `_sample_rank`-th
     smallest negated candidate of every _SAMPLE-th column of its best
-    cell, negated[:, edges[c]:edges[c + 1]] for c = best[i], or of all
-    columns where the cell is too narrow for the filter. The queries of a
-    cell share one product with a contiguous copy of the sample, in
-    blocks of _CHUNK_ENTRIES entries."""
+    cell, negated[:, edges[c]:edges[c + 1]] for c = best[i] and edges =
+    cells.starts[cells.cuts], or of all columns where the cell is too
+    narrow for the filter. The queries of a cell share one product with
+    a contiguous copy of the sample, in blocks of _CHUNK_ENTRIES
+    entries."""
+    edges = cells.starts[cells.cuts]
     t = np.empty(len(queries))
     for c in np.unique(best):
         who = np.flatnonzero(best == c)
@@ -539,13 +534,13 @@ def _best(queries, tile):
                            for a in range(0, len(queries), step)])
 
 
-def _top_k(values, k, t, keys=None):
-    """Each row's top-K set: the keys (columns, without `keys`) of its k
-    smallest values taken by (value, key), so a tie at the k-th place
-    goes to the lowest key, in ascending order; the least value in it
-    (NaN if one is); and which rows keep fewer than k values at or below
-    their threshold t (a column of thresholds), whose set and least
-    value are left unset for the caller to pick over the whole bank.
+def _top_k(values, k, t, keys):
+    """Each row's top-K set: the keys (keys[column]) of its k smallest
+    values taken by (value, key), so a tie at the k-th place goes to the
+    lowest key, in ascending order; the least value in it (NaN if one
+    is); and which rows keep fewer than k values at or below their
+    threshold t (a column of thresholds), whose set and least value are
+    left unset for the caller to pick over the whole bank.
 
     The columns holding values <= t are laid out in column order and
     padded with +inf. A row that keeps k columns or more has its k-th

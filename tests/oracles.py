@@ -1,18 +1,25 @@
-"""Independent brute-force oracles, written as plain python loops.
+"""Independent brute-force oracles, written as plain python loops, and
+the numpy references the tests check the package against.
 
-These deliberately avoid the package's numpy code so that agreement
-with the production implementations is meaningful. `score_var_sorted`
-is the one numpy reference: it repeats the scorer's arithmetic query by
-query, so that its scores can be compared exactly. `on_raw_rows` is the
-one harness around package code: it turns a loss of unit rows into the
-function of raw rows that training differentiates.
+The oracles deliberately avoid the package's numpy code so that
+agreement with the production implementations is meaningful. The numpy
+references are `score_var_sorted`, which repeats the scorer's arithmetic
+query by query, so that its scores can be compared exactly;
+`masked_infonce`, the dense masked InfoNCE with its closed-form
+gradient, which the lean losses are checked against, and `nt_xent_pair`,
+its form for one ordered pair; and `finite_difference_check`, the
+central-difference gradient checker. `on_raw_rows` is the one harness
+around package code: it turns a loss of unit rows into the function of
+raw rows that training differentiates.
 """
 
 import math
 
 import numpy as np
 
-from clood.autodiff import normalize_backward, normalize_rows
+from clood.autodiff import (normalize_backward, normalize_rows,
+                            softmax_in_place)
+from clood.errors import ConfigError, NumericError
 
 
 def on_raw_rows(loss):
@@ -23,6 +30,60 @@ def on_raw_rows(loss):
         value, d_unit = loss(unit)
         return value, normalize_backward(unit, norms, d_unit)
     return f
+
+
+def masked_infonce(logits, mask, pos_weights, anchor_weights):
+    """Value and dL/dlogits of sum_i a_i (LSE_{j: mask_ij} L_ij - sum_j W_ij L_ij)."""
+    if not mask.any(axis=1).all():
+        raise NumericError("masked log-sum-exp: a row has no allowed entries")
+    probs = np.where(mask, logits, -np.inf)
+    lse = softmax_in_place(probs)
+    value = anchor_weights @ (lse - np.sum(pos_weights * logits, axis=1))
+    return float(value), anchor_weights[:, None] * (probs - pos_weights)
+
+
+def nt_xent_pair(i, j, unit, tau):
+    """Temperature-scaled contrastive loss for the ordered pair (i, j) of
+    unit rows, and its gradient wrt them.
+
+    Denominator runs over every row except i itself (j included).
+    """
+    n = len(unit)
+    if i == j:
+        raise ConfigError("nt_xent_pair requires i != j")
+    if n < 2:
+        raise ConfigError("need at least two rows")
+    pos, anchor = np.zeros((n, n)), np.zeros(n)
+    pos[i, j] = anchor[i] = 1.0
+    scale = 1.0 / tau
+    logits = unit @ unit.T
+    logits *= scale
+    value, dlogits = masked_infonce(logits, ~np.eye(n, dtype=bool), pos,
+                                    anchor)
+    # unit is both the rows and the columns: both uses carry gradient
+    g = dlogits * scale
+    return value, g @ unit + g.T @ unit
+
+
+def finite_difference_check(f, x, step=1e-5):
+    """Max relative error between analytic and central-difference gradients.
+
+    `f(x)` returns `(value, grad)`; the gradient at `x` is compared
+    coordinate by coordinate against (f(x + h) - f(x - h)) / 2h.
+    """
+    x = np.array(x, dtype=np.float64)
+    analytic = np.asarray(f(x)[1], dtype=np.float64).ravel()
+    numeric = np.empty(x.size)
+    for i in range(x.size):
+        values = []
+        for sign in (1.0, -1.0):
+            shifted = x.copy()
+            shifted.flat[i] += sign * step
+            values.append(f(shifted)[0])
+        numeric[i] = (values[0] - values[1]) / (2.0 * step)
+
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def dot(a, b):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import finite_difference_check
 import clood.train as train_mod
 from clood import model
-from clood.autodiff import finite_difference_check
 from clood.clustering import ClusterState
 from clood.config import TrainConfig, benchmark_config
 from clood.errors import ConfigError

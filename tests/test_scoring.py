@@ -637,8 +637,9 @@ class TestVarPrefix:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_scans_the_whole_bank(self, monkeypatch, bad):
-        # a non-finite row norm bounds nothing: every chunk product takes
-        # the whole bank, in bank order
+        # a non-finite row norm bounds nothing: no cells, so every chunk
+        # product takes the whole bank, in bank order, and no threshold
+        # sample is taken
         n = 1000
         rng = np.random.default_rng(12)
         feats = rng.integers(-8, 9, (n, 4)) / 8.0
@@ -651,13 +652,14 @@ class TestVarPrefix:
         with np.errstate(invalid="ignore"):
             got = scoring.score_set(_bank(feats), queries, "var", 30)
             want = oracles.score_var_sorted(feats, queries, 30)
-        assert set(widths) == {n, -(-n // scoring._SAMPLE)}
+        assert set(widths) == {n}
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n", [300, 512])
     def test_bank_of_two_tiles_scans_the_whole_bank(self, monkeypatch, n):
         # at most two tiles have no cells: wide enough for the filter at
-        # K = 30, every chunk product still takes the whole bank
+        # K = 30, but not pruned, so every chunk product takes the whole
+        # bank and no threshold sample is taken
         rng = np.random.default_rng(18)
         feats = rng.integers(-8, 9, (n, 4)) / 8.0
         feats[np.linalg.norm(feats, axis=1) == 0, 0] = 1.0
@@ -668,7 +670,7 @@ class TestVarPrefix:
         monkeypatch.setattr(scoring, "_product", lambda q, r, *buffer: (
             widths.append(r.shape[1]) or product(q, r, *buffer)))
         got = scoring.score_set(_bank(feats), queries, "var", 30)
-        assert set(widths) == {n, -(-n // scoring._SAMPLE)}
+        assert set(widths) == {n}
         _assert_same_bits(got, oracles.score_var_sorted(feats, queries, 30))
 
 
@@ -697,6 +699,46 @@ class TestBounds:
         for a, b, bound in zip(cells.starts[:-1], cells.starts[1:], bounds):
             got = scoring._product(unit, rows[cells.keys[a:b]].T).max(axis=1)
             assert (got <= bound).all()
+
+    @staticmethod
+    def _assert_bounded(rows, queries):
+        # every tile's computed candidates lie within its cone bounds, and
+        # `cos` equals the unpruned scan over the tiles
+        cells = scoring._cos_cells(rows)
+        unit = normalize_rows(queries)[0]
+        bounds = scoring._cone_bounds(cells, unit, scoring._query_norm(unit))
+        for a, b, bound in zip(cells.starts[:-1], cells.starts[1:], bounds):
+            got = scoring._product(unit, rows[cells.keys[a:b]].T).max(axis=1)
+            assert (got <= bound).all()
+        bank = _bank(rows)
+        np.testing.assert_array_equal(scoring.score_set(bank, queries, "cos"),
+                                      _unpruned_cos(bank, queries))
+
+    def test_rows_whose_squares_underflow(self):
+        # 1 200 rows with x0 < 0 and 300 rows of entries near 1e-170 with
+        # x0 > 0, whose squared norms underflow to 0: no cell direction
+        # comes from them, and their beta is 0, so along e1 only the
+        # additive d 2**-535 bounds their candidates; without it `cos`
+        # stops at a tile of them and misses a better one
+        rng = np.random.default_rng(3)
+        rows = np.vstack([rng.standard_normal((1200, 4)),
+                          rng.uniform(0.5, 4, (300, 4)) * 1e-170])
+        rows[:1200, 0] = -np.abs(rows[:1200, 0])
+        self._assert_bounded(rows, np.array([[1.0, 0, 0, 0]]))
+
+    def test_query_a_billionth_off_a_cell_direction(self):
+        # cell e1 holds 256 rows e1, one of them sampled, the direction,
+        # and 256 unsampled rows [1 - 2**-40, 1/100, 0, 0]; the other
+        # rows are -2 e1. A query 1e-9 off e1 toward e2 has s = ||q|| =
+        # 1 computed, so only the e inside rho bounds the second tile's
+        # part off e1, which lifts its candidates 9e-12 above the first
+        # tile's 1
+        rows = np.zeros((1024, 4))
+        rows[:, 0] = -2.0
+        unsampled = np.flatnonzero(np.arange(1024) % scoring._SAMPLE)
+        rows[[8, *unsampled[:255]]] = [1.0, 0, 0, 0]
+        rows[unsampled[255:511]] = [1 - 2.0**-40, 0.01, 0, 0]
+        self._assert_bounded(rows, np.array([[1.0, 1e-9, 0, 0]]))
 
 
 class TestHugeRows:
@@ -750,18 +792,20 @@ class TestHugeRows:
 
 
 def _top_k(values, k):
-    """`scoring._top_k` as `var` runs it on a bank of as many rows as
-    `values` has columns, in bank order: too narrow for the filter,
-    `_top_k_full`; else thresholded at the `_sample_rank`-th smallest
-    value of every _SAMPLE-th column, with rows that keep fewer than k
-    columns picking their set by `_top_k_full` over all of them. The
-    sets, and the least value of each."""
+    """`scoring._top_k` as `var` runs it on one cell of as many rows as
+    `values` has columns, in bank order, each column its own key: too
+    narrow for the filter, `_top_k_full`; else thresholded at the
+    `_sample_rank`-th smallest value of every _SAMPLE-th column, with
+    rows that keep fewer than k columns picking their set by
+    `_top_k_full` over all of them. The sets, and the least value of
+    each."""
     rank = scoring._sample_rank(values.shape[1], k)
     if rank is None:
         return scoring._top_k_full(values, k)
     t = np.partition(values[:, ::scoring._SAMPLE], rank - 1,
                      axis=1)[:, rank - 1:rank]
-    top, lowest, short = scoring._top_k(values, k, t)
+    top, lowest, short = scoring._top_k(values, k, t,
+                                        np.arange(values.shape[1]))
     if short.any():
         top[short], lowest[short] = scoring._top_k_full(values[short], k)
     return top, lowest
