@@ -16,7 +16,8 @@ from . import ablate as ablate_mod
 from .config import benchmark_config, config_from_dict, load_config_file
 from .data import generate_synthetic, load_bundle, save_bundle
 from .errors import CloodError, ConfigError
-from .scoring import write_report
+from .model import LAYERS
+from .scoring import SCORE_KINDS, write_report
 from .train import (evaluate, export_features, load_checkpoint,
                     save_checkpoint, train, write_metrics)
 
@@ -120,15 +121,14 @@ def build_parser():
     e.add_argument("--data", help="bundle directory (default: regenerate)")
     e.add_argument("--scores", required=True, help="per-sample scores CSV")
     e.add_argument("--summary", required=True, help="per-set AUROC CSV")
-    e.add_argument("--score-kind", choices=["cos", "var"], default=None)
+    e.add_argument("--score-kind", choices=SCORE_KINDS, default=None)
     e.add_argument("--k-top", type=int, default=None)
     e.set_defaults(func=_cmd_eval)
 
     x = sub.add_parser("export", help="export features for visualization")
     x.add_argument("--checkpoint", required=True)
     x.add_argument("--data", help="bundle directory (default: regenerate)")
-    x.add_argument("--layer", choices=["embedding", "projection"],
-                   default="embedding")
+    x.add_argument("--layer", choices=LAYERS, default="embedding")
     x.add_argument("--out", required=True)
     x.set_defaults(func=_cmd_export)
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass, fields, replace
 
 from .data import DatasetSpec
 from .errors import ConfigError
-from .scoring import check_k_top
+from .model import LAYERS
+from .scoring import check_score_args
 
 
 def _parse_widths(text):
@@ -99,14 +100,10 @@ class TrainConfig(DatasetSpec):
         if self.clusters < 2:
             raise ConfigError("clusters must be >= 2")
         self.check_training_rows(self.components * self.train_per_component)
-        if self.clustering_layer not in ("embedding", "projection"):
-            raise ConfigError(f"bad clustering_layer {self.clustering_layer!r}")
-        if self.score_layer not in ("embedding", "projection"):
-            raise ConfigError(f"bad score_layer {self.score_layer!r}")
-        if self.score_kind not in ("cos", "var"):
-            raise ConfigError(f"bad score_kind {self.score_kind!r}")
-        for name in ("k_top", "tau", "alpha", "phi_floor", "lr",
-                     "kmeans_max_iters"):
+        for name in ("clustering_layer", "score_layer"):
+            if getattr(self, name) not in LAYERS:
+                raise ConfigError(f"bad {name} {getattr(self, name)!r}")
+        for name in ("tau", "alpha", "phi_floor", "lr", "kmeans_max_iters"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 <= self.lambda_weight <= 1.0:
@@ -118,12 +115,11 @@ class TrainConfig(DatasetSpec):
 
     def check_training_rows(self, m):
         """ConfigError unless m training rows can fill `clusters` clusters
-        and, for `var`, hold the top-K of a bank of those rows."""
+        and be the bank of `score_kind` and `k_top` (`check_score_args`)."""
         if m < self.clusters:
             raise ConfigError(
                 f"clusters={self.clusters} exceeds the {m} training rows")
-        if self.score_kind == "var":
-            check_k_top(self.k_top, m)
+        check_score_args(self.score_kind, self.k_top, m)
 
     def to_dict(self):
         out = {}

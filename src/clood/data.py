@@ -20,6 +20,9 @@ from .errors import ConfigError
 OOD_SET_NAMES = ("shifted", "scaled", "interp")
 # an OOD set's name, the <name> of its file ood_<name>.csv
 _SET_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,246}")
+# the DatasetSpec fields that size a bundle's arrays
+_SIZES = ("d_in", "components", "train_per_component", "test_per_component",
+          "ood_samples")
 
 
 @dataclass(frozen=True)
@@ -43,9 +46,7 @@ class DatasetSpec:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in ("d_in", "components", "train_per_component",
-                     "test_per_component", "ood_samples", "component_spread",
-                     "ood_scale"):
+        for name in (*_SIZES, "component_spread", "ood_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.ood_angle <= 0.0:
@@ -72,7 +73,8 @@ def _mixture_centers(rng, c, d, max_cos=0.5, tries=200):
         np.fill_diagonal(sims, -1.0)
         if sims.max() < max_cos:
             return centers
-    raise ConfigError(f"cannot place {c} separated centers in {d} dimensions")
+    raise ConfigError(f"cannot place components={c} separated centers in "
+                      f"d_in={d} dimensions")
 
 
 def _sample_mixture(rng, centers, per_component, spread):
@@ -101,34 +103,38 @@ def _rotate_centers(rng, centers, angle):
 
 def generate_synthetic(spec, seed):
     """Deterministic DatasetBundle for a DatasetSpec (or a TrainConfig)
-    and seed."""
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(6)]
-    r_centers, r_train, r_test, r_shift, r_scale, r_interp = rngs
+    and seed; sizes whose arrays numpy cannot make are a ConfigError."""
+    try:
+        rngs = [np.random.default_rng(s)
+                for s in np.random.SeedSequence(seed).spawn(6)]
+        r_centers, r_train, r_test, r_shift, r_scale, r_interp = rngs
 
-    centers = _mixture_centers(r_centers, spec.components, spec.d_in)
-    id_train = _sample_mixture(r_train, centers, spec.train_per_component,
-                               spec.component_spread)
-    id_test = _sample_mixture(r_test, centers, spec.test_per_component,
-                              spec.component_spread)
+        centers = _mixture_centers(r_centers, spec.components, spec.d_in)
+        id_train = _sample_mixture(r_train, centers, spec.train_per_component,
+                                   spec.component_spread)
+        id_test = _sample_mixture(r_test, centers, spec.test_per_component,
+                                  spec.component_spread)
 
-    per_ood = max(1, spec.ood_samples // spec.components)
-    shifted_centers = _rotate_centers(r_shift, centers, spec.ood_angle)
-    shifted = _sample_mixture(r_shift, shifted_centers, per_ood,
-                              spec.component_spread)
-    scaled = _sample_mixture(r_scale, centers, per_ood,
-                             spec.component_spread * spec.ood_scale)
+        per_ood = max(1, spec.ood_samples // spec.components)
+        shifted_centers = _rotate_centers(r_shift, centers, spec.ood_angle)
+        shifted = _sample_mixture(r_shift, shifted_centers, per_ood,
+                                  spec.component_spread)
+        scaled = _sample_mixture(r_scale, centers, per_ood,
+                                 spec.component_spread * spec.ood_scale)
 
-    n = id_train.shape[0]
-    a = r_interp.integers(n, size=spec.ood_samples)
-    b = r_interp.integers(n, size=spec.ood_samples)
-    mid = 0.5 * (id_train[a] + id_train[b])
-    mid += spec.interp_noise * r_interp.standard_normal(mid.shape)
-    interp = normalize_rows(mid)[0]
+        n = id_train.shape[0]
+        a = r_interp.integers(n, size=spec.ood_samples)
+        b = r_interp.integers(n, size=spec.ood_samples)
+        mid = 0.5 * (id_train[a] + id_train[b])
+        mid += spec.interp_noise * r_interp.standard_normal(mid.shape)
+        interp = normalize_rows(mid)[0]
 
-    return DatasetBundle(id_train=id_train, id_test=id_test,
-                         ood_sets={"shifted": shifted, "scaled": scaled,
-                                   "interp": interp})
+        return DatasetBundle(id_train=id_train, id_test=id_test,
+                             ood_sets={"shifted": shifted, "scaled": scaled,
+                                       "interp": interp})
+    except (ValueError, MemoryError) as e:
+        sizes = ", ".join(f"{name}={getattr(spec, name)}" for name in _SIZES)
+        raise ConfigError(f"cannot generate a bundle of {sizes}: {e}") from None
 
 
 def augment(batch, seed, noise_sigma=0.15, mask_prob=0.1, gain=0.3):

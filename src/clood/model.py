@@ -13,6 +13,8 @@ from .errors import ConfigError
 
 # rows per block of `layer_features`
 _FORWARD_ROWS = 1024
+# the layers `layer_features` takes features at
+LAYERS = ("embedding", "projection")
 
 
 @dataclass
@@ -99,7 +101,7 @@ def mlp_forward_np(params, x):
 
 
 def layer_features(encoder, projection, x, layer):
-    """The rows of `x` at the "embedding" layer, or else at the projection.
+    """The rows of `x` at `layer`, one of LAYERS (else a ConfigError).
 
     The last of `mlp_forward_np`'s outputs through the encoder and, for
     the projection, the head, taken on blocks of about _FORWARD_ROWS rows
@@ -110,6 +112,9 @@ def layer_features(encoder, projection, x, layer):
     lone row when `x` has more: BLAS computes a one-row product on
     another path.
     """
+    if layer not in LAYERS:
+        raise ConfigError(f"unknown layer {layer!r}, expected one of "
+                          f"{', '.join(LAYERS)}")
     x = _check_input(encoder, x)
     nets = [encoder] if layer == "embedding" else [encoder, projection]
     n = x.shape[0]

@@ -24,6 +24,8 @@ _SAMPLE = 8
 # the cells are sorted as bytes, so there are at most 256
 _TILE = 256
 _CELLS = 8
+# the score kinds `score_set` knows
+SCORE_KINDS = ("cos", "var")
 
 
 @dataclass
@@ -87,21 +89,17 @@ def auroc(id_scores, ood_scores):
     return float(u / (id_scores.size * ood_scores.size))
 
 
-def check_k_top(k_top, rows):
-    """ConfigError unless `var`'s top-K fits a bank of `rows` rows: its
-    spread needs two rows or more."""
-    if not 2 <= k_top <= rows:
+def check_score_args(score_kind, k_top, rows):
+    """ConfigError unless `score_kind` is one of SCORE_KINDS, K >= 1, and,
+    for `var`, whose spread needs two rows, 2 <= K <= the bank's `rows`."""
+    if score_kind not in SCORE_KINDS:
+        raise ConfigError(f"unknown score_kind {score_kind!r}, expected one "
+                          f"of {', '.join(SCORE_KINDS)}")
+    if k_top < 1:
+        raise ConfigError(f"k_top must be positive, got {k_top}")
+    if score_kind == "var" and not 2 <= k_top <= rows:
         raise ConfigError(f"k_top must lie in [2, {rows}] for a bank of "
                           f"{rows} rows, got {k_top}")
-
-
-def check_score_args(score_kind, k_top, rows):
-    """ConfigError unless `score_set` knows `score_kind` and, for `var`,
-    `k_top` fits a bank of `rows` rows (`check_k_top`)."""
-    if score_kind not in ("cos", "var"):
-        raise ConfigError(f"unknown score kind {score_kind!r}")
-    if score_kind == "var":
-        check_k_top(k_top, rows)
 
 
 def bank_cells(bank):

@@ -34,7 +34,6 @@ class TrainResult:
     config: TrainConfig
     metrics: list = field(default_factory=list)
     refit_epochs: list = field(default_factory=list)
-    snapshots: dict = field(default_factory=dict)
 
 
 # ---- deterministic checkpoint format ----
@@ -267,15 +266,14 @@ def warmup_key(config, bundle):
     return shared.hash(), hashlib.sha256(bundle.id_train.tobytes()).hexdigest()
 
 
-def train(config, bundle, probe_epochs=(), warm=None):
+def train(config, bundle, warm=None):
     """Run the full two-phase schedule; deterministic for a fixed config.
 
     With a `warm` mapping the instance-only warm-up is trained once per
-    `warmup_key`: the first call stores copies of the parameters and the
-    metric rows at `warmup_epochs` in it, and later calls resume from
-    copies of those. The result is byte-identical to training from
-    scratch. A probe epoch inside the warm-up is only taken by training
-    it, so it turns the sharing off.
+    `warmup_key`: the first call stores copies of the flat parameter
+    vector (`model.flat_parameters`) and the metric rows at the start of
+    epoch `warmup_epochs` under it, and later calls resume from copies of
+    those, byte-identical to training from scratch.
 
     Each epoch draws from one generator keyed by (seed, epoch): first the
     row order, then, in one `data_augment` call, the views of the first
@@ -302,8 +300,7 @@ def train(config, bundle, probe_epochs=(), warm=None):
 
     warmup = config.warmup_epochs
     start, key = 0, None
-    if warm is not None and warmup > 0 \
-            and all(probe >= warmup for probe in probe_epochs):
+    if warm is not None and warmup > 0:
         key = warmup_key(config, bundle)
         if key in warm:
             saved, rows = warm[key]
@@ -314,9 +311,6 @@ def train(config, bundle, probe_epochs=(), warm=None):
     for epoch in range(start, config.epochs_total):
         if epoch == warmup and key is not None and key not in warm:
             warm[key] = (params.copy(), [dict(row) for row in result.metrics])
-        if epoch in probe_epochs:
-            result.snapshots[epoch] = serialize_checkpoint(
-                encoder, projection, state, config)
         # a refit epoch refits before its first batch, or before each batch
         # when update_per_batch is set, and reports that in its "refit" column
         refits = cluster_on and clustering.should_update(
@@ -383,9 +377,6 @@ def train(config, bundle, probe_epochs=(), warm=None):
             "config_hash": cfg_hash,
         })
 
-    if config.epochs_total in probe_epochs:
-        result.snapshots[config.epochs_total] = serialize_checkpoint(
-            encoder, projection, state, config)
     result.cluster_state = state
     return result
 
@@ -474,10 +465,8 @@ def evaluate(result, bundle, score_kind=None, k_top=None):
 
     The test rows of every set are stacked, go through one forward and
     are scored by one `score_set` call. `score_kind` and `k_top` default
-    to the checkpoint's; an explicit `k_top` must be positive, whatever
-    the score kind. A bundle with no OOD set, an unknown score kind or a
-    `var` K the bank cannot hold is a ConfigError, raised before the
-    forward.
+    to the checkpoint's. A bundle with no OOD set, or a kind and K that
+    `scoring.check_score_args` rejects, is a ConfigError before the forward.
 
     The bank, the stacked features and the bank's direction cells
     (`scoring.bank_cells`, built when a kind first needs them) are held
@@ -486,16 +475,12 @@ def evaluate(result, bundle, score_kind=None, k_top=None):
     encoder depth), ID and OOD rows, OOD set names and numpy error state
     all equal the entry's, bit for bit, takes them without a forward.
     Any other call drops the entry first and holds its own once its
-    forward has run. A FloatingPointError keeps
-    its type and gains its phase, (forward) or (scoring <kind>), after
-    numpy's text.
+    forward has run. A FloatingPointError keeps its type and gains its
+    phase, (forward) or (scoring <kind>), after numpy's text.
     """
     config = result.config
     score_kind = score_kind or config.score_kind
-    if k_top is None:
-        k_top = config.k_top
-    elif k_top < 1:
-        raise ConfigError(f"k_top must be positive, got {k_top}")
+    k_top = config.k_top if k_top is None else k_top
     check_width(config, bundle)
     if not bundle.ood_sets:
         files = ", ".join(f"ood_{name}.csv" for name in OOD_SET_NAMES)
@@ -526,16 +511,14 @@ def mean_max_center_similarity(result, bundle):
 
 
 def export_features(result, bundle, layer, path):
-    """Write every set's features at the chosen layer as one labeled CSV."""
-    if layer not in ("embedding", "projection"):
-        raise ConfigError(f"unknown layer {layer!r}")
+    """Write every set's features at `layer` as one labeled CSV."""
     check_width(result.config, bundle)
     sets = [("id_train", bundle.id_train), ("id_test", bundle.id_test)]
     sets += [(name, bundle.ood_sets[name]) for name in sorted(bundle.ood_sets)]
+    feats = [(name, model.layer_features(result.encoder, result.projection,
+                                         rows, layer)) for name, rows in sets]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        for name, rows in sets:
-            feats = model.layer_features(result.encoder, result.projection,
-                                         rows, layer)
-            for row in feats:
+        for name, rows in feats:
+            for row in rows:
                 w.writerow([name] + [repr(float(x)) for x in row])

@@ -20,9 +20,8 @@ from clood.config import benchmark_config
 from clood.data import generate_synthetic
 from clood.scoring import ReferenceBank
 from clood.scoring import write_report
-from clood.train import (evaluate, load_checkpoint,
-                         mean_max_center_similarity, serialize_checkpoint,
-                         train)
+from clood.train import (evaluate, mean_max_center_similarity,
+                         serialize_checkpoint, train)
 
 SEEDS = range(5)
 
@@ -126,28 +125,27 @@ def test_criterion_2_oracle_suite():
              detail=f"worst abs err {worst:.2e}")
 
 
-def test_criterion_3_schedule_contract(tmp_path):
+def test_criterion_3_schedule_contract():
     config = benchmark_config(epochs_total=50, warmup_epochs=20,
                               update_interval=10)
     bundle = generate_synthetic(config, config.seed)
-    full = train(config, bundle, probe_epochs=(20,))
+    warm = {}, {}
+    full = train(config, bundle, warm=warm[0])
     refits_ok = full.refit_epochs == [20, 30, 40]
 
     # the cluster terms must leave the parameters untouched before the
-    # warm-up boundary: the epoch-20 probe (taken before the first refit)
-    # must be bit-identical to a run that never uses them at all
+    # warm-up boundary: the flat vector of every encoder and projection
+    # parameter that `train` stores in its `warm` mapping at the start of
+    # epoch 20 (before the first refit) must be bit-identical to that of a
+    # run that never uses them at all
     plain_cfg = replace(config, use_ccl=False, use_cil=False)
-    plain = train(plain_cfg, bundle, probe_epochs=(20,))
-    probes = []
-    for label, result in (("full", full), ("plain", plain)):
-        p = tmp_path / f"{label}.ckpt"
-        p.write_bytes(result.snapshots[20])
-        probes.append(load_checkpoint(p))
-    params_ok = all(
-        np.array_equal(a, b)
-        for net in ("encoder", "projection")
-        for a, b in zip(getattr(probes[0], net).arrays().values(),
-                        getattr(probes[1], net).arrays().values()))
+    train(plain_cfg, bundle, warm=warm[1])
+    (full_params, _), = warm[0].values()
+    (plain_params, _), = warm[1].values()
+    every = sum(a.size for net in (full.encoder, full.projection)
+                for a in net.arrays().values())
+    params_ok = full_params.size == every and \
+        full_params.tobytes() == plain_params.tobytes()
     _verdict(3, "schedule contract", refits_ok and params_ok,
              detail=f"refits={full.refit_epochs}")
 

@@ -175,6 +175,13 @@ def test_layer_features_reject_wrong_width():
         model.layer_features(enc, proj, np.ones((2, 5)), "embedding")
 
 
+def test_layer_features_reject_an_unknown_layer():
+    enc, proj = model.init_params(0, (4, 3), (3, 2))
+    with pytest.raises(ConfigError, match="^unknown layer 'hidden', expected "
+                                          "one of embedding, projection$"):
+        model.layer_features(enc, proj, np.ones((2, 4)), "hidden")
+
+
 def _tiny_step(layer, lambda_weight=0.5, seed=2):
     """A tiny network, a batch of paired views and a cluster state."""
     config = TrainConfig(d_in=5, encoder_widths=(5, 4, 3),

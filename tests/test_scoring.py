@@ -1023,3 +1023,8 @@ class TestReport:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             scoring.score_set(_bank(np.eye(2)), np.eye(2), "energy")
+
+    @pytest.mark.parametrize("kind", scoring.SCORE_KINDS)
+    def test_k_below_one_rejected_for_every_kind(self, kind):
+        with pytest.raises(ConfigError, match="^k_top must be positive, got 0$"):
+            scoring.check_score_args(kind, 0, 10)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import gc
@@ -47,6 +48,14 @@ def _small_run(**kw):
 def test_config_rejects_bad_value(key, value):
     with pytest.raises(ConfigError):
         TrainConfig(**{key: value})
+
+
+def test_config_rejects_an_unknown_score_kind_naming_the_kinds():
+    with pytest.raises(ConfigError) as raised:
+        TrainConfig(score_kind="knn")
+    assert str(raised.value) == \
+        "unknown score_kind 'knn', expected one of cos, var"
+    assert all(kind in str(raised.value) for kind in scoring.SCORE_KINDS)
 
 
 @pytest.mark.parametrize("encoder,projection,message", [
@@ -184,13 +193,6 @@ class TestTrainLoop:
     def test_update_per_batch_refits_every_joint_epoch(self):
         result, _ = _small_run(update_per_batch=True)
         assert result.refit_epochs == [2, 3, 4, 5]
-
-    def test_probe_snapshots_taken_at_epoch_start(self):
-        config = _small_config()
-        bundle = generate_synthetic(config, config.seed)
-        result = train_mod.train(config, bundle, probe_epochs=(0, 3, 6))
-        assert set(result.snapshots) == {0, 3, 6}
-        assert result.snapshots[0] != result.snapshots[3]
 
     def test_non_finite_loss_aborts_with_location(self, monkeypatch):
         monkeypatch.setattr(
@@ -435,6 +437,13 @@ class TestEvaluate:
         assert len(lines) == total
         assert lines[0].startswith("id_train,")
 
+    def test_export_features_of_an_unknown_layer_write_no_file(self, tmp_path):
+        result, bundle = _small_run()
+        path = tmp_path / "features.csv"
+        with pytest.raises(ConfigError, match="unknown layer 'hidden'"):
+            train_mod.export_features(result, bundle, "hidden", path)
+        assert not path.exists()
+
 
 def _forwards(monkeypatch):
     """The score layer of each `model.layer_features` call from now on."""
@@ -598,7 +607,7 @@ class TestEvaluateCache:
         assert train_mod._prepared == []
 
     @pytest.mark.parametrize("kind,k_top,message", [
-        ("energy", None, "unknown score kind 'energy'"),
+        ("energy", None, "unknown score_kind 'energy', expected one of cos, var"),
         ("var", 25, r"k_top must lie in \[2, 24\]"),
         ("var", 1, r"k_top must lie in \[2, 24\]"),
         ("cos", 0, "k_top must be positive")])
@@ -710,17 +719,6 @@ def test_shared_warmup_equals_fresh_training(monkeypatch, reverse):
         assert repr(rows) == stored[key][1]
 
 
-def test_a_probe_inside_the_warmup_trains_it():
-    config = _small_config()
-    bundle = generate_synthetic(config, config.seed)
-    warm = {}
-    train_mod.train(config, bundle, warm=warm)
-    plain = replace(config, use_ccl=False, use_cil=False)
-    probed = train_mod.train(plain, bundle, probe_epochs=(1,), warm=warm)
-    assert probed.snapshots == train_mod.train(
-        plain, bundle, probe_epochs=(1,)).snapshots
-
-
 def _other_value(config, name):
     """A valid value of field `name` other than `config`'s."""
     value = getattr(config, name)
@@ -736,26 +734,25 @@ def _other_value(config, name):
             "var": "cos", "cos": "var"}[value]
 
 
-def _warmup_params(config, bundle, tmp_path):
-    """The parameter arrays at the epoch-`warmup_epochs` probe."""
-    path = tmp_path / "probe.ckpt"
-    path.write_bytes(train_mod.train(config, bundle, probe_epochs=(
-        config.warmup_epochs,)).snapshots[config.warmup_epochs])
-    result = train_mod.load_checkpoint(path)
-    return [a for net in (result.encoder, result.projection)
-            for a in net.arrays().values()]
+def _warmup_params(config, bundle):
+    """The flat parameter vector `train` stores in a fresh `warm` mapping
+    at the start of epoch `warmup_epochs`."""
+    warm = {}
+    train_mod.train(config, bundle, warm=warm)
+    (params, _), = warm.values()
+    return params
 
 
-def test_warmup_free_fields_leave_the_warmup_alone(tmp_path):
+def test_warmup_free_fields_leave_the_warmup_alone():
     config = _small_config()
     bundle = generate_synthetic(config, config.seed)
     key = train_mod.warmup_key(config, bundle)
-    want = _warmup_params(config, bundle, tmp_path)
+    want = _warmup_params(config, bundle)
     for name in train_mod.WARMUP_FREE:
         changed = replace(config, **{name: _other_value(config, name)})
         assert train_mod.warmup_key(changed, bundle) == key, name
-        got = _warmup_params(changed, bundle, tmp_path)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), name
+        got = _warmup_params(changed, bundle)
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_every_other_field_changes_the_warmup_key():
@@ -900,6 +897,38 @@ class TestCli:
         assert rc == code == error.exit_code
         err = capsys.readouterr().err
         assert err == f"{kind}: raised in the command\n"
+
+    def test_choices_are_the_declared_kinds_and_layers(self):
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+
+        def choices(command, flag):
+            return next(a.choices for a in commands[command]._actions
+                        if flag in a.option_strings)
+
+        assert tuple(choices("eval", "--score-kind")) == scoring.SCORE_KINDS
+        assert tuple(choices("export", "--layer")) == model.LAYERS
+
+    def test_unplaceable_centers_name_their_keys(self, tmp_path, capsys):
+        rc = cli.main(["gen-data", "--set", "components=20", "--set", "d_in=2",
+                       "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "components=20" in err and "d_in=2" in err
+
+    # past int64 numpy cannot shape an array; 2**40 rows it cannot allocate
+    @pytest.mark.parametrize("key", ["d_in", "train_per_component",
+                                     "ood_samples"])
+    @pytest.mark.parametrize("value", [2**70, 2**40])
+    def test_unallocatable_sizes_name_their_keys(self, tmp_path, capsys, key,
+                                                 value):
+        rc = cli.main(["gen-data", "--set", f"{key}={value}",
+                       "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot generate a bundle of ")
+        assert f"{key}={value}" in err
+        assert not (tmp_path / "d").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         rc = cli.main(["gen-data", "--set", "bogus=1",
@@ -1284,6 +1313,30 @@ class TestCli:
         bad = ckpt.with_name("cut.ckpt")
         bad.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
         assert self._eval(ckpt.parent, bad, data_dir) == 2
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_fuzzed_set_train_exits_0_2_or_3(self, trained_once, data):
+        # one field of the tiny config set to a non-finite, negative, zero,
+        # subnormal, huge, empty, listed or past-int64 value; 2**70 epochs
+        # is a valid config that trains for as long as it says, so that
+        # one pair is not drawn
+        name = data.draw(st.sampled_from([f.name for f in fields(TrainConfig)]))
+        value = data.draw(st.sampled_from(
+            ["nan", "inf", "-1", "0", "1e-320", "1e308", "", "1,0",
+             str(2**70)]).filter(
+                 lambda v: (name, v) != ("epochs_total", str(2**70))))
+        directory = trained_once[1].parent
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = cli.main(["train", "--config", self._config_file(directory),
+                           "--set", f"{name}={value}",
+                           "--checkpoint", str(directory / "fuzz.ckpt")])
+        event(f"exit {rc}")
+        assert rc in (0, 2, 3), err.getvalue()
+        assert rc == 0 or err.getvalue().splitlines()[-1].startswith(
+            ("config error:", "numeric failure in")), err.getvalue()
 
     @settings(deadline=None, max_examples=80)
     @given(st.data())
