@@ -7,7 +7,7 @@ is CLI flag > file > default.
 import hashlib
 from dataclasses import dataclass, fields, replace
 
-from .data import DatasetSpec
+from .data import DatasetSpec, in_domain
 from .errors import ConfigError
 from .model import LAYERS
 from .scoring import check_score_args
@@ -34,48 +34,44 @@ class TrainConfig(DatasetSpec):
     """Every run setting; the synthetic dataset's are declared on
     `DatasetSpec`."""
 
-    seed: int = 0
+    seed: int = in_domain("[0, inf)", 0)
 
     # model
     encoder_widths: tuple = (16, 64, 64, 32)
     projection_widths: tuple = (32, 32, 16)
 
     # training
-    batch_size: int = 32
-    epochs_total: int = 400
-    warmup_epochs: int = 200
-    update_interval: int = 10
+    batch_size: int = in_domain("[2, inf)", 32)
+    epochs_total: int = in_domain("[0, inf)", 400)
+    warmup_epochs: int = in_domain("[0, inf)", 200)
+    update_interval: int = in_domain("[1, inf)", 10)
     update_per_batch: bool = False
-    clusters: int = 4
-    tau: float = 0.5
-    alpha: float = 10.0
-    lambda_weight: float = 0.5
-    phi_floor: float = 0.05
-    lr: float = 0.05
-    clustering_layer: str = "embedding"
+    clusters: int = in_domain("[2, inf)", 4)
+    tau: float = in_domain("(0, inf)", 0.5)
+    alpha: float = in_domain("(0, inf)", 10.0)
+    lambda_weight: float = in_domain("[0, 1]", 0.5)
+    phi_floor: float = in_domain("(0, inf)", 0.05)
+    lr: float = in_domain("(0, inf)", 0.05)
+    clustering_layer: str = in_domain(LAYERS, "embedding")
     use_ccl: bool = True
     use_cil: bool = True
 
     # augmentation
-    aug_noise: float = 0.15
-    aug_mask_prob: float = 0.1
-    aug_gain: float = 0.3
+    aug_noise: float = in_domain("[0, inf)", 0.15)
+    aug_mask_prob: float = in_domain("[0, 1)", 0.1)
+    aug_gain: float = in_domain("[0, 1)", 0.3)
 
     # clustering solver
-    kmeans_max_iters: int = 100
-    kmeans_tol: float = 1e-6
+    kmeans_max_iters: int = in_domain("[1, inf)", 100)
+    kmeans_tol: float = in_domain("(0, inf)", 1e-6)
 
     # scoring
     score_kind: str = "var"
     k_top: int = 10
-    score_layer: str = "projection"
+    score_layer: str = in_domain(LAYERS, "projection")
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("seed", "aug_noise"):
-            if getattr(self, name) < 0:
-                raise ConfigError(
-                    f"{name} must be non-negative, got {getattr(self, name)}")
         for name in ("encoder_widths", "projection_widths"):
             widths = getattr(self, name)
             if len(widths) < 2 or min(widths) <= 0:
@@ -91,27 +87,9 @@ class TrainConfig(DatasetSpec):
             raise ConfigError(
                 f"projection output width {self.projection_widths[-1]} must "
                 f"not exceed embedding width {embedding}")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2")
         if self.warmup_epochs > self.epochs_total:
             raise ConfigError("warmup_epochs must not exceed epochs_total")
-        if self.warmup_epochs < 0 or self.update_interval < 1:
-            raise ConfigError("bad schedule: need warmup >= 0 and interval >= 1")
-        if self.clusters < 2:
-            raise ConfigError("clusters must be >= 2")
         self.check_training_rows(self.components * self.train_per_component)
-        for name in ("clustering_layer", "score_layer"):
-            if getattr(self, name) not in LAYERS:
-                raise ConfigError(f"bad {name} {getattr(self, name)!r}")
-        for name in ("tau", "alpha", "phi_floor", "lr", "kmeans_max_iters"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0.0 <= self.lambda_weight <= 1.0:
-            raise ConfigError("lambda_weight must lie in [0, 1]")
-        if not 0.0 <= self.aug_mask_prob < 1.0:
-            raise ConfigError("aug_mask_prob must lie in [0, 1)")
-        if not 0.0 <= self.aug_gain < 1.0:
-            raise ConfigError("aug_gain must lie in [0, 1)")
 
     def check_training_rows(self, m):
         """ConfigError unless m training rows can fill `clusters` clusters
@@ -161,10 +139,14 @@ def config_from_dict(values, base=None):
 
 
 def load_config_file(path):
-    """Parse a flat key=value config file into a string dict."""
+    """Parse a flat key=value config file into a string dict; a line that
+    is not UTF-8 text is a ConfigError naming the file and the line."""
     values = {}
-    with open(path) as f:
+    # surrogateescape reads each byte that is not UTF-8 as U+DC80..U+DCFF
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
+            if any("\udc80" <= c <= "\udcff" for c in line):
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text")
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -10,7 +10,7 @@ import csv
 import math
 import os
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,32 +25,43 @@ _SIZES = ("d_in", "components", "train_per_component", "test_per_component",
           "ood_samples")
 
 
+def in_domain(domain, default):
+    """A field whose value must lie in `domain`: a tuple of names, or an
+    interval such as "[0, 1)" or "(0, inf)", which NaN and inf lie outside."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def _check_in(name, domain, value):
+    """ConfigError unless `value` lies in `domain` (see `in_domain`)."""
+    if isinstance(domain, tuple):
+        inside, domain = value in domain, "{%s}" % ", ".join(domain)
+    else:
+        lo, hi = map(float, domain[1:-1].split(","))
+        inside = (lo <= value if domain[0] == "[" else lo < value) and (
+            value <= hi if domain[-1] == "]" else value < hi)
+    if not inside:
+        raise ConfigError(f"{name} must lie in {domain}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """The synthetic dataset's settings; `TrainConfig` extends it, so a
-    config is a spec."""
+    config is a spec; construction checks each field's `in_domain`."""
 
-    d_in: int = 16
-    components: int = 4
-    train_per_component: int = 100
-    test_per_component: int = 50
-    ood_samples: int = 200
-    component_spread: float = 0.15
-    ood_angle: float = 0.45
-    ood_scale: float = 3.0
-    interp_noise: float = 0.02
+    d_in: int = in_domain("[1, inf)", 16)
+    components: int = in_domain("[1, inf)", 4)
+    train_per_component: int = in_domain("[1, inf)", 100)
+    test_per_component: int = in_domain("[1, inf)", 50)
+    ood_samples: int = in_domain("[1, inf)", 200)
+    component_spread: float = in_domain("(0, inf)", 0.15)
+    ood_angle: float = in_domain("(0, inf)", 0.45)
+    ood_scale: float = in_domain("(0, inf)", 3.0)
+    interp_noise: float = in_domain("[0, inf)", 0.02)
 
     def __post_init__(self):
-        # every float field, a TrainConfig's included, must be finite
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in (*_SIZES, "component_spread", "ood_scale"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.ood_angle <= 0.0:
-            raise ConfigError("ood_angle must be positive (0 duplicates ID)")
+            if "domain" in f.metadata:
+                _check_in(f.name, f.metadata["domain"], getattr(self, f.name))
 
     @classmethod
     def from_config(cls, cfg):
@@ -194,10 +205,16 @@ def save_bundle(bundle, directory):
 
 
 def _read_set(path, expect_name):
-    """One set's rows; a bad header, cell or row is a ConfigError naming
-    the file and the line."""
-    with open(path, newline="") as f:
-        lines = list(csv.reader(f))
+    """One set's rows; non-UTF-8 bytes, an over-long cell or a bad header,
+    cell or row is a ConfigError naming the file and, if known, the line."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            lines = list(reader)
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: {e.reason}") from None
+        except csv.Error as e:
+            raise ConfigError(f"{path}:{reader.line_num}: {e}") from None
     header = next(iter(lines), None) or [""]
     if header[0] != expect_name:
         raise ConfigError(

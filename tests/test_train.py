@@ -44,7 +44,8 @@ def _small_run(**kw):
     ("warmup_epochs", -1), ("update_interval", 0),
     ("lr", float("nan")), ("tau", float("inf")), ("seed", -1),
     ("aug_noise", -1.0), ("kmeans_max_iters", 0), ("kmeans_max_iters", -1),
-    ("clusters", 401)])
+    ("clusters", 401), ("kmeans_tol", 0.0), ("kmeans_tol", -1.0),
+    ("interp_noise", -1.0)])
 def test_config_rejects_bad_value(key, value):
     with pytest.raises(ConfigError):
         TrainConfig(**{key: value})
@@ -90,19 +91,76 @@ def _widths(draw):
     TrainConfig,
     seed=st.integers(0, 2**63), d_in=st.integers(1, 4096),
     component_spread=_POSITIVE, ood_angle=_POSITIVE,
-    interp_noise=st.floats(allow_nan=False, allow_infinity=False),
+    interp_noise=st.floats(min_value=0.0, allow_infinity=False),
     encoder_widths=st.just(widths[0]), projection_widths=st.just(widths[1]),
     update_per_batch=st.booleans(), tau=_POSITIVE,
     lambda_weight=st.floats(0.0, 1.0), lr=_POSITIVE,
     clustering_layer=st.sampled_from(["embedding", "projection"]),
     use_cil=st.booleans(), aug_gain=st.floats(0.0, 1.0, exclude_max=True),
-    kmeans_tol=st.floats(allow_nan=False, allow_infinity=False),
+    kmeans_tol=st.floats(min_value=0.0, exclude_min=True,
+                         allow_infinity=False),
     # var's top-K must fit the 400 training rows of the default mixture
     score_kind=st.sampled_from(["cos", "var"]), k_top=st.integers(2, 400))))
 def test_config_round_trips_through_dict(config):
     back = config_from_dict(config.to_dict())
     assert back == config
     assert back.hash() == config.hash()
+
+
+# the TrainConfig fields that declare a domain (`data.in_domain`)
+_DOMAINS = {f.name: f for f in fields(TrainConfig) if "domain" in f.metadata}
+
+
+def _edges(domain, kind):
+    """(value, inside) at each edge of an interval or at each name of a
+    tuple `domain`, and one step outside; an int field has no value past
+    an infinite end."""
+    if isinstance(domain, tuple):
+        return [(name, True) for name in domain] + [(" ".join(domain), False)]
+    edges, (lo, hi) = [], domain[1:-1].split(",")
+    for end, closed, outward in ((float(lo), domain[0] == "[", -math.inf),
+                                 (float(hi), domain[-1] == "]", math.inf)):
+        if kind is float:
+            edges += [(end if closed else math.nextafter(end, -outward), True),
+                      (math.nextafter(end, outward) if closed else end, False)]
+        elif math.isinf(end):
+            edges.append((int(math.nextafter(end, -outward)), True))
+        else:
+            step = 1 if outward > 0 else -1
+            edges += [(int(end) if closed else int(end) - step, True),
+                      (int(end) + step if closed else int(end), False)]
+    return edges
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_declared_domains_hold_at_their_edges(data):
+    # one step outside a field's domain is that field's error, and its
+    # edges are not; a rule across fields may still refuse an edge
+    name = data.draw(st.sampled_from(sorted(_DOMAINS)), label="field")
+    domain = _DOMAINS[name].metadata["domain"]
+    value, inside = data.draw(st.sampled_from(
+        _edges(domain, type(_DOMAINS[name].default))))
+    shown = "{%s}" % ", ".join(domain) if isinstance(domain, tuple) else domain
+    raw = value if isinstance(value, str) else repr(value)
+    try:
+        config_from_dict({name: raw}, _small_config())
+        message = ""
+    except ConfigError as e:
+        message = str(e)
+    event("inside" if inside else "outside")
+    if inside:
+        assert not message.startswith(f"{name} must lie in "), message
+    else:
+        assert message == f"{name} must lie in {shown}, got {value!r}"
+
+
+def test_every_scalar_field_declares_a_domain():
+    # scoring.check_score_args owns score_kind and k_top
+    assert {f.name for f in fields(TrainConfig)
+            if f.name not in _DOMAINS
+            and not isinstance(f.default, (bool, tuple))} == \
+        {"score_kind", "k_top"}
 
 
 class TestTrainLoop:
@@ -940,15 +998,16 @@ class TestCli:
         rc = cli.main(["gen-data", "--set", "seed=-1",
                        "--out", str(tmp_path / "d")])
         assert rc == 2
-        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "config error: seed must lie in [0, inf), got -1\n"
 
     def test_negative_aug_noise_exits_2(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", self._config_file(tmp_path),
                        "--set", "aug_noise=-1",
                        "--checkpoint", str(tmp_path / "m.ckpt")])
         assert rc == 2
-        assert "aug_noise must be non-negative, got -1.0" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "config error: aug_noise must lie in [0, inf), got -1.0\n"
 
     @pytest.mark.parametrize("iters", [0, -1])
     def test_kmeans_max_iters_below_one_exits_2(self, tmp_path, capsys, iters):
@@ -956,13 +1015,25 @@ class TestCli:
                        "--set", f"kmeans_max_iters={iters}",
                        "--checkpoint", str(tmp_path / "m.ckpt")])
         assert rc == 2
-        assert "kmeans_max_iters must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("config error: kmeans_max_iters "
+                                           "must lie in [1, inf), "
+                                           f"got {iters}\n")
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"lr=0.05\n\xff\xfe=1\n")
+        rc = cli.main(["train", "--config", str(path),
+                       "--checkpoint", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"config error: {path}:2: not UTF-8 text\n"
 
     def test_non_finite_config_exits_2(self, tmp_path, capsys):
         rc = cli.main(["train", "--set", "lr=nan",
                        "--checkpoint", str(tmp_path / "m.ckpt")])
         assert rc == 2
-        assert "lr must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "config error: lr must lie in (0, inf), got nan\n"
 
     def _trained(self, tmp_path):
         cfg = self._config_file(tmp_path)
@@ -988,8 +1059,14 @@ class TestCli:
          "id_test.csv:3: non-finite value"),
         (lambda line: line.rsplit(",", 1)[0],
          "id_test.csv:3: expected 8 cells, found 7"),
-        (None, "id_test.csv: set 'id_test' has no rows")],
-        ids=["non-numeric", "nan", "inf", "ragged", "header-only"])
+        (None, "id_test.csv: set 'id_test' has no rows"),
+        # '\udcff' is written as the byte 0xff
+        (lambda line: "\udcff" + line,
+         "id_test.csv: not UTF-8 text: invalid start byte"),
+        (lambda line: "1" * (csv.field_size_limit() + 1) + line[1:],
+         "id_test.csv:3: field larger than field limit (131072)")],
+        ids=["non-numeric", "nan", "inf", "ragged", "header-only", "not-utf8",
+             "long-cell"])
     def test_bad_bundle_set_exits_2(self, tmp_path, capsys, edit, message):
         data_dir, ckpt = self._trained(tmp_path)
         path = data_dir / "id_test.csv"
@@ -998,7 +1075,8 @@ class TestCli:
             lines = lines[:1]
         else:
             lines[2] = edit(lines[2])
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8",
+                        errors="surrogateescape")
         capsys.readouterr()
         assert self._eval(tmp_path, ckpt, data_dir) == 2
         assert message in capsys.readouterr().err
@@ -1344,7 +1422,8 @@ class TestCli:
         # a bundle directory of drawn OOD set names and sizes, with up to
         # two faults: a set name no file can carry, a width other than the
         # checkpoint's d_in = 8, a header that does not match, a ragged
-        # row, a row of huge cells, or a cell that is empty, not a number,
+        # row, a row of huge cells, a byte that is not UTF-8, a cell past
+        # csv's size limit, or a cell that is empty, not a number,
         # non-finite, huge or subnormal
         _, ckpt = trained_once
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -1361,7 +1440,8 @@ class TestCli:
             name, header, rows = sets[rng.integers(len(sets))]
             row = rows[rng.integers(len(rows))]
             fault = data.draw(st.sampled_from(
-                ["name", "width", "header", "ragged", "cell", "huge"]))
+                ["name", "width", "header", "ragged", "cell", "huge",
+                 "not-utf8", "long"]))
             if fault == "name":
                 sets.append([data.draw(st.sampled_from(["my set", "", "-"])),
                              ["x", "8"], [["1"] * 8]])
@@ -1377,6 +1457,12 @@ class TestCli:
             elif fault == "huge":
                 row[:] = [data.draw(st.sampled_from(
                     ["1e308", "-1e308", "1e200"]))] * len(row)
+            elif fault == "not-utf8":
+                # written as the byte 0xff
+                row[rng.integers(len(row))] += "\udcff"
+            elif fault == "long":
+                row[rng.integers(len(row))] = "1" * (csv.field_size_limit()
+                                                     + 1)
             else:
                 row[rng.integers(len(row))] = data.draw(st.sampled_from(
                     ["", "x", "nan", "inf", "-inf", "1e308", "1e400",
@@ -1385,7 +1471,8 @@ class TestCli:
         for name, header, rows in sets:
             file = name + ".csv" if name.startswith("id_") else \
                 f"ood_{name}.csv"
-            with open(directory / file, "w", newline="") as f:
+            with open(directory / file, "w", newline="", encoding="utf-8",
+                      errors="surrogateescape") as f:
                 csv.writer(f).writerows([header, *rows])
         kind = data.draw(st.sampled_from(["cos", "var"]))
         err = io.StringIO()
