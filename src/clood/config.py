@@ -139,11 +139,12 @@ def config_from_dict(values, base=None):
 
 
 def load_config_file(path):
-    """Parse a flat key=value config file into a string dict; a line that
-    is not UTF-8 text is a ConfigError naming the file and the line."""
+    """Parse a flat key=value config file, which may start with a UTF-8
+    byte-order mark, into a string dict; a line that is not UTF-8 text is
+    a ConfigError naming the file and the line."""
     values = {}
     # surrogateescape reads each byte that is not UTF-8 as U+DC80..U+DCFF
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
             if any("\udc80" <= c <= "\udcff" for c in line):
                 raise ConfigError(f"{path}:{lineno}: not UTF-8 text")

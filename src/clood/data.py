@@ -205,9 +205,10 @@ def save_bundle(bundle, directory):
 
 
 def _read_set(path, expect_name):
-    """One set's rows; non-UTF-8 bytes, an over-long cell or a bad header,
-    cell or row is a ConfigError naming the file and, if known, the line."""
-    with open(path, newline="", encoding="utf-8") as f:
+    """One set's rows, from a file that may start with a UTF-8 byte-order
+    mark; non-UTF-8 bytes, an over-long cell or a bad header, cell or row
+    is a ConfigError naming the file and, if known, the line."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             lines = list(reader)

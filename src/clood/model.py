@@ -33,27 +33,6 @@ class MLPParams:
         return out
 
 
-@dataclass
-class EncodedBatch:
-    """Every layer's activations for one batch of paired augmented inputs.
-
-    Rows 2k and 2k+1 of every array are two views of the same source
-    sample. `encoder_acts` runs from the inputs to the embeddings,
-    `projection_acts` from the embeddings to the projections.
-    """
-
-    encoder_acts: list
-    projection_acts: list
-
-    @property
-    def embeddings(self):
-        return self.encoder_acts[-1]
-
-    @property
-    def projections(self):
-        return self.projection_acts[-1]
-
-
 def _init_mlp(rng, widths):
     params = MLPParams()
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
@@ -173,25 +152,28 @@ def mlp_backward(params, acts, grad, out=None, input_grad=True):
 
 
 def encode_batch(encoder, projection, inputs):
-    """Full forward pass producing a consistent EncodedBatch."""
+    """Every layer's activations for one batch of paired augmented inputs
+    (rows 2k and 2k+1 are two views of one sample): the encoder's, from
+    the inputs to the embeddings, then the projection's, from the
+    embeddings to the projections."""
     acts = mlp_forward_np(encoder, inputs)
-    return EncodedBatch(encoder_acts=acts,
-                        projection_acts=mlp_forward_np(projection, acts[-1]))
+    return acts, mlp_forward_np(projection, acts[-1])
 
 
-def backward(encoder, projection, batch, d_projections, d_embeddings=None,
+def backward(encoder, projection, acts, d_projections, d_embeddings=None,
              out=None):
     """Gradients of the encoder's then the projection's `arrays()` from the
-    loss gradient at the batch's projections and, if given, at its
-    embeddings. With `out`, arrays in that order and of those shapes, the
-    gradients are written into those and returned.
+    loss gradient at the projections of `acts` (`encode_batch`) and, if
+    given, at its embeddings. With `out`, arrays in that order and of
+    those shapes, the gradients are written into those and returned.
     """
+    encoder_acts, projection_acts = acts
     n_enc = 2 * len(encoder.weights)
     enc_out, proj_out = (None, None) if out is None else (out[:n_enc], out[n_enc:])
-    projection_grads, d_h = mlp_backward(projection, batch.projection_acts,
+    projection_grads, d_h = mlp_backward(projection, projection_acts,
                                          d_projections, proj_out)
     if d_embeddings is not None:
         d_h += d_embeddings
-    encoder_grads, _ = mlp_backward(encoder, batch.encoder_acts, d_h, enc_out,
+    encoder_grads, _ = mlp_backward(encoder, encoder_acts, d_h, enc_out,
                                     input_grad=False)
     return encoder_grads + projection_grads

@@ -28,22 +28,28 @@ _CELLS = 8
 SCORE_KINDS = ("cos", "var")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReferenceBank:
-    """Training-set features test samples are scored against: a non-empty
-    float64 matrix, one row per training sample. Scoring keeps nothing
-    from one call to the next, except through a `bank_cells` function, so
-    the rows may change between calls that are given none."""
+    """Training-set features test samples are scored against: a read-only
+    float64 copy of a non-empty matrix, one row per training sample, in
+    the input's memory layout. Its direction cells (`_cos_cells`) are
+    built on first use and kept for every later call."""
 
     features: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] == 0:
+        features = np.array(self.features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[0] == 0:
             raise ConfigError("bank must be a non-empty 2-D matrix")
+        features.setflags(write=False)
+        object.__setattr__(self, "features", features)
 
     def __len__(self):
         return self.features.shape[0]
+
+    @functools.cached_property
+    def cells(self):
+        return _cos_cells(self.features)
 
 
 @dataclass
@@ -102,16 +108,7 @@ def check_score_args(score_kind, k_top, rows):
                           f"{rows} rows, got {k_top}")
 
 
-def bank_cells(bank):
-    """A function that returns the bank's direction cells (`_cos_cells`),
-    built on its first call and returned again on later ones. It keeps
-    what the rows were at that call: hand it to `score_set` only while
-    they are unchanged."""
-    return functools.cache(lambda: _cos_cells(bank.features))
-
-
-def score_set(bank, features, score_kind, k_top=10, clamped=False,
-              cells=None):
+def score_set(bank, features, score_kind, k_top=10, clamped=False):
     """Score every row of `features` against the bank.
 
     A bank row's candidate score, sim(bank_m, z) * ||bank_m||, is its dot
@@ -131,10 +128,10 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False,
     exceeds; any other bank is scanned whole, a chunk at a time. A bank
     of at most two tiles, with a non-finite row norm or with only zero
     rows has no cells, and `var` asks for none on a bank too narrow for
-    its threshold (`_sample_rank`). The cells are built once per call,
-    or, for calls given the same `cells` function from
-    `bank_cells(bank)`, once over all of them. `cos` multiplies a query
-    by a tile only while the tile's bound is above the query's best.
+    its threshold (`_sample_rank`). A bank builds its cells once, for
+    the first call that needs them (`ReferenceBank.cells`). `cos`
+    multiplies a query by a tile only while the tile's bound is above
+    the query's best.
     On cells, `var` scores chunks of queries against a negated copy of
     the bank, in order of each query's best cell and threshold, and
     multiplies a chunk only by the tiles some threshold of it reaches;
@@ -145,19 +142,18 @@ def score_set(bank, features, score_kind, k_top=10, clamped=False,
     can depend on how many queries share its product.
     """
     check_score_args(score_kind, k_top, len(bank))
-    cells = cells or bank_cells(bank)
     queries = normalize_rows(features)[0]
     if score_kind == "cos":
-        scores = _cos_scores(bank, queries, cells)
+        scores = _cos_scores(bank, queries)
         spread_clamped = np.zeros(len(queries), dtype=bool)
     else:
-        scores, spread_clamped = _var_scores(bank, queries, k_top, cells)
+        scores, spread_clamped = _var_scores(bank, queries, k_top)
     return (scores, spread_clamped) if clamped else scores
 
 
-def _var_scores(bank, queries, k_top, cells):
+def _var_scores(bank, queries, k_top):
     """`var` scores of unit queries, and which of them had their spread
-    clamped; `cells()` gives the bank's cells (`bank_cells`).
+    clamped.
 
     A chunk of step = min(2 _CHUNK_ENTRIES // (n + K d),
     _CHUNK_ENTRIES // 2 // (K d)) queries, at least one, is scored at a
@@ -201,7 +197,7 @@ def _var_scores(bank, queries, k_top, cells):
     """
     features = bank.features
     n, d = features.shape
-    cells = cells() if _sample_rank(n, k_top) else None
+    cells = bank.cells if _sample_rank(n, k_top) else None
     step = max(1, min(2 * _CHUNK_ENTRIES // (n + k_top * d),
                       _CHUNK_ENTRIES // 2 // (k_top * d)))
     starts = range(0, len(queries), step)
@@ -483,9 +479,8 @@ def _product(queries, rows, out=None):
     return product[:1] if lone else product
 
 
-def _cos_scores(bank, queries, cells):
-    """Best candidate of each unit query, exactly; `cells()` gives the
-    bank's cells (`bank_cells`).
+def _cos_scores(bank, queries):
+    """Best candidate of each unit query, exactly.
 
     A bank without cells (`_cos_cells`) is one tile. Otherwise, for a
     block of queries whose bound matrix, a column a query, fits in
@@ -496,7 +491,7 @@ def _cos_scores(bank, queries, cells):
     computed candidate above its best, so the maximum, and every bit of
     it, is that of the unpruned scan over the same tiles.
     """
-    cells = cells()
+    cells = bank.cells
     if cells is None:
         return _best(queries, bank.features.T)
     tiles = [bank.features[cells.keys[a:b]].T
@@ -618,10 +613,10 @@ def _top_k_full(values, k, keys=None):
 
 
 def stacked_report(bank, features, id_rows, ood_rows, score_kind, k_top=10,
-                   config_hash="", cells=None):
+                   config_hash=""):
     """The report on `features`: the ID test set's `id_rows` rows, then
     each OOD set's, in the order of `ood_rows` (set name -> row count),
-    scored by one `score_set` call, which is given `cells`.
+    scored by one `score_set` call.
 
     A zero-norm row raises NumericError naming its set and its index there.
     """
@@ -629,7 +624,7 @@ def stacked_report(bank, features, id_rows, ood_rows, score_kind, k_top=10,
     spans = [slice(a, b) for a, b in zip([0, *ends], ends)]
     try:
         scores, clamped = score_set(bank, features, score_kind, k_top,
-                                    clamped=True, cells=cells)
+                                    clamped=True)
     except NumericError:
         zero = np.flatnonzero(np.linalg.norm(features, axis=1) == 0.0)
         if not zero.size:

@@ -217,14 +217,14 @@ def step_gradients(config, encoder, projection, views, state, out=None):
     the gradients of the encoder's then the projection's `arrays()`,
     written into `out` if given (see `model.backward`).
     """
-    batch = model.encode_batch(encoder, projection, views)
-    u_proj, n_proj = normalize_rows(batch.projections)
+    acts = model.encode_batch(encoder, projection, views)
+    u_proj, n_proj = normalize_rows(acts[1][-1])
     l_self, du_proj = losses.self_supervised_loss(u_proj, config.tau)
     total, d_emb = l_self, None
     l_cluster = l_ccl = l_cil = float("nan")
     if state is not None:
         on_embeddings = config.clustering_layer == "embedding"
-        unit, norms = normalize_rows(batch.embeddings) if on_embeddings \
+        unit, norms = normalize_rows(acts[0][-1]) if on_embeddings \
             else (u_proj, n_proj)
         assigns = clustering.assign(unit, state.centers)
         terms = []
@@ -245,7 +245,7 @@ def step_gradients(config, encoder, projection, views, state, out=None):
             du_proj = du_proj + du_cluster
     d_proj = normalize_backward(u_proj, n_proj, du_proj)
     return total, (l_self, l_cluster, l_ccl, l_cil), \
-        model.backward(encoder, projection, batch, d_proj, d_emb, out=out)
+        model.backward(encoder, projection, acts, d_proj, d_emb, out=out)
 
 
 # the TrainConfig fields that act only from the first refit on, or only
@@ -406,7 +406,6 @@ class _Prepared(NamedTuple):
     inputs: tuple             # `_inputs`, copied
     bank: scoring.ReferenceBank
     queries: np.ndarray       # the test rows' features, stacked
-    cells: object             # `scoring.bank_cells(bank)`
 
 
 # the entry `evaluate` last prepared, at most one
@@ -435,7 +434,7 @@ def _same(a, b):
 
 
 def _prepare(result, bundle, names):
-    """The bank, stacked queries and cells of (result, bundle): the entry
+    """The bank and stacked queries of (result, bundle): the entry
     held if its inputs equal these, else a new one, held in its place
     once both forwards have run."""
     inputs = _inputs(result, bundle, names)
@@ -455,7 +454,7 @@ def _prepare(result, bundle, names):
     except FloatingPointError as e:
         raise FloatingPointError(f"{e} (forward)") from e
     entry = _Prepared((inputs[0], [a.copy() for a in inputs[1]]), bank,
-                      queries, scoring.bank_cells(bank))
+                      queries)
     _prepared.append(entry)
     return entry
 
@@ -468,18 +467,19 @@ def evaluate(result, bundle, score_kind=None, k_top=None):
     to the checkpoint's. A bundle with no OOD set, or a kind and K that
     `scoring.check_score_args` rejects, is a ConfigError before the forward.
 
-    The bank, the stacked features and the bank's direction cells
-    (`scoring.bank_cells`, built when a kind first needs them) are held
-    for the last (model, bundle), one entry, and shared by both score
-    kinds: a call whose score layer, encoder and projection arrays (and
-    encoder depth), ID and OOD rows, OOD set names and numpy error state
-    all equal the entry's, bit for bit, takes them without a forward.
+    The bank, which builds its direction cells once, when a kind first
+    needs them (`scoring.ReferenceBank.cells`), and the stacked features
+    are held for the last (model, bundle), one entry, and shared by both
+    score kinds: a call whose score layer, encoder and projection arrays
+    (and encoder depth), ID and OOD rows, OOD set names and numpy error
+    state all equal the entry's, bit for bit, takes them without a
+    forward.
     Any other call drops the entry first and holds its own once its
     forward has run. A FloatingPointError keeps its type and gains its
     phase, (forward) or (scoring <kind>), after numpy's text.
     """
     config = result.config
-    score_kind = score_kind or config.score_kind
+    score_kind = config.score_kind if score_kind is None else score_kind
     k_top = config.k_top if k_top is None else k_top
     check_width(config, bundle)
     if not bundle.ood_sets:
@@ -494,7 +494,7 @@ def evaluate(result, bundle, score_kind=None, k_top=None):
         return scoring.stacked_report(
             prepared.bank, prepared.queries, len(bundle.id_test),
             {n: len(bundle.ood_sets[n]) for n in names}, score_kind,
-            k_top=k_top, config_hash=config.hash(), cells=prepared.cells)
+            k_top=k_top, config_hash=config.hash())
     except FloatingPointError as e:
         raise FloatingPointError(f"{e} (scoring {score_kind})") from e
 

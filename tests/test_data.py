@@ -185,3 +185,17 @@ def test_load_bundle_name_mismatch(tmp_path):
     (tmp_path / "id_train.csv").write_text("wrong,12\n")
     with pytest.raises(ConfigError):
         data.load_bundle(tmp_path)
+
+
+def test_set_files_may_start_with_a_bom(tmp_path):
+    b = data.generate_synthetic(_spec(), seed=9)
+    plain, bom = tmp_path / "plain", tmp_path / "bom"
+    data.save_bundle(b, plain)
+    bom.mkdir()
+    for path in plain.iterdir():
+        (bom / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    want, got = data.load_bundle(plain), data.load_bundle(bom)
+    assert list(got.ood_sets) == list(want.ood_sets)
+    for x, y in zip([got.id_train, got.id_test, *got.ood_sets.values()],
+                    [want.id_train, want.id_test, *want.ood_sets.values()]):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()

@@ -80,12 +80,12 @@ def test_encode_batch_composition_consistent():
     enc, proj = model.init_params(9, encoder_widths=(5, 4, 3),
                                   projection_widths=(3, 3, 2))
     x = rng.standard_normal((6, 5))
-    batch = model.encode_batch(enc, proj, x)
+    encoder_acts, projection_acts = model.encode_batch(enc, proj, x)
     np.testing.assert_array_equal(
-        batch.projections,
-        model.mlp_forward_np(proj, batch.embeddings)[-1])
+        projection_acts[-1],
+        model.mlp_forward_np(proj, encoder_acts[-1])[-1])
     np.testing.assert_array_equal(
-        batch.projections,
+        projection_acts[-1],
         model.mlp_forward_np(proj, model.mlp_forward_np(enc, x)[-1])[-1])
 
 
@@ -244,13 +244,13 @@ def test_backward_into_buffers_equals_fresh_arrays(with_embeddings, widths,
     enc, proj = model.init_params(3, *widths)
     rng = np.random.default_rng(3)
     views = rng.standard_normal((rows, widths[0][0]))
-    batch = model.encode_batch(enc, proj, views)
-    d_proj = rng.standard_normal(batch.projections.shape)
-    d_emb = rng.standard_normal(batch.embeddings.shape) \
+    acts = model.encode_batch(enc, proj, views)
+    d_proj = rng.standard_normal(acts[1][-1].shape)
+    d_emb = rng.standard_normal(acts[0][-1].shape) \
         if with_embeddings else None
-    fresh = model.backward(enc, proj, batch, d_proj, d_emb)
+    fresh = model.backward(enc, proj, acts, d_proj, d_emb)
     _, grads, buffers = model.flat_parameters(enc, proj)
-    got = model.backward(enc, proj, batch, d_proj, d_emb, out=buffers)
+    got = model.backward(enc, proj, acts, d_proj, d_emb, out=buffers)
     assert all(g is b for g, b in zip(got, buffers))
     assert len(got) == len(fresh)
     assert grads.tobytes() == b"".join(g.tobytes() for g in fresh)

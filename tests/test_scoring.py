@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -324,21 +326,56 @@ class TestScoreSet:
         want = oracles.score_var_sorted(feats, queries, 5)
         assert got.tobytes() == want.tobytes()
 
-    def test_rows_changed_in_place_score_as_a_fresh_bank(self):
-        # 600 rows, more than two tiles, make cos cells; nothing either kind
-        # derives from the rows outlives its call
+    def test_bank_is_a_read_only_copy_of_its_rows(self):
+        # 600 rows, more than two tiles, make cos cells; the bank keeps its
+        # own rows, so the cells it built stay true to them
         rng = np.random.default_rng(10)
         rows = rng.standard_normal((600, 4))
         queries = rng.standard_normal((7, 4))
         bank = scoring.ReferenceBank(rows)
-        assert bank.features is rows
-        for kind in ("cos", "var"):
-            scoring.score_set(bank, queries, kind, 5)
+        assert bank.features is not rows
+        with pytest.raises(ValueError, match="read-only"):
+            bank.features[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bank.features = rows
+        before = [scoring.score_set(bank, queries, kind, 5).tobytes()
+                  for kind in ("cos", "var")]
         rows *= 2
-        fresh = scoring.ReferenceBank(rows.copy())
+        assert [scoring.score_set(bank, queries, kind, 5).tobytes()
+                for kind in ("cos", "var")] == before
+        doubled, fresh = scoring.ReferenceBank(rows), _bank(rows.copy())
         for kind in ("cos", "var"):
-            assert scoring.score_set(bank, queries, kind, 5).tobytes() == \
+            scoring.score_set(doubled, queries[:1], kind, 5)
+            assert scoring.score_set(doubled, queries, kind, 5).tobytes() == \
                 scoring.score_set(fresh, queries, kind, 5).tobytes()
+
+    def test_bank_copy_keeps_the_rows_memory_layout(self):
+        rows = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        features = scoring.ReferenceBank(rows).features
+        assert features.flags.f_contiguous and not features.flags.c_contiguous
+        assert features.tobytes("A") == rows.tobytes("A")
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.lists(st.tuples(st.sampled_from(["set", "one"]),
+                              st.sampled_from(["cos", "var"])),
+                    min_size=1, max_size=6))
+    def test_a_bank_builds_its_cells_once(self, calls):
+        # 600 rows at K = 5: cells, and wide enough for var's filter
+        rng = np.random.default_rng(11)
+        bank = _bank(rng.standard_normal((600, 4)))
+        queries = rng.standard_normal((3, 4))
+        built, real = [], scoring._cos_cells
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scoring, "_cos_cells", lambda features: (
+                built.append(len(features)) or real(features)))
+            for how, kind in calls:
+                if how == "set":
+                    scoring.score_set(bank, queries, kind, 5)
+                elif kind == "cos":
+                    scoring.score_cos(bank, queries[0])
+                else:
+                    scoring.score_var(bank, queries[0], 5)
+        assert built == [600]
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_nan_bank_rows_give_nan_var_scores(self, k):

@@ -19,7 +19,8 @@ from hypothesis import event, given, settings, strategies as st
 import clood
 import clood.train as train_mod
 from clood import ablate, cli, clustering, errors, losses, model, scoring
-from clood.config import TrainConfig, benchmark_config, config_from_dict
+from clood.config import (TrainConfig, benchmark_config, config_from_dict,
+                          load_config_file)
 from clood.data import DatasetSpec, generate_synthetic
 from clood.errors import ConfigError, NumericError
 
@@ -666,6 +667,7 @@ class TestEvaluateCache:
 
     @pytest.mark.parametrize("kind,k_top,message", [
         ("energy", None, "unknown score_kind 'energy', expected one of cos, var"),
+        ("", None, "unknown score_kind '', expected one of cos, var"),
         ("var", 25, r"k_top must lie in \[2, 24\]"),
         ("var", 1, r"k_top must lie in \[2, 24\]"),
         ("cos", 0, "k_top must be positive")])
@@ -1027,6 +1029,24 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == \
             f"config error: {path}:2: not UTF-8 text\n"
+
+    def test_config_file_may_start_with_a_bom(self, tmp_path):
+        # the mark is no part of the first key: both files give the same
+        # values and the same bundle bytes
+        plain = Path(self._config_file(tmp_path))
+        text = b"seed = 3\n" + plain.read_bytes()
+        plain.write_bytes(text)
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_config_file(bom) == load_config_file(plain)
+        for path in (plain, bom):
+            assert cli.main(["gen-data", "--config", str(path),
+                             "--out", str(tmp_path / path.stem)]) == 0
+        files = sorted(os.listdir(tmp_path / "run"))
+        assert files == sorted(os.listdir(tmp_path / "bom"))
+        for name in files:
+            assert (tmp_path / "bom" / name).read_bytes() == \
+                (tmp_path / "run" / name).read_bytes()
 
     def test_non_finite_config_exits_2(self, tmp_path, capsys):
         rc = cli.main(["train", "--set", "lr=nan",
@@ -1413,6 +1433,42 @@ class TestCli:
                            "--checkpoint", str(directory / "fuzz.ckpt")])
         event(f"exit {rc}")
         assert rc in (0, 2, 3), err.getvalue()
+        assert rc == 0 or err.getvalue().splitlines()[-1].startswith(
+            ("config error:", "numeric failure in")), err.getvalue()
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.booleans(), st.lists(st.one_of(
+        st.sampled_from([b"", b"  ", b"# a comment", b"  # d_in = 8", b"\r"]),
+        st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80",
+                         b"ood_angle=\x80"]),
+        st.from_regex(rb"[a-z_ #]{1,12}", fullmatch=True),
+        st.sampled_from([b"no_such_key = 1", b"\xef\xbb\xbfseed = 1", b"=1"]),
+        st.tuples(st.sampled_from([f.name for f in fields(TrainConfig)]),
+                  st.one_of(st.sampled_from(
+                      ["nan", "inf", "-1", "0", "1", "0.5", "1e-320", "1e308",
+                       "", "true", "8,8,6", "16,64,64,32", "embedding",
+                       str(2**70)]), st.text(max_size=6)))
+        .map(lambda kv: f"{kv[0]} = {kv[1]}".encode(
+            "utf-8", "surrogateescape"))), max_size=6))
+    def test_fuzzed_config_file_gen_data_exits_0_2_or_3(self, bom, lines):
+        # a config file of comment-only, blank, key-less, unknown-key, not
+        # UTF-8 and known-key lines, maybe after a byte-order mark; the
+        # sizes come from --set, so any bundle it writes is tiny
+        tiny = [f"--set={key}={value}" for key, value in [
+            ("d_in", 16), ("components", 2), ("train_per_component", 12),
+            ("test_per_component", 6), ("ood_samples", 8)]]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "fuzz.cfg")
+            with open(path, "wb") as f:
+                f.write(b"\xef\xbb\xbf" * bom + b"\n".join(lines))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.main(["gen-data", "--config", path, "--out",
+                               os.path.join(directory, "bundle"), *tiny])
+        event(f"exit {rc}")
+        assert rc in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
         assert rc == 0 or err.getvalue().splitlines()[-1].startswith(
             ("config error:", "numeric failure in")), err.getvalue()
 
