@@ -8,6 +8,7 @@ so a value that overflows ends in exit 3, not in a silently wrong result.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -18,7 +19,7 @@ from .data import generate_synthetic, load_bundle, save_bundle
 from .errors import CloodError, ConfigError
 from .model import LAYERS
 from .scoring import SCORE_KINDS, write_report
-from .train import (evaluate, export_features, load_checkpoint,
+from .train import (check_width, evaluate, export_features, load_checkpoint,
                     save_checkpoint, train, write_metrics)
 
 
@@ -46,10 +47,32 @@ def _add_config_args(p):
                    help="override a config key (repeatable; wins over file)")
 
 
-def _get_bundle(config, args):
-    if args.data:
-        return load_bundle(args.data)
-    return generate_synthetic(config, config.seed)
+def _check_outputs(*paths):
+    """OSError naming the first given path that cannot be written as a
+    file: its directory is missing, or it is a directory itself."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(folder):
+            raise OSError(f"cannot write {path}: no directory {folder}")
+
+
+def _get_bundle(config, args, checkpoint=None):
+    """The bundle of --data, else one generated from `config` (the config
+    of `checkpoint`, if given). A pair `check_width` rejects is a
+    ConfigError naming the checkpoint and --data."""
+    bundle = load_bundle(args.data) if args.data else \
+        generate_synthetic(config, config.seed)
+    try:
+        check_width(config, bundle)
+    except ConfigError as e:
+        names = [f"checkpoint {checkpoint}"] if checkpoint else []
+        names += [f"bundle {args.data}"] if args.data else []
+        if names:
+            raise ConfigError(f"{e} ({', '.join(names)})") from None
+        raise
+    return bundle
 
 
 def _cmd_gen_data(args):
@@ -62,6 +85,7 @@ def _cmd_gen_data(args):
 
 
 def _cmd_train(args):
+    _check_outputs(args.checkpoint, args.metrics)
     config = _build_config(args)
     bundle = _get_bundle(config, args)
     result = train(config, bundle)
@@ -73,8 +97,9 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
+    _check_outputs(args.scores, args.summary)
     result = load_checkpoint(args.checkpoint)
-    bundle = _get_bundle(result.config, args)
+    bundle = _get_bundle(result.config, args, args.checkpoint)
     report = evaluate(result, bundle, score_kind=args.score_kind,
                       k_top=args.k_top)
     write_report(report, args.scores, args.summary)
@@ -83,13 +108,15 @@ def _cmd_eval(args):
 
 
 def _cmd_export(args):
+    _check_outputs(args.out)
     result = load_checkpoint(args.checkpoint)
-    bundle = _get_bundle(result.config, args)
+    bundle = _get_bundle(result.config, args, args.checkpoint)
     export_features(result, bundle, args.layer, args.out)
     print(f"wrote {args.layer} features to {args.out}")
 
 
 def _cmd_ablate(args):
+    _check_outputs(args.out)
     base = _build_config(args, benchmark_config())
     rows = ablate_mod.run_sweep(args.sweep, base, n_seeds=args.seeds)
     if args.out:

@@ -132,23 +132,22 @@ def flat_parameters(*nets):
     return params, grads, views(grads)
 
 
-def mlp_backward(params, acts, grad, out=None, input_grad=True):
-    """Gradients of `params.arrays()`, in that order, and of the MLP's input
-    (None without `input_grad`), from the gradient at its output; `acts` is
-    what mlp_forward_np returned. With `out`, arrays shaped like
-    `params.arrays()`, the gradients are written into those and returned.
+def mlp_backward(params, acts, grad, out, input_grad=True):
+    """Write the gradients of `params.arrays()` into `out`, arrays of those
+    shapes in that order, from the gradient at the MLP's output; `acts` is
+    what mlp_forward_np returned. Returns the gradient at the MLP's input,
+    or None without `input_grad`.
     """
     last = len(params.weights) - 1
-    grads = [None] * (2 * last + 2) if out is None else out
     for i in range(last, -1, -1):
         if i != last:
             # `grad` is a product taken below, never the caller's array
             np.multiply(grad, acts[i + 1] > 0.0, out=grad)
-        grads[2 * i] = np.matmul(acts[i].T, grad, out=grads[2 * i])
-        grads[2 * i + 1] = np.add.reduce(grad, axis=0, out=grads[2 * i + 1])
+        np.matmul(acts[i].T, grad, out=out[2 * i])
+        np.add.reduce(grad, axis=0, out=out[2 * i + 1])
         if i or input_grad:
             grad = grad @ params.weights[i].T
-    return grads, grad if input_grad else None
+    return grad if input_grad else None
 
 
 def encode_batch(encoder, projection, inputs):
@@ -160,20 +159,15 @@ def encode_batch(encoder, projection, inputs):
     return acts, mlp_forward_np(projection, acts[-1])
 
 
-def backward(encoder, projection, acts, d_projections, d_embeddings=None,
-             out=None):
-    """Gradients of the encoder's then the projection's `arrays()` from the
-    loss gradient at the projections of `acts` (`encode_batch`) and, if
-    given, at its embeddings. With `out`, arrays in that order and of
-    those shapes, the gradients are written into those and returned.
+def backward(encoder, projection, acts, d_projections, d_embeddings, out):
+    """Write the gradients of the encoder's then the projection's
+    `arrays()` into `out`, arrays in that order and of those shapes, from
+    the loss gradient at the projections of `acts`, the (encoder,
+    projection) pair of `encode_batch`, and at its embeddings (None where
+    the loss has none).
     """
-    encoder_acts, projection_acts = acts
     n_enc = 2 * len(encoder.weights)
-    enc_out, proj_out = (None, None) if out is None else (out[:n_enc], out[n_enc:])
-    projection_grads, d_h = mlp_backward(projection, projection_acts,
-                                         d_projections, proj_out)
+    d_h = mlp_backward(projection, acts[1], d_projections, out[n_enc:])
     if d_embeddings is not None:
         d_h += d_embeddings
-    encoder_grads, _ = mlp_backward(encoder, encoder_acts, d_h, enc_out,
-                                    input_grad=False)
-    return encoder_grads + projection_grads
+    mlp_backward(encoder, acts[0], d_h, out[:n_enc], input_grad=False)

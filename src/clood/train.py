@@ -182,13 +182,15 @@ def load_checkpoint(path):
 # ---- training ----
 
 def check_width(config, bundle):
-    """ConfigError unless the bundle's rows are as wide as config.d_in and
-    the encoder's first layer."""
-    width = bundle.id_train.shape[1]
-    if not width == config.d_in == config.encoder_widths[0]:
-        raise ConfigError(
-            f"bundle dimension {width} does not match config d_in "
-            f"{config.d_in} and encoder_widths[0] {config.encoder_widths[0]}")
+    """ConfigError unless the encoder's first layer is as wide as
+    config.d_in, naming both fields, and then unless the bundle's rows
+    are."""
+    d_in, first = config.d_in, config.encoder_widths[0]
+    if first != d_in:
+        raise ConfigError(f"encoder_widths[0] {first} does not match d_in {d_in}")
+    if bundle.id_train.shape[1] != d_in:
+        raise ConfigError(f"bundle width {bundle.id_train.shape[1]} does not "
+                          f"match config d_in {d_in}")
 
 
 def _refit(config, encoder, projection, bundle, epoch):
@@ -206,16 +208,16 @@ def _refit(config, encoder, projection, bundle, epoch):
 LOSS_COLUMNS = ("l_self", "l_cluster", "l_ccl", "l_cil")
 
 
-def step_gradients(config, encoder, projection, views, state, out=None):
+def step_gradients(config, encoder, projection, views, state, out):
     """Losses and parameter gradients of one SGD step on a batch of views.
 
     The instance loss is taken at the projections. With a cluster `state`
     (the joint phase) the cluster terms, at the configured layer and with
     assignments to the state's centers, join it. Each layer is normalized
-    once. Returns the total loss, the LOSS_COLUMNS values (the cluster
-    loss is the mean of the terms in use; a term not taken is NaN) and
-    the gradients of the encoder's then the projection's `arrays()`,
-    written into `out` if given (see `model.backward`).
+    once. Writes the gradients of the encoder's then the projection's
+    `arrays()` into `out` (see `model.backward`) and returns the total
+    loss and the LOSS_COLUMNS values (the cluster loss is the mean of the
+    terms in use; a term not taken is NaN).
     """
     acts = model.encode_batch(encoder, projection, views)
     u_proj, n_proj = normalize_rows(acts[1][-1])
@@ -244,8 +246,8 @@ def step_gradients(config, encoder, projection, views, state, out=None):
         else:
             du_proj = du_proj + du_cluster
     d_proj = normalize_backward(u_proj, n_proj, du_proj)
-    return total, (l_self, l_cluster, l_ccl, l_cil), \
-        model.backward(encoder, projection, acts, d_proj, d_emb, out=out)
+    model.backward(encoder, projection, acts, d_proj, d_emb, out)
+    return total, (l_self, l_cluster, l_ccl, l_cil)
 
 
 # the TrainConfig fields that act only from the first refit on, or only
@@ -350,8 +352,8 @@ def train(config, bundle, warm=None):
                 # state is None until the first refit, which opens the
                 # joint phase
                 batch = views[b * per_batch:(b + 1) * per_batch]
-                total, values, _ = step_gradients(
-                    config, encoder, projection, batch, state, out=grad_views)
+                total, values = step_gradients(
+                    config, encoder, projection, batch, state, grad_views)
                 if not math.isfinite(total):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, batch {b}")

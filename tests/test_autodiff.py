@@ -49,7 +49,8 @@ def test_relu_masks_negative_gradients():
     params = model.MLPParams(weights=[np.eye(2), np.ones((2, 1))],
                              biases=[np.zeros(2), np.zeros(1)])
     acts = model.mlp_forward_np(params, np.array([[-1.0, 2.0]]))
-    grads, d_input = model.mlp_backward(params, acts, np.ones((1, 1)))
+    grads = [np.empty_like(a) for a in params.arrays().values()]
+    d_input = model.mlp_backward(params, acts, np.ones((1, 1)), grads)
     np.testing.assert_array_equal(grads[1], [0.0, 1.0])        # b0
     np.testing.assert_array_equal(d_input, [[0.0, 1.0]])
 

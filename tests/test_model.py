@@ -201,14 +201,16 @@ def _tiny_step(layer, lambda_weight=0.5, seed=2):
 def test_step_gradients_match_central_differences(layer):
     config, enc, proj, views, state = _tiny_step(layer)
     params = _arrays(enc, proj)
+    grads = [np.empty_like(a) for a in params]
     for k, p in enumerate(params):
         original = p.copy()
 
         def f(x):
             p[...] = x
-            total, _, grads = train_mod.step_gradients(
-                config, enc, proj, views, state)
-            return total, grads[k]
+            total, _ = train_mod.step_gradients(config, enc, proj, views,
+                                                state, grads)
+            # the next step overwrites the buffers
+            return total, grads[k].copy()
 
         err = finite_difference_check(f, original, step=1e-5)
         p[...] = original
@@ -219,7 +221,8 @@ def test_cluster_loss_on_embeddings_leaves_projection_untouched():
     # with lambda_weight 1 only the cluster terms count; computed at the
     # embedding layer, no gradient may reach the projection head
     config, enc, proj, views, state = _tiny_step("embedding", lambda_weight=1.0)
-    _, _, grads = train_mod.step_gradients(config, enc, proj, views, state)
+    grads = [np.empty_like(a) for a in _arrays(enc, proj)]
+    train_mod.step_gradients(config, enc, proj, views, state, grads)
     n_enc = len(enc.arrays())
     assert not any(np.any(g) for g in grads[n_enc:])
     assert any(np.any(g) for g in grads[:n_enc])
@@ -227,8 +230,8 @@ def test_cluster_loss_on_embeddings_leaves_projection_untouched():
 
 def test_self_loss_updates_both_encoder_and_projection():
     config, enc, proj, views, _ = _tiny_step("embedding", seed=4)
-    _, _, grads = train_mod.step_gradients(config, enc, proj, views[:4],
-                                           None)
+    grads = [np.empty_like(a) for a in _arrays(enc, proj)]
+    train_mod.step_gradients(config, enc, proj, views[:4], None, grads)
     n_enc = len(enc.arrays())
     assert any(np.any(g) for g in grads[:n_enc])
     assert any(np.any(g) for g in grads[n_enc:])
@@ -237,10 +240,11 @@ def test_self_loss_updates_both_encoder_and_projection():
 @pytest.mark.parametrize("with_embeddings", [False, True])
 @pytest.mark.parametrize("widths,rows", [(((5, 4, 3), (3, 3, 2)), 6),
                                          (_WIDTHS, 64)])
-def test_backward_into_buffers_equals_fresh_arrays(with_embeddings, widths,
-                                                   rows):
-    # writing into one flat gradient vector's views gives the bits of the
-    # fresh-array backward, and returns those views
+def test_backward_overwrites_every_gradient_entry(with_embeddings, widths,
+                                                  rows):
+    # into a flat gradient vector's views pre-filled with NaN the backward
+    # leaves no NaN and gives the bytes it gives into zeroed ones: it
+    # writes every entry and adds to none
     enc, proj = model.init_params(3, *widths)
     rng = np.random.default_rng(3)
     views = rng.standard_normal((rows, widths[0][0]))
@@ -248,12 +252,13 @@ def test_backward_into_buffers_equals_fresh_arrays(with_embeddings, widths,
     d_proj = rng.standard_normal(acts[1][-1].shape)
     d_emb = rng.standard_normal(acts[0][-1].shape) \
         if with_embeddings else None
-    fresh = model.backward(enc, proj, acts, d_proj, d_emb)
-    _, grads, buffers = model.flat_parameters(enc, proj)
-    got = model.backward(enc, proj, acts, d_proj, d_emb, out=buffers)
-    assert all(g is b for g, b in zip(got, buffers))
-    assert len(got) == len(fresh)
-    assert grads.tobytes() == b"".join(g.tobytes() for g in fresh)
+    _, zeroed, zeroed_views = model.flat_parameters(enc, proj)
+    _, filled, filled_views = model.flat_parameters(enc, proj)
+    filled[...] = np.nan
+    for buffers in (zeroed_views, filled_views):
+        assert model.backward(enc, proj, acts, d_proj, d_emb, buffers) is None
+    assert not np.isnan(filled).any()
+    assert filled.tobytes() == zeroed.tobytes()
 
 
 def test_flat_parameters_keep_values_and_alias_the_vector():

@@ -338,8 +338,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("warmup_epochs", [0, 1])
     def test_one_epoch_equals_a_per_array_sgd_loop(self, warmup_epochs):
-        # the flat-vector step of `train` against step_gradients' fresh
-        # arrays and one `p -= lr * g` per array, bit for bit
+        # the flat-vector step of `train` against step_gradients into
+        # arrays of their own and one `p -= lr * g` per array, bit for bit
         config = _small_config(epochs_total=1, warmup_epochs=warmup_epochs)
         bundle = generate_synthetic(config, config.seed)
         result = train_mod.train(config, bundle)
@@ -347,6 +347,7 @@ class TestTrainLoop:
         enc, proj = model.init_params(config.seed, config.encoder_widths,
                                       config.projection_widths)
         params = [*enc.arrays().values(), *proj.arrays().values()]
+        grads = [np.empty_like(p) for p in params]
         state = train_mod._refit(config, enc, proj, bundle, 0) \
             if warmup_epochs == 0 else None
         m, rows = len(bundle.id_train), 2 * config.batch_size
@@ -357,8 +358,8 @@ class TestTrainLoop:
         views = train_mod.data_augment(
             bundle.id_train[order[:n_batches * config.batch_size]], rng, config)
         for b in range(n_batches):
-            _, _, grads = train_mod.step_gradients(
-                config, enc, proj, views[b * rows:(b + 1) * rows], state)
+            train_mod.step_gradients(
+                config, enc, proj, views[b * rows:(b + 1) * rows], state, grads)
             for p, g in zip(params, grads):
                 p -= config.lr * g
         assert (state is None) == (result.cluster_state is None)
@@ -1130,20 +1131,104 @@ class TestCli:
 
     @pytest.mark.parametrize("data", [False, True], ids=["generated", "bundle"])
     def test_train_width_mismatch_exits_2(self, tmp_path, capsys, data):
-        # the default encoder takes 16 columns: give it 8-wide rows either
-        # generated at d_in=8 or read from an 8-wide bundle
+        # the default encoder takes 16 columns: set d_in=8 under it, which
+        # the config itself breaks, or read an 8-wide bundle, which the
+        # default d_in=16 names the bundle's fault
         args = ["train", "--checkpoint", str(tmp_path / "m.ckpt")]
         if data:
             data_dir = str(tmp_path / "bundle")
             assert cli.main(["gen-data", "--config", self._config_file(tmp_path),
                              "--out", data_dir]) == 0
             args += ["--data", data_dir]
+            message = (f"config error: bundle width 8 does not match config "
+                       f"d_in 16 (bundle {data_dir})\n")
         else:
             args += ["--set", "d_in=8"]
+            message = ("config error: encoder_widths[0] 16 does not match "
+                       "d_in 8\n")
         capsys.readouterr()
         assert cli.main(args) == 2
-        assert "bundle dimension 8 does not match config d_in" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err == message
+
+    def test_bundle_of_a_config_with_a_wrong_encoder_blames_the_config(
+            self, tmp_path, capsys):
+        # gen-data reads d_in alone, so it writes a bundle of the width the
+        # config says; train then names the two fields that disagree
+        sizes = ["--config", self._config_file(tmp_path), "--set", "d_in=4",
+                 "--set", "encoder_widths=5,8,6"]
+        data_dir = str(tmp_path / "bundle")
+        assert cli.main(["gen-data", *sizes, "--out", data_dir]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", *sizes, "--data", data_dir,
+                         "--checkpoint", str(tmp_path / "m.ckpt")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: encoder_widths[0] 5 does not match d_in 4 "
+            f"(bundle {data_dir})\n")
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_bundle_wider_than_the_checkpoint_names_both(
+            self, trained_once, tmp_path, capsys, command):
+        # an 8-wide checkpoint against the default 16-wide bundle
+        _, ckpt = trained_once
+        data_dir = str(tmp_path / "wide")
+        assert cli.main(["gen-data", "--out", data_dir]) == 0
+        capsys.readouterr()
+        outputs = {"eval": ["--scores", str(tmp_path / "s.csv"),
+                            "--summary", str(tmp_path / "a.csv")],
+                   "export": ["--out", str(tmp_path / "f.csv")]}[command]
+        assert cli.main([command, "--checkpoint", str(ckpt), "--data",
+                         data_dir, *outputs]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: bundle width 16 does not match config d_in 8 "
+            f"(checkpoint {ckpt}, bundle {data_dir})\n")
+        assert sorted(os.listdir(tmp_path)) == ["wide"]
+
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--checkpoint"), ("train", "--metrics"),
+        ("eval", "--scores"), ("eval", "--summary"), ("export", "--out"),
+        ("ablate", "--out")])
+    def test_unwritable_output_exits_2_before_any_work(
+            self, trained_once, tmp_path, capsys, monkeypatch, command, flag,
+            bad):
+        # a missing directory or a directory in an output's place is found
+        # before anything is trained, scored or written
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} ran")
+
+        for module, name in [(cli, "train"), (cli, "evaluate"),
+                             (cli, "export_features"),
+                             (ablate, "run_sweep")]:
+            monkeypatch.setattr(module, name, no_work)
+        data_dir, ckpt = trained_once
+        (tmp_path / "dir").mkdir()
+        path = str(tmp_path / "missing" / "out") if bad == "missing" \
+            else str(tmp_path / "dir")
+        cfg, out = self._config_file(tmp_path), str(tmp_path / "out")
+        args = {
+            "train": ["--config", cfg, "--data", str(data_dir),
+                      "--checkpoint", out, "--metrics", out + ".csv"],
+            "eval": ["--checkpoint", str(ckpt), "--data", str(data_dir),
+                     "--scores", out, "--summary", out + ".csv"],
+            "export": ["--checkpoint", str(ckpt), "--data", str(data_dir),
+                       "--out", out],
+            "ablate": ["--sweep", "loss-terms", "--seeds", "1",
+                       "--config", cfg, "--out", out]}[command]
+        args[args.index(flag) + 1] = path
+        capsys.readouterr()
+        assert cli.main([command, *args]) == 2
+        reason = "no directory " + str(tmp_path / "missing") \
+            if bad == "missing" else "it is a directory"
+        assert capsys.readouterr().err == \
+            f"file error: cannot write {path}: {reason}\n"
+        assert sorted(os.listdir(tmp_path)) == ["dir", "run.cfg"]
+        assert not os.listdir(tmp_path / "dir")
+
+    def test_gen_data_creates_its_output_directory(self, tmp_path):
+        out = tmp_path / "new" / "bundle"
+        assert cli.main(["gen-data", "--config", self._config_file(tmp_path),
+                         "--out", str(out)]) == 0
+        assert (out / "id_train.csv").exists()
 
     @pytest.mark.parametrize("kind,code", [("cos", 0), ("var", 3)])
     def test_eval_bank_with_a_huge_row(self, tmp_path, capsys, kind, code):
@@ -1537,6 +1622,55 @@ class TestCli:
         event(f"exit {rc}")
         assert rc in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_fuzzed_flags_exit_0_2_or_3(self, trained_once, data):
+        # eval's --k-top and --score-kind, export's --layer and ablate's
+        # --seeds and --sweep, each left out or drawn from integers (0,
+        # negatives, 2**70), non-integers, the declared choices and junk;
+        # a drawn --seeds stays in [-2, 2], since a larger count is valid
+        # and trains that many seeds of every variant (left out, it is 5)
+        data_dir, ckpt = trained_once
+        directory = ckpt.parent
+        junk = st.sampled_from(["", "x", "1.5", "1e3", "nan", "0x10", "-",
+                                "COS", " var", "embedding,", "\u00e9"])
+
+        def flag(name, values):
+            value = data.draw(st.one_of(st.none(), values, junk))
+            return [] if value is None else [f"{name}={value}"]
+
+        command = data.draw(st.sampled_from(["eval", "export", "ablate"]))
+        if command == "eval":
+            args = ["--checkpoint", str(ckpt), "--data", str(data_dir),
+                    "--scores", str(directory / "fuzz_s.csv"),
+                    "--summary", str(directory / "fuzz_a.csv"),
+                    *flag("--k-top", st.one_of(
+                        st.integers(-3, 30),
+                        st.sampled_from([2**70, -2**70])).map(str)),
+                    *flag("--score-kind", st.sampled_from(scoring.SCORE_KINDS))]
+        elif command == "export":
+            args = ["--checkpoint", str(ckpt), "--data", str(data_dir),
+                    "--out", str(directory / "fuzz_f.csv"),
+                    *flag("--layer", st.sampled_from(model.LAYERS))]
+        else:
+            args = ["--config", self._config_file(directory),
+                    *flag("--seeds", st.integers(-2, 2).map(str)),
+                    *flag("--sweep", st.sampled_from(ablate.SWEEPS))]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main([command, *args])
+            except SystemExit as e:
+                # argparse's exit on a value it cannot parse
+                rc = e.code
+        event(f"{command} exit {rc}")
+        assert rc in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert rc == 0 or err.getvalue().splitlines()[-1].startswith(
+            ("config error:", "numeric failure in", "file error:",
+             f"clood {command}: error:")), err.getvalue()
 
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys):
         result, _ = _small_run()
